@@ -6,7 +6,7 @@
     evomeasure mutation-limit --config cfg.json --out dir [--sigmas 0.4,0.2,0.1,0.05] ...
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
-failure.  EVOMEASURE_THREADS caps sweep parallelism.
+failure.
 """
 
 from __future__ import annotations

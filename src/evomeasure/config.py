@@ -113,6 +113,16 @@ class RunConfig:
             if dt <= 0:
                 raise ConfigError("dt must be positive")
             picard = d.get("picard", {})
+            ball_radius = picard.get("ball_radius")
+            if ball_radius is not None:
+                ball_radius = float(ball_radius)
+                if not 0 < ball_radius < np.inf:
+                    raise ConfigError("picard.ball_radius must be positive and finite")
+            summary_stride = d.get("summary_stride")
+            if summary_stride is not None:
+                summary_stride = int(summary_stride)
+                if summary_stride < 1:
+                    raise ConfigError("summary_stride must be at least 1")
             return RunConfig(
                 space_spec=d["space"],
                 kernel_spec=d["kernel"],
@@ -124,8 +134,8 @@ class RunConfig:
                 seed=int(d.get("seed", 0)),
                 picard_tol=float(picard.get("tol", 1e-10)),
                 picard_max_iter=int(picard.get("max_iter", 30)),
-                ball_radius=picard.get("ball_radius"),
-                summary_stride=d.get("summary_stride"),
+                ball_radius=ball_radius,
+                summary_stride=summary_stride,
                 raw=d,
             )
         except ConfigError:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import NumericError
 from .fitness import FitnessPair, TruncationConstants, estimate_constants
@@ -197,6 +197,14 @@ def _check_shared_space(space: StrategySpace, kernel: MutationKernel, fp: Fitnes
 # ─── RK4 ─────────────────────────────────────────────────────────────
 
 
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """Nodes 0, dt, 2 dt, ... up to T, the last step shortened to end at T."""
+    n_steps = 0 if T == 0.0 else max(1, math.ceil(T / dt - 1e-9))
+    times = np.minimum(dt * np.arange(n_steps + 1), T)
+    times[-1] = T
+    return times
+
+
 def rk4_integrate(
     u: MeasureVec,
     kernel: MutationKernel,
@@ -227,17 +235,11 @@ def rk4_integrate(
         fp = fp.truncated(k_tilde)
     meta = {"dt": dt, "M_f1": m_f1, "k_tilde": fp.k_tilde}
 
-    if T == 0.0:
-        return Trajectory(u.space, np.array([0.0]), u.weights[None, :].copy(), solver="rk4",
-                          meta=meta)
-
-    n_steps = max(1, math.ceil(T / dt - 1e-9))
-    times = np.minimum(dt * np.arange(n_steps + 1), T)
-    times[-1] = T
-    out = np.empty((n_steps + 1, u.space.n))
+    times = time_grid(T, dt)
+    out = np.empty((len(times), u.space.n))
     out[0] = u.weights
     w = u.weights.copy()
-    for k in range(n_steps):
+    for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
         k1 = _field_weights(w, kernel, fp)
         k2 = _field_weights(w + 0.5 * h * k1, kernel, fp)
@@ -281,7 +283,7 @@ def _mortality_integrals(fp: FitnessPair, s: float, t: float, path: MassPath) ->
     taus = np.concatenate([[s], inner, [t]])
     masses = np.interp(taus, path.times, path.values)
     f2_tab = np.stack([fp.f2(x) for x in masses])
-    return np.trapezoid(f2_tab, x=taus, axis=0)
+    return trapezoid(f2_tab, x=taus, axis=0)
 
 
 def survival_factor(fp: FitnessPair, s: float, t: float, q, path: MassPath) -> float:
@@ -488,19 +490,24 @@ def finite_difference_residual(
     """Max TV gap between central differences of the states and the field.
 
     Checks that the trajectory solves the differential form: at interior
-    nodes, TV((w[k+1]-w[k-1])/(2 dt) - F(w[k])).  Nodes in ``skip`` (e.g.
-    window seams of a stitched Picard run) are excluded.
+    nodes, TV((w[k+1]-w[k-1])/(t[k+1]-t[k-1]) - F(w[k])).  Nodes in ``skip``
+    (e.g. window seams of a stitched Picard run) are excluded.
     """
-    worst = 0.0
-    skipset = set(skip)
-    for k in range(1, traj.n_nodes - 1):
-        if k in skipset:
-            continue
-        h1 = traj.times[k] - traj.times[k - 1]
-        h2 = traj.times[k + 1] - traj.times[k]
-        if abs(h1 - h2) > 1e-12 * max(h1, h2):
-            continue
-        deriv = (traj.weights[k + 1] - traj.weights[k - 1]) / (h1 + h2)
-        f = _field_weights(traj.weights[k], kernel, fp)
-        worst = max(worst, float(np.abs(deriv - f).sum()))
-    return worst
+    return _central_difference_gap(traj, lambda k: _field_weights(traj.weights[k], kernel, fp), skip)[0]
+
+
+def _central_difference_gap(traj: Trajectory, rhs, skip=()) -> tuple[float, int]:
+    """Max TV gap between central differences of the states and ``rhs(k)``,
+    and the number of nodes checked.  Nodes in ``skip``, and nodes between
+    steps of unequal length (where the difference is only first order), are
+    left out.
+    """
+    t, w = traj.times, traj.weights
+    h = np.diff(t)
+    even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
+    ks = np.setdiff1d(np.flatnonzero(even) + 1, skip)
+    if len(ks) == 0:
+        return 0.0, 0
+    deriv = (w[ks + 1] - w[ks - 1]) / (t[ks + 1] - t[ks - 1])[:, None]
+    gaps = np.abs(deriv - np.stack([rhs(k) for k in ks])).sum(axis=1)
+    return float(gaps.max()), len(ks)

@@ -9,17 +9,15 @@ files (wall times are printed, not stored).
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import Trajectory, finite_difference_residual, flow, vector_field
+from .dynamics import Trajectory, flow, vector_field
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
-from .kernels import gaussian_kernel
+from .kernels import dirac_kernel, gaussian_kernel
 from .measures import MeasureVec, bl_distance, unit_atom
 from .reductions import (
     DiscreteSystem,
@@ -45,9 +43,7 @@ def _jsonable(x):
 
 
 def _summary_stride(cfg: RunConfig, traj: Trajectory) -> int:
-    if cfg.summary_stride is not None:
-        return max(1, int(cfg.summary_stride))
-    return max(1, traj.n_nodes // 200)
+    return cfg.summary_stride or max(1, traj.n_nodes // 200)
 
 
 # ─── simulate ────────────────────────────────────────────────────────
@@ -146,10 +142,28 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
                 worst = max(worst, dv.tv_norm() / dm)
         record("lipschitz_field", worst <= k_f, observed_ratio=worst, bound=k_f)
 
+    # one RK4 reference on [0, T] at one truncation level K~; every RK4-based
+    # check below reads its nodes instead of integrating its own copy
+    from .dynamics import rk4_integrate
+
+    reference, rk4_witness = None, None
+    try:
+        reference = rk4_integrate(u, kernel, fp, cfg.T, cfg.dt)
+    except NumericError as exc:
+        rk4_witness = str(exc)
+
+    def head(t: float) -> Trajectory:
+        """The reference's nodes up to t (within round-off of the node times)."""
+        if reference is None:
+            raise NumericError(rk4_witness)
+        n = int(np.searchsorted(reference.times, t + 1e-9 * cfg.dt, side="right"))
+        return Trajectory(space, reference.times[:n], reference.weights[:n], solver="rk4",
+                          meta=reference.meta)
+
     # positivity and the mass bound along the configured run
     traj = None
     try:
-        traj = flow(
+        traj = head(cfg.T) if cfg.solver == "rk4" else flow(
             u, kernel, fp, cfg.T, solver=cfg.solver, dt=cfg.dt,
             tol=cfg.picard_tol, max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius,
         )
@@ -162,19 +176,18 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         record("gronwall", excess <= 1e-6, excess=excess, M_f1=m_f1)
 
     # semigroup axioms: identity at 0, composition at a grid-aligned split;
-    # composition is checked on the RK4 realization of the flow
-    from .dynamics import rk4_integrate
-
+    # composition restarts the RK4 realization from the reference node at
+    # t1 with the same K~, so both sides follow one vector field
     ident = flow(u, kernel, fp, 0.0, solver=cfg.solver, dt=cfg.dt)
     record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
     if cfg.T > 0:
         t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
         if t1 < cfg.T:
             try:
-                whole = flow(u, kernel, fp, cfg.T, solver="rk4", dt=cfg.dt)
-                first = flow(u, kernel, fp, t1, solver="rk4", dt=cfg.dt)
-                second = flow(first.final, kernel, fp, cfg.T - t1, solver="rk4", dt=cfg.dt)
-                gap = second.final.add_scaled(-1.0, whole.final).tv_norm()
+                first = head(t1)
+                second = rk4_integrate(first.final, kernel, fp, cfg.T - t1, cfg.dt,
+                                       k_tilde=first.meta["k_tilde"])
+                gap = second.final.add_scaled(-1.0, reference.final).tv_norm()
                 record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
             except NumericError as exc:
                 record("semigroup_composition", False, witness=str(exc))
@@ -191,23 +204,23 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
 
     # the finite class system is the same ODE: direct integration must agree
     if not fp.mean_fitness_mortality:
-        t_red = min(cfg.T, 10.0) if cfg.T > 0 else 1.0
         try:
-            mtraj = rk4_integrate(u, kernel, fp, t_red, cfg.dt)
+            mtraj = head(min(cfg.T, 10.0))
             fpt = fp.truncated(mtraj.meta["k_tilde"])
             sys = DiscreteSystem.from_measure_problem(kernel, fpt)
-            _, xs = integrate_discrete(sys, u.weights, t_red, cfg.dt)
+            _, xs = integrate_discrete(sys, u.weights, mtraj.times[-1], cfg.dt)
             gap = float(np.max(np.abs(mtraj.weights - xs).sum(axis=1)))
-            record_reduction("discrete_reduction", gap, 1e-10, gap <= 1e-10, T=t_red)
+            record_reduction("discrete_reduction", gap, 1e-10, gap <= 1e-10, T=mtraj.times[-1])
         except NumericError as exc:
             record_reduction("discrete_reduction", float("nan"), 1e-10, False, witness=str(exc))
 
-    # frequency-dynamics consistency, at two resolutions (order check)
+    # frequency-dynamics consistency, at two resolutions (order check); the
+    # reference's head is the coarse run, only the dt/2 run is new
     if traj is not None and not fp.mean_fitness_mortality and np.all(traj.masses > 0):
-        t_fd = min(cfg.T, 1.0)
         try:
-            coarse = rk4_integrate(u, kernel, fp, t_fd, cfg.dt)
-            fine = rk4_integrate(u, kernel, fp, t_fd, cfg.dt / 2.0)
+            coarse = head(min(cfg.T, 1.0))
+            fine = rk4_integrate(u, kernel, fp, coarse.times[-1], cfg.dt / 2.0,
+                                 k_tilde=coarse.meta["k_tilde"])
             if kernel.is_dirac:
                 rc = replicator_check(coarse, kernel, fp).max_discrepancy
                 rf = replicator_check(fine, kernel, fp).max_discrepancy
@@ -324,19 +337,8 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
 
     kw = dict(solver=cfg.solver, dt=cfg.dt, tol=cfg.picard_tol,
               max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
-    from .kernels import dirac_kernel
-
     base = flow(u, dirac_kernel(space), fp, cfg.T, **kw)
-
-    def run_sigma(sigma: float) -> Trajectory:
-        return flow(u, gaussian_kernel(space, sigma), fp, cfg.T, **kw)
-
-    max_workers = max(1, int(os.environ.get("EVOMEASURE_THREADS", "1")))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            runs = list(pool.map(run_sigma, sigmas))
-    else:
-        runs = [run_sigma(s) for s in sigmas]
+    runs = [flow(u, gaussian_kernel(space, s), fp, cfg.T, **kw) for s in sigmas]
 
     stride = _summary_stride(cfg, base)
     idx = list(range(0, base.n_nodes, stride))

@@ -104,14 +104,19 @@ class MeasureVec:
 
     @staticmethod
     def from_csv(path, space: StrategySpace) -> "MeasureVec":
+        """Read ``to_csv`` output; each index in [0, n) at most once."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            w = np.zeros(space.n)
+            if len(header) != space.dim + 2:
+                raise ValueError("CSV header does not match the space dimension")
+            w, seen = np.zeros(space.n), set()
             for row in reader:
-                w[int(row[0])] = float(row[-1])
-        if len(header) != space.dim + 2:
-            raise ValueError("CSV header does not match the space dimension")
+                i = int(row[0])
+                if i in seen or not 0 <= i < space.n:
+                    raise ValueError(f"CSV index {i} is repeated or outside [0, {space.n})")
+                seen.add(i)
+                w[i] = float(row[-1])
         return MeasureVec(space, w)
 
     def to_json_dict(self) -> dict:

@@ -1,8 +1,8 @@
 """Classical special cases of the measure dynamics, as independent oracles.
 
-Each reduction is integrated directly (its own RK4 loop, deliberately not
-sharing code with the measure solvers) so the measure model can be verified
-against it:
+Each reduction is integrated directly (by this module's RK4 loop, which
+shares only the node grid with the measure solvers) so the measure model
+can be verified against it:
 
   * finite class systems x_i(t) = mu({q_i}) with a stochastic mixing matrix,
   * the replicator-mutator equation on the simplex,
@@ -13,11 +13,11 @@ against it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _central_difference_gap, time_grid
 from .fitness import FitnessPair, mean_fitness_pair
 from .kernels import MutationKernel
 from .measures import MeasureVec
@@ -68,17 +68,21 @@ def discrete_rhs(x: np.ndarray, sys: DiscreteSystem) -> np.ndarray:
 
 def integrate_discrete(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Plain RK4 on the class system; the oracle side of reduction checks."""
+    return _rk4(lambda x: discrete_rhs(x, sys), x0, T, dt)
+
+
+def _rk4(rhs, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for dx/dt = rhs(x) on the node grid of ``rk4_integrate``."""
     x = np.asarray(x0, dtype=float).copy()
-    n_steps = max(1, int(round(T / dt)))
-    times = np.linspace(0.0, T, n_steps + 1)
-    out = np.empty((n_steps + 1, sys.n))
+    times = time_grid(T, dt)
+    out = np.empty((len(times), len(x)))
     out[0] = x
-    for k in range(n_steps):
+    for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
-        k1 = discrete_rhs(x, sys)
-        k2 = discrete_rhs(x + 0.5 * h * k1, sys)
-        k3 = discrete_rhs(x + 0.5 * h * k2, sys)
-        k4 = discrete_rhs(x + h * k3, sys)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         out[k + 1] = x
     return times, out
@@ -105,20 +109,7 @@ def replicator_mutator_rhs(x: np.ndarray, f, Q: np.ndarray) -> np.ndarray:
 
 def integrate_replicator_mutator(x0, f, Q, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for the simplex dynamics; renormalization-free (mass is conserved)."""
-    x = np.asarray(x0, dtype=float).copy()
-    n_steps = max(1, int(round(T / dt)))
-    times = np.linspace(0.0, T, n_steps + 1)
-    out = np.empty((n_steps + 1, len(x)))
-    out[0] = x
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        k1 = replicator_mutator_rhs(x, f, Q)
-        k2 = replicator_mutator_rhs(x + 0.5 * h * k1, f, Q)
-        k3 = replicator_mutator_rhs(x + 0.5 * h * k2, f, Q)
-        k4 = replicator_mutator_rhs(x + h * k3, f, Q)
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[k + 1] = x
-    return times, out
+    return _rk4(lambda x: replicator_mutator_rhs(x, f, Q), x0, T, dt)
 
 
 # ─── normalized (frequency) dynamics ─────────────────────────────────
@@ -162,14 +153,6 @@ class FdReport:
 
     max_discrepancy: float
     n_nodes_checked: int
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_discrepancy": self.max_discrepancy,
-            "n_nodes_checked": self.n_nodes_checked,
-            **self.details,
-        }
 
 
 def mm_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> FdReport:
@@ -180,15 +163,8 @@ def mm_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> Fd
     masses = traj.meta.get("source_masses")
     if masses is None:
         raise ValueError("trajectory was not produced by normalized_trajectory")
-    worst = 0.0
-    checked = 0
-    for k in range(1, traj.n_nodes - 1):
-        h = traj.times[k + 1] - traj.times[k - 1]
-        deriv = (traj.weights[k + 1] - traj.weights[k - 1]) / h
-        rhs = mm_rhs(traj.weights[k], float(masses[k]), kernel, fp)
-        worst = max(worst, float(np.abs(deriv - rhs).sum()))
-        checked += 1
-    return FdReport(max_discrepancy=worst, n_nodes_checked=checked)
+    return FdReport(*_central_difference_gap(
+        traj, lambda k: mm_rhs(traj.weights[k], float(masses[k]), kernel, fp)))
 
 
 def replicator_check(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> FdReport:
@@ -202,18 +178,14 @@ def replicator_check(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) 
         raise ValueError("the replicator reduction is only defined for the Dirac kernel")
     ntraj = normalized_trajectory(traj)
     masses = ntraj.meta["source_masses"]
-    worst = 0.0
-    checked = 0
-    for k in range(1, ntraj.n_nodes - 1):
-        h = ntraj.times[k + 1] - ntraj.times[k - 1]
-        deriv = (ntraj.weights[k + 1] - ntraj.weights[k - 1]) / h
+
+    def rhs(k):
         X = float(masses[k])
         p = ntraj.weights[k]
         fvals = fp.f1(X) - fp.f2(X)
-        rhs = (fvals - float(np.dot(fvals, p))) * p
-        worst = max(worst, float(np.abs(deriv - rhs).sum()))
-        checked += 1
-    return FdReport(max_discrepancy=worst, n_nodes_checked=checked)
+        return (fvals - float(np.dot(fvals, p))) * p
+
+    return FdReport(*_central_difference_gap(ntraj, rhs))
 
 
 # ─── quasi-species run ───────────────────────────────────────────────

@@ -58,6 +58,20 @@ def test_config_bad_values_rejected():
         RunConfig.from_dict(small_reference(dt=0.0))
     with pytest.raises(ConfigError):
         RunConfig.from_dict(small_reference(solver="euler"))
+    for radius in (-1.0, 0.0, "x"):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(small_reference(picard={"ball_radius": radius}))
+    for stride in ("x", 0, -3):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(small_reference(summary_stride=stride))
+
+
+def test_bad_summary_stride_exits_2_before_running(tmp_path):
+    cfg = small_reference(summary_stride="x")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_config_mean_fitness_with_picard_is_config_error(tmp_path):
@@ -203,6 +217,18 @@ def test_verify_reference_all_pass(tmp_path):
         assert report["checks"][name]["passed"], name
 
 
+def test_verify_horizon_off_the_step_grid_passes(tmp_path):
+    # T / dt = 333.33...: the last RK4 step is shortened to end at T, and the
+    # class-system oracle must step on the same grid
+    cfg = reference_config_dict(cells=16, T=1.0, dt=0.003)
+    out = tmp_path / "v"
+    code = main(["verify", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 0
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert checks["discrete_reduction"]["passed"]
+    assert checks["normalized_fd"]["passed"]
+
+
 def test_verify_planted_assumption_violation_fails(tmp_path):
     # f2 = b X with no floor: no inherent mortality, so the floor check fails
     cfg = small_reference(fitness={"family": "logistic", "a": 1.0, "b": 0.5, "floor": 0.0})
@@ -343,21 +369,16 @@ def test_mutation_limit_needs_sigmas(tmp_path):
     assert code == 2
 
 
-def test_mutation_limit_huge_sigma_dominates_and_threads_deterministic(tmp_path, monkeypatch):
-    # a near-uniform kernel sits at the top of the sweep, and running the
-    # sweep members on a thread pool must not change any output byte
+def test_mutation_limit_huge_sigma_dominates(tmp_path):
+    # a near-uniform kernel sits at the top of the sweep
     cfg = reference_config_dict(cells=16, T=0.2, dt=0.01)
     cfg["summary_stride"] = 10
     p = write_config(tmp_path, cfg)
     args = ["mutation-limit", "--config", str(p), "--sigmas", "5.0,0.4,0.1"]
-    assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("EVOMEASURE_THREADS", "3")
-    assert main(args + ["--out", str(tmp_path / "pooled")]) == 0
-    rep = json.loads((tmp_path / "serial" / "mutation_limit.json").read_text())
+    assert main(args + ["--out", str(tmp_path / "out")]) == 0
+    rep = json.loads((tmp_path / "out" / "mutation_limit.json").read_text())
     dists = rep["final_distances"]
     assert dists[0] == max(dists)
-    for name in ("mutation_limit.csv", "mutation_limit.json"):
-        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
 
 
 # ─── measure JSON round-trip through configs ─────────────────────────

@@ -413,6 +413,27 @@ def test_continuous_dependence_on_initial_measure():
 # ─── differential/integral consistency ───────────────────────────────
 
 
+def test_finite_difference_residual_matches_a_node_loop():
+    # the plain per-node loop is the reference: nodes in ``skip`` and nodes
+    # between steps of unequal length (here before the shortened last step)
+    # are left out
+    sp, kernel, fp, u = reference_components(cells=16)
+    traj = rk4_integrate(u, kernel, fp, 0.395, 0.01)
+    fpt = fp.truncated(traj.meta["k_tilde"])
+    skip = (5, 17)
+    t, w = traj.times, traj.weights
+    worst = 0.0
+    for k in range(1, traj.n_nodes - 1):
+        h1, h2 = t[k] - t[k - 1], t[k + 1] - t[k]
+        if k in skip or abs(h1 - h2) > 1e-12 * max(h1, h2):
+            continue
+        deriv = (w[k + 1] - w[k - 1]) / (t[k + 1] - t[k - 1])
+        f = vector_field(traj.state(k), kernel, fpt).weights
+        worst = max(worst, float(np.abs(deriv - f).sum()))
+    assert traj.n_nodes == 41 and t[-1] - t[-2] < 0.0051
+    assert finite_difference_residual(traj, kernel, fpt, skip=skip) == worst
+
+
 def test_picard_trajectory_solves_the_ode_at_order_two():
     sp, kernel, fp, u = reference_components()
     tc = estimate_constants(fp, sp, u.total_mass(), 1.0)

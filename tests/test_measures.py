@@ -269,6 +269,27 @@ def test_csv_roundtrip_2d(tmp_path):
     assert np.array_equal(MeasureVec.from_csv(p, sp).weights, m.weights)
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["-1,0.5,5\n0,0.25,1\n", "3,0.5,5\n", "0,0.25,1\n0,0.25,2\n"],
+    ids=["negative", "past_the_end", "repeated"],
+)
+def test_csv_rejects_bad_indices(tmp_path, body):
+    sp = grid_1d(0.0, 1.0, 3)
+    p = tmp_path / "bad.csv"
+    p.write_text("index,q1,weight\n" + body)
+    with pytest.raises(ValueError, match="index"):
+        MeasureVec.from_csv(p, sp)
+
+
+def test_csv_header_checked_before_rows(tmp_path):
+    sp = grid_1d(0.0, 1.0, 3)
+    p = tmp_path / "bad.csv"
+    p.write_text("index,q1,q2,weight\n7,0.5,0.5,1\n")
+    with pytest.raises(ValueError, match="header"):
+        MeasureVec.from_csv(p, sp)
+
+
 def test_json_roundtrip_bit_exact(tmp_path):
     sp = atoms([[1.0, 1.0], [1.0, 2.0]])
     m = MeasureVec(sp, np.array([0.1, 1 / 3]))

@@ -99,6 +99,16 @@ def test_atomic_embedding_matches_direct_integration(n):
     assert gap <= 1e-10
 
 
+def test_discrete_oracle_shares_the_rk4_grid_off_the_step_grid():
+    # T / dt = 333.33...: both integrators shorten the last step to end at T
+    sp, kernel, fp, u = reference_components(cells=8)
+    traj = rk4_integrate(u, kernel, fp, T=1.0, dt=0.003)
+    sys = DiscreteSystem.from_measure_problem(kernel, fp.truncated(traj.meta["k_tilde"]))
+    times, xs = integrate_discrete(sys, u.weights, 1.0, 0.003)
+    assert np.array_equal(times, traj.times)
+    assert float(np.max(np.abs(traj.weights - xs).sum(axis=1))) <= 1e-10
+
+
 # ─── replicator-mutator equation ─────────────────────────────────────
 
 
@@ -163,6 +173,18 @@ def test_normalized_dynamics_match_frequency_rhs_at_order_two():
         res.append(mm_residual(normalized_trajectory(traj), kernel, fpt).max_discrepancy)
     order = np.log2(res[0] / res[1])
     assert order >= 1.8, f"observed order {order} (residuals {res})"
+
+
+def test_mm_residual_skips_the_node_before_a_short_last_step():
+    sp, kernel, fp, u = reference_components(cells=8)
+    fpt = fp.truncated(10.0)
+    even = rk4_integrate(u, kernel, fpt, T=0.3, dt=0.01)
+    short = rk4_integrate(u, kernel, fpt, T=0.295, dt=0.01)
+    assert even.n_nodes == short.n_nodes == 31
+    assert mm_residual(normalized_trajectory(even), kernel, fpt).n_nodes_checked == 29
+    report = mm_residual(normalized_trajectory(short), kernel, fpt)
+    assert report.n_nodes_checked == 28
+    assert report.max_discrepancy <= 1e-5
 
 
 # ─── replicator reduction (pure selection) ───────────────────────────
