@@ -219,6 +219,7 @@ def rk4_integrate(
     u(Q) e^(M_f1 T) unless the caller already truncated it.  Weights that
     dip below zero by round-off are clipped; anything below
     -1e-8 max(1, TV) aborts with the offending step (step size too large).
+    A node whose mass exceeds K~ aborts too: there the clamp is active.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -250,7 +251,15 @@ def rk4_integrate(
             raise NumericError(f"RK4 produced non-finite weights at step {k + 1} (t={times[k + 1]})")
         w = _enforce_nonneg(w, k + 1, times[k + 1])
         out[k + 1] = w
-    return Trajectory(u.space, times, out, solver="rk4", meta=meta)
+    traj = Trajectory(u.space, times, out, solver="rk4", meta=meta)
+    over = np.flatnonzero(traj.masses > fp.k_tilde)
+    if len(over):
+        k = over[0]
+        raise NumericError(
+            f"mass {traj.masses[k]} at step {k} (t={times[k]}) exceeds the truncation "
+            f"level K~={fp.k_tilde}; the clamped vector field is not the model's"
+        )
+    return traj
 
 
 def _enforce_nonneg(w: np.ndarray, step: int, t: float) -> np.ndarray:
@@ -366,12 +375,11 @@ def picard_solve(
         raise ValueError(f"window {b} exceeds the contraction window b={constants.b}")
     if b <= 0:
         raise ValueError("window must be positive")
-    n_sub = max(1, int(round(b / dt)))
-    times = np.linspace(0.0, b, n_sub + 1)
+    times = time_grid(b, dt)
     fpt = fp.truncated(constants.k_tilde)
 
     alpha = Trajectory(
-        u.space, times, np.tile(u.weights, (n_sub + 1, 1)), solver="picard", meta={}
+        u.space, times, np.tile(u.weights, (len(times), 1)), solver="picard", meta={}
     )
     residuals: list[float] = []
     ratios: list[float] = []

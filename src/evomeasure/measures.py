@@ -7,6 +7,10 @@ into the weight, so atoms and densities share one code path.
 The weak* topology is proxied by the bounded-Lipschitz (flat) metric,
 computed exactly on the finite joint support as a linear program over the
 test-function values f(q_i) with |f| <= 1 and |f(q_i)-f(q_j)| <= d(q_i,q_j).
+On a line only the n-1 constraints between sorted neighbours are imposed:
+they imply all the others, since |f(q_i)-f(q_k)| is at most the sum of the
+neighbour gaps between q_i and q_k, which is |q_i-q_k|.  In 2-D every pair
+is constrained.
 """
 
 from __future__ import annotations
@@ -107,7 +111,9 @@ class MeasureVec:
         """Read ``to_csv`` output; each index in [0, n) at most once."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty CSV")
             if len(header) != space.dim + 2:
                 raise ValueError("CSV header does not match the space dimension")
             w, seen = np.zeros(space.n), set()
@@ -217,6 +223,11 @@ def bl_distance(m1: MeasureVec, m2: MeasureVec) -> float:
 
     as a linear program in the values f(q_i).  Metrizes weak* convergence on
     TV-bounded sets of measures over a compact space.
+
+    In 1-D the Lipschitz rows join sorted neighbours only (n-1 pairs); by
+    the triangle inequality along the line they imply every pairwise row,
+    so the feasible set and the optimum are those of the all-pairs LP.  In
+    2-D all n(n-1)/2 pairs are constrained.
     """
     if not m1.space.same_support(m2.space):
         m1, m2 = merge_supports(m1, m2)
@@ -226,8 +237,14 @@ def bl_distance(m1: MeasureVec, m2: MeasureVec) -> float:
     n = m1.space.n
     if n == 1:
         return float(abs(d[0]))
-    dist = m1.space.distance_matrix()
-    iu, ju = np.triu_indices(n, k=1)
+    if m1.space.dim == 1:
+        x = m1.space.points[:, 0]
+        order = np.argsort(x)
+        iu, ju = order[:-1], order[1:]
+        gaps = x[ju] - x[iu]
+    else:
+        iu, ju = np.triu_indices(n, k=1)
+        gaps = m1.space.distance_matrix()[iu, ju]
     n_pairs = len(iu)
     # rows: f_i - f_j <= d_ij and f_j - f_i <= d_ij
     rows = np.repeat(np.arange(2 * n_pairs), 2)
@@ -238,7 +255,7 @@ def bl_distance(m1: MeasureVec, m2: MeasureVec) -> float:
     cols[2::4], cols[3::4] = iu, ju
     vals[2::4], vals[3::4] = -1.0, 1.0
     a_ub = csr_matrix((vals, (rows, cols)), shape=(2 * n_pairs, n))
-    b_ub = np.repeat(dist[iu, ju], 2)
+    b_ub = np.repeat(gaps, 2)
     res = linprog(-d, A_ub=a_ub, b_ub=b_ub, bounds=[(-1.0, 1.0)] * n, method="highs")
     if not res.success:
         raise RuntimeError(f"flat-metric LP failed: {res.message}")

@@ -154,6 +154,17 @@ def test_simulate_picard_records_cross_distance(tmp_path):
     assert meta["trajectory_meta"]["windows"]
 
 
+def test_simulate_picard_horizon_off_the_step_grid_passes(tmp_path):
+    # T / dt = 39.5: the last Picard window must end with the same shortened
+    # step as the RK4 cross-check, so both runs share node times
+    cfg = reference_config_dict(cells=16, T=0.395, dt=0.01, solver="picard")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["rk4_cross_sup_tv"] <= 1e-5
+
+
 def test_simulate_config_error_exit_2(tmp_path):
     cfg = small_reference(solver="nope")
     code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),

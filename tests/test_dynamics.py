@@ -150,6 +150,19 @@ def test_rk4_aborts_on_heavy_negativity():
     assert traj.weights.min() >= -1e-12
 
 
+def test_rk4_aborts_when_mass_reaches_the_clamp():
+    # logistic growth towards X = (2 - 0.1) / 0.1 = 19, pre-truncated at
+    # K~ = 3: past X = 3 the clamped mortality no longer follows the model
+    sp = atoms([[0.0], [1.0]])
+    fp = logistic_pair(sp, a=2.0, b=0.1, floor=0.1)
+    u = MeasureVec(sp, np.array([0.5, 0.5]))
+    with pytest.raises(NumericError, match=r"step \d+ \(t=.*K~=3\.0"):
+        rk4_integrate(u, dirac_kernel(sp), fp.truncated(3.0), T=2.0, dt=0.05)
+    # the same growth under the default level, above the a-priori bound
+    traj = rk4_integrate(u, dirac_kernel(sp), fp, T=2.0, dt=0.05)
+    assert traj.masses.max() > 3.0
+
+
 def test_trajectory_invariants_cached_masses():
     sp, kernel, fp, u = reference_components(cells=16)
     traj = rk4_integrate(u, kernel, fp, T=0.5, dt=0.01)

@@ -4,7 +4,8 @@ Oracles used here:
   * brute-force sup over sign patterns for the TV norm,
   * closed-form integrals for pairings on grids,
   * closed-form flat distances between atoms,
-  * CDF-based 1-Wasserstein for equal-mass 1-D measures.
+  * CDF-based 1-Wasserstein for equal-mass 1-D measures,
+  * the all-pairs 2-D LP on the points (x, 0) for the 1-D neighbour LP.
 """
 
 import numpy as np
@@ -54,6 +55,18 @@ def wasserstein1_cdf(points, w1, w2):
 def random_measure(space, rng, nonneg=True, scale=1.0):
     w = rng.uniform(0.0, 1.0, space.n) if nonneg else rng.uniform(-1.0, 1.0, space.n)
     return MeasureVec(space, scale * w)
+
+
+def bl_on_the_plane(m1, m2):
+    """bl_distance with the 1-D support embedded as the points (x, 0).
+
+    Distances are unchanged, and a 2-D support takes the all-pairs LP, so
+    this is the dense oracle for the 1-D sorted-neighbour LP.
+    """
+    m1, m2 = merge_supports(m1, m2)
+    x = m1.space.points[:, 0]
+    plane = atoms(np.column_stack([x, np.zeros_like(x)]))
+    return bl_distance(MeasureVec(plane, m1.weights), MeasureVec(plane, m2.weights))
 
 
 # ─── total mass and TV norm ──────────────────────────────────────────
@@ -236,6 +249,46 @@ def test_bl_equals_w1_for_equal_mass_small_diameter():
         assert bl_distance(m1, m2) == pytest.approx(w1d, abs=1e-8)
 
 
+def test_bl_neighbour_lp_matches_all_pairs_on_random_grids():
+    for _ in range(20):
+        lo = RNG.uniform(-3.0, 1.0)
+        sp = grid_1d(lo, lo + RNG.uniform(0.5, 6.0), int(RNG.integers(2, 40)))
+        m1 = random_measure(sp, RNG, nonneg=False)
+        m2 = random_measure(sp, RNG)
+        assert bl_distance(m1, m2) == pytest.approx(bl_on_the_plane(m1, m2), abs=1e-9)
+
+
+def test_bl_neighbour_lp_matches_all_pairs_on_unsorted_atoms():
+    # support spread over [0, 6.5], so some gaps exceed 2 and the box binds
+    # too; the first atom is the rightmost, so the order is never sorted
+    for _ in range(20):
+        x = RNG.uniform(0.0, 6.0, int(RNG.integers(2, 25)))
+        x[0] = 6.5
+        sp = atoms(x)
+        m1 = random_measure(sp, RNG, nonneg=False)
+        m2 = random_measure(sp, RNG, scale=2.0)
+        assert bl_distance(m1, m2) == pytest.approx(bl_on_the_plane(m1, m2), abs=1e-9)
+
+
+def test_bl_neighbour_lp_matches_all_pairs_on_merged_supports():
+    for _ in range(10):
+        grid = grid_1d(0.0, 2.0, int(RNG.integers(3, 30)))
+        sp = atoms(RNG.uniform(-1.0, 3.0, int(RNG.integers(1, 10))))
+        m1 = random_measure(grid, RNG)
+        m2 = random_measure(sp, RNG, scale=0.5)
+        assert merge_supports(m1, m2)[0].space.n > grid.n
+        assert bl_distance(m1, m2) == pytest.approx(bl_on_the_plane(m1, m2), abs=1e-9)
+
+
+@pytest.mark.parametrize("points", [[0.3], [1.2, -0.4], [0.0, 2.5]], ids=["n1", "n2", "n2_far"])
+def test_bl_neighbour_lp_matches_all_pairs_on_tiny_supports(points):
+    sp = atoms(points)
+    for _ in range(5):
+        m1 = random_measure(sp, RNG, nonneg=False)
+        m2 = random_measure(sp, RNG)
+        assert bl_distance(m1, m2) == pytest.approx(bl_on_the_plane(m1, m2), abs=1e-9)
+
+
 # ─── nonnegativity flag ──────────────────────────────────────────────
 
 
@@ -287,6 +340,9 @@ def test_csv_header_checked_before_rows(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("index,q1,q2,weight\n7,0.5,0.5,1\n")
     with pytest.raises(ValueError, match="header"):
+        MeasureVec.from_csv(p, sp)
+    p.write_text("")
+    with pytest.raises(ValueError, match="empty CSV"):
         MeasureVec.from_csv(p, sp)
 
 
