@@ -36,14 +36,11 @@ from .fitness import (
     verify_assumptions,
 )
 from .dynamics import (
-    MassPath,
     Trajectory,
     flow,
-    gamma_bar,
     picard_operator,
     picard_solve,
     rk4_integrate,
-    survival_factor,
     vector_field,
 )
 from .reductions import (

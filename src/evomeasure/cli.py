@@ -46,18 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file with the command-line overrides merged in, validated
+    (and the default dt derived) by ``RunConfig.from_dict`` after the merge."""
     cfg = RunConfig.from_json(args.config)
-    if args.solver:
-        cfg.solver = args.solver
-    if args.dt is not None:
-        if args.dt <= 0:
-            raise ConfigError("dt must be positive")
-        cfg.dt = args.dt
-    if args.T is not None:
-        if args.T < 0:
-            raise ConfigError("T must be nonnegative")
-        cfg.T = args.T
-    return cfg
+    over = {k: v for k, v in (("solver", args.solver), ("dt", args.dt), ("T", args.T))
+            if v is not None}
+    return RunConfig.from_dict({**cfg.raw, **over}) if over else cfg
 
 
 def main(argv=None) -> int:

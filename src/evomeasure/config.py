@@ -104,15 +104,19 @@ class RunConfig:
             if solver not in ("rk4", "picard"):
                 raise ConfigError(f"solver must be 'rk4' or 'picard', got {solver!r}")
             T = float(d.get("T", 1.0))
-            if T < 0:
-                raise ConfigError("T must be nonnegative")
+            if not 0 <= T < np.inf:
+                raise ConfigError("T must be nonnegative and finite")
             dt = d.get("dt")
-            if dt is None:
-                dt = T / 2000.0 if T > 0 else 1.0
-            dt = float(dt)
-            if dt <= 0:
-                raise ConfigError("dt must be positive")
+            dt = float(dt) if dt is not None else T / 2000.0 if T > 0 else 1.0
+            if not 0 < dt < np.inf:
+                raise ConfigError("dt must be positive and finite")
             picard = d.get("picard", {})
+            picard_tol = float(picard.get("tol", 1e-10))
+            if not 0 < picard_tol < np.inf:
+                raise ConfigError("picard.tol must be positive and finite")
+            picard_max_iter = int(picard.get("max_iter", 30))
+            if picard_max_iter < 1:
+                raise ConfigError("picard.max_iter must be at least 1")
             ball_radius = picard.get("ball_radius")
             if ball_radius is not None:
                 ball_radius = float(ball_radius)
@@ -132,15 +136,15 @@ class RunConfig:
                 T=T,
                 dt=dt,
                 seed=int(d.get("seed", 0)),
-                picard_tol=float(picard.get("tol", 1e-10)),
-                picard_max_iter=int(picard.get("max_iter", 30)),
+                picard_tol=picard_tol,
+                picard_max_iter=picard_max_iter,
                 ball_radius=ball_radius,
                 summary_stride=summary_stride,
                 raw=d,
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 
     @staticmethod

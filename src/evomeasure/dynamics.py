@@ -23,8 +23,7 @@ vector.  Two independent solvers are provided:
 Picard route re-derives its window from the current mass before each window
 so the contraction estimate stays valid as the population grows.
 
-Time quadrature throughout is composite trapezoid on the node grid, with
-linear interpolation of the mass path inside partial end cells.
+Time quadrature throughout is composite trapezoid on the node grid.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import NumericError
 from .fitness import FitnessPair, TruncationConstants, estimate_constants
@@ -43,27 +42,6 @@ from .space import StrategySpace, _frozen
 
 # hard failure threshold for negative weights, relative to max(1, TV)
 NEG_ABORT = 1e-8
-
-
-@dataclass(frozen=True)
-class MassPath:
-    """A sampled total-mass path t -> mu(t)(Q), linearly interpolated."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape:
-            raise ValueError("times and values must be 1-D arrays of equal length")
-        if len(t) > 1 and np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", _frozen(t))
-        object.__setattr__(self, "values", _frozen(v))
-
-    def __call__(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values))
 
 
 @dataclass
@@ -118,8 +96,9 @@ class Trajectory:
     def final(self) -> MeasureVec:
         return self.state(self.n_nodes - 1)
 
-    def mass_path(self) -> MassPath:
-        return MassPath(self.times, self.masses)
+    def summary_nodes(self, stride: int) -> list[int]:
+        """Every ``stride``-th node index, then the last node."""
+        return [*range(0, self.n_nodes - 1, max(1, stride)), self.n_nodes - 1]
 
     def sup_tv_distance(self, other: "Trajectory") -> float:
         """Max over shared nodes of TV(self(t_k) - other(t_k))."""
@@ -151,12 +130,9 @@ class Trajectory:
         from .measures import bl_distance
 
         final = self.final
-        idx = list(range(0, self.n_nodes, max(1, stride)))
-        if idx[-1] != self.n_nodes - 1:
-            idx.append(self.n_nodes - 1)
         with open(path, "w", newline="") as fh:
             fh.write("t,total_mass,bl_to_final\n")
-            for k in idx:
+            for k in self.summary_nodes(stride):
                 d = bl_distance(self.state(k), final)
                 fh.write(
                     f"{format(self.times[k], '.17g')},"
@@ -275,45 +251,6 @@ def _enforce_nonneg(w: np.ndarray, step: int, t: float) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-# ─── discounted kernel ───────────────────────────────────────────────
-
-
-def _mortality_integrals(fp: FitnessPair, s: float, t: float, path: MassPath) -> np.ndarray:
-    """int_s^t f2(mass(tau), q_i) dtau for every support point.
-
-    Composite trapezoid over the path nodes inside [s, t]; the end cells use
-    linearly interpolated masses.
-    """
-    if s > t:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    if s == t:
-        return np.zeros(fp.space.n)
-    inner = path.times[(path.times > s) & (path.times < t)]
-    taus = np.concatenate([[s], inner, [t]])
-    masses = np.interp(taus, path.times, path.values)
-    f2_tab = np.stack([fp.f2(x) for x in masses])
-    return trapezoid(f2_tab, x=taus, axis=0)
-
-
-def survival_factor(fp: FitnessPair, s: float, t: float, q, path: MassPath) -> float:
-    """exp(-int_s^t f2(mass(tau), q) dtau): survival of a q-offspring from s to t."""
-    i = q if isinstance(q, (int, np.integer)) else fp.space.index_of(q)
-    return float(np.exp(-_mortality_integrals(fp, s, t, path)[i]))
-
-
-def gamma_bar(
-    fp: FitnessPair, kernel: MutationKernel, s: float, t: float, j: int, path: MassPath
-) -> MeasureVec:
-    """gamma(q_hat_j) discounted by mortality accumulated between s and t.
-
-    The net proportion of q_hat_j's offspring still alive at t: nonnegative
-    with total mass at most 1.
-    """
-    row = kernel.apply(j)
-    factors = np.exp(-_mortality_integrals(fp, s, t, path))
-    return MeasureVec(fp.space, row.weights * factors)
-
-
 # ─── Picard fixed point ──────────────────────────────────────────────
 
 
@@ -327,9 +264,11 @@ def picard_operator(
         e^(-I_k) * (u + trapz_{s <= t_k} e^(+I_s) births(alpha(s)) ds),
 
     where I_k[i] = int_0^{t_k} f2~(alpha(tau)(Q), q_i) dtau and
-    births(alpha(s)) = sum_j f1~(alpha(s)(Q), q_hat_j) gamma(q_hat_j) alpha_j(s);
-    this is exactly the trapezoid discretization of S with the discount
-    folded in.  [S alpha](0) = u exactly.
+    births(alpha(s)) = sum_j f1~(alpha(s)(Q), q_hat_j) gamma(q_hat_j) alpha_j(s).
+    The discounted kernel gbar_{s,t_k}(q_hat_j) = gamma(q_hat_j) e^(I_s - I_k)
+    is never formed: its factor e^(-(I_k - I_s)) splits into e^(-I_k) outside
+    and e^(+I_s) inside one cumulative trapezoid, which is the trapezoid
+    discretization of S.  [S alpha](0) = u exactly.
     """
     if fp.k_tilde is None:
         raise ValueError("picard_operator requires a truncated fitness pair")
@@ -366,10 +305,10 @@ def picard_solve(
     returned trajectory records the residuals and observed contraction
     ratios per iteration.
     """
-    if fp.mean_fitness_mortality:
-        raise ValueError("mean-fitness mortality is outside the contraction theory; use RK4")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     b = constants.b if window is None else float(window)
     if b > constants.b * (1 + 1e-12):
         raise ValueError(f"window {b} exceeds the contraction window b={constants.b}")
@@ -444,8 +383,6 @@ def flow(
         return rk4_integrate(u, kernel, fp, T, dt, k_tilde=k_tilde)
     if solver != "picard":
         raise ValueError(f"unknown solver {solver!r}")
-    if fp.mean_fitness_mortality:
-        raise ValueError("mean-fitness mortality is outside the contraction theory; use RK4")
 
     times_acc = [np.array([0.0])]
     weights_acc = [u.weights[None, :].copy()]

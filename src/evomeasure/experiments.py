@@ -273,14 +273,9 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
 
     traj = flow(u, kernel, fp, cfg.T, solver=cfg.solver, dt=cfg.dt,
                 tol=cfg.picard_tol, max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
-    stride = _summary_stride(cfg, traj)
-    idx = list(range(0, traj.n_nodes, stride))
-    if idx[-1] != traj.n_nodes - 1:
-        idx.append(traj.n_nodes - 1)
-
     target_atom = unit_atom(space, best)
     rows = []
-    for k in idx:
+    for k in traj.summary_nodes(_summary_stride(cfg, traj)):
         mass = traj.masses[k]
         frac = traj.weights[k, best] / mass if mass > 0 else 0.0
         dist = bl_distance(traj.state(k).normalized(), target_atom) if mass > 0 else float("nan")
@@ -340,10 +335,7 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
     base = flow(u, dirac_kernel(space), fp, cfg.T, **kw)
     runs = [flow(u, gaussian_kernel(space, s), fp, cfg.T, **kw) for s in sigmas]
 
-    stride = _summary_stride(cfg, base)
-    idx = list(range(0, base.n_nodes, stride))
-    if idx[-1] != base.n_nodes - 1:
-        idx.append(base.n_nodes - 1)
+    idx = base.summary_nodes(_summary_stride(cfg, base))
     table = np.empty((len(idx), len(sigmas)))
     for c, traj in enumerate(runs):
         for r, k in enumerate(idx):

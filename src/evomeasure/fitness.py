@@ -87,8 +87,8 @@ class FitnessPair:
     def f2(self, X: float) -> np.ndarray:
         if self.mean_fitness_mortality:
             raise ValueError(
-                "mean-fitness mortality has no pointwise f2; the rate is the "
-                "population average of f1 and is computed by the solver"
+                "mean-fitness mortality has no pointwise f2 and is outside the "
+                "contraction theory; use RK4"
             )
         return self.death(self._clamp(X))
 
@@ -186,7 +186,8 @@ def mean_fitness_pair(space: StrategySpace, f1) -> FitnessPair:
 
     ``f1`` is a coefficient spec (constant in X) or a callable
     (X, points) -> (n,).  The pair is quarantined: assumption verification
-    reports "not applicable" and the Picard solver rejects it.
+    reports "not applicable", and ``f2`` raises, so the truncation
+    constants and the Picard solver refuse it.
     """
     if callable(f1):
         birth = lambda X: np.asarray(f1(X, space.points), dtype=float)
@@ -335,8 +336,8 @@ class TruncationConstants:
 def _lattice_bounds(fp: FitnessPair, k_tilde: float, n_x: int):
     """Sup bounds and max divided differences of the truncated pair."""
     xs = np.linspace(0.0, k_tilde, n_x)
-    f1_tab = np.stack([fp.f1(min(x, k_tilde)) for x in xs])
-    f2_tab = np.stack([fp.f2(min(x, k_tilde)) for x in xs])
+    f1_tab = np.stack([fp.f1(x) for x in xs])
+    f2_tab = np.stack([fp.f2(x) for x in xs])
     dx = xs[1] - xs[0]
     b1 = float(np.max(f1_tab))
     b2 = float(np.max(f2_tab))
@@ -355,12 +356,13 @@ def estimate_constants(
 ) -> TruncationConstants:
     """Measure B1, B2, L1, L2 on a lattice and pick the contraction window b.
 
-    The lattice is refined once at double resolution and the larger estimate
-    kept.  b is set to 0.9x the binding bound, iterating because C2 depends
-    on b; both window inequalities are re-asserted at the result.
+    The rates are tabulated on the ``n_x``-point lattice on [0, K~] refined
+    once by its midpoints (2 n_x - 1 points).  The refinement holds every
+    coarse node, and each coarse divided difference is the mean of two
+    refined ones, so the coarse lattice alone never gives a larger
+    estimate.  b is set to 0.9x the binding bound, iterating because C2
+    depends on b; both window inequalities are re-asserted at the result.
     """
-    if fp.mean_fitness_mortality:
-        raise ValueError("mean-fitness mortality is outside the contraction theory; use RK4")
     if a <= 0:
         raise ValueError("ball radius a must be positive")
     if u_mass < 0:
@@ -371,10 +373,7 @@ def estimate_constants(
     if k_tilde <= C1:
         raise ValueError(f"k_tilde must exceed u(Q) + 2a = {C1}")
     fpt = fp.truncated(k_tilde)
-    b1a, b2a, l1a, l2a = _lattice_bounds(fpt, k_tilde, n_x)
-    b1b, b2b, l1b, l2b = _lattice_bounds(fpt, k_tilde, 2 * n_x - 1)
-    B1, B2 = max(b1a, b1b), max(b2a, b2b)
-    L1, L2 = max(l1a, l1b), max(l2a, l2b)
+    B1, B2, L1, L2 = _lattice_bounds(fpt, k_tilde, 2 * n_x - 1)
 
     # window condition 1: (1 - e^(-B2 b)) u(Q) + 2 B1 C1 b < a, increasing in b
     def g(b):

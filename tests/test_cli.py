@@ -61,9 +61,31 @@ def test_config_bad_values_rejected():
     for radius in (-1.0, 0.0, "x"):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(small_reference(picard={"ball_radius": radius}))
-    for stride in ("x", 0, -3):
+    for stride in ("x", 0, -3, float("inf")):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(small_reference(summary_stride=stride))
+    # non-finite horizons and steps (JSON's NaN/Infinity literals)
+    for over in ({"T": float("nan")}, {"T": float("inf")}, {"dt": float("nan")},
+                 {"dt": float("inf")}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(small_reference(**over))
+    for picard in ({"max_iter": 0}, {"max_iter": float("inf")}, {"tol": -1.0}, {"tol": 0.0},
+                   {"tol": float("nan")}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(small_reference(picard=picard))
+
+
+def test_horizon_override_takes_the_default_step(tmp_path):
+    # no dt in the config: --T 0.01 runs at dt = T/2000, not at the config T's
+    cfg = small_reference(T=1.0, summary_stride=100000)
+    del cfg["dt"]
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                 "--T", "0.01"])
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["T"] == 0.01 and meta["dt"] == 0.01 / 2000.0
+    assert meta["n_nodes"] == 2001
 
 
 def test_bad_summary_stride_exits_2_before_running(tmp_path):
@@ -173,6 +195,12 @@ def test_simulate_config_error_exit_2(tmp_path):
     code = main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "out")])
     assert code == 2
+    good = str(write_config(tmp_path, small_reference(), name="good.json"))
+    for flag in ("--T", "--dt"):
+        for value in ("nan", "inf", "-1"):
+            code = main(["simulate", "--config", good, "--out", str(tmp_path / "out"), flag, value])
+            assert code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_numeric_failure_exit_3(tmp_path):

@@ -1,16 +1,18 @@
 """Solvers: the vector field, RK4, the discounted kernel and Picard.
 
 Independent oracles: hand algebra for the field, a test-local scalar RK4
-for mass dynamics, closed-form survival factors, and cross-solver
-comparisons at matching grids.
+for mass dynamics, the paper's discounted kernel gamma_bar written out
+term by term as the oracle for the integral operator, closed-form
+survival factors, and cross-solver comparisons at matching grids.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_components
 from evomeasure import (
-    MassPath,
     MeasureVec,
     NumericError,
     atoms,
@@ -19,14 +21,16 @@ from evomeasure import (
     dirac_kernel,
     estimate_constants,
     flow,
-    gamma_bar,
+    gaussian_kernel,
     grid_1d,
+    grid_2d,
     logistic_pair,
     matrix_kernel,
+    mean_fitness_pair,
     picard_operator,
     picard_solve,
+    ricker_pair,
     rk4_integrate,
-    survival_factor,
     unit_atom,
     uniform_kernel,
     vector_field,
@@ -171,63 +175,119 @@ def test_trajectory_invariants_cached_masses():
     assert traj.mass_bound_excess(traj.meta["M_f1"]) <= 1e-6
 
 
-# ─── survival factor and discounted kernel ───────────────────────────
+# ─── the discounted kernel: the oracle for the integral operator ─────
 
 
-def test_survival_factor_empty_interval():
-    sp, _, fp, _ = reference_components(cells=8)
-    path = MassPath(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-    assert survival_factor(fp, 0.3, 0.3, 0, path) == 1.0
+def mortality_integral(fp, alpha, s, k):
+    """int_{t_s}^{t_k} f2(alpha(tau)(Q), q_i) dtau per point: the trapezoid
+    over the candidate's nodes s..k, summed cell by cell."""
+    t = alpha.times[s : k + 1]
+    f2 = np.array([fp.f2(x) for x in alpha.masses[s : k + 1]])
+    return (0.5 * np.diff(t)[:, None] * (f2[1:] + f2[:-1])).sum(axis=0)
 
 
-def test_survival_factor_constant_mortality():
-    sp = grid_1d(0.0, 1.0, 4)
-    fp = constant_pair(sp, a=0.0, b=0.8)
-    path = MassPath(np.linspace(0, 2, 21), np.ones(21))
-    for s, t in [(0.0, 1.0), (0.25, 1.7), (0.1, 0.15)]:
-        assert survival_factor(fp, s, t, 2, path) == pytest.approx(
-            np.exp(-0.8 * (t - s)), rel=1e-12
-        )
+def gamma_bar(fp, kernel, alpha, s, k, j):
+    """gamma(q_hat_j) discounted by the mortality accumulated from t_s to t_k:
+    the net proportion of q_hat_j's offspring born at t_s still alive at t_k."""
+    return kernel.apply(j).weights * np.exp(-mortality_integral(fp, alpha, s, k))
 
 
-def test_survival_factor_exponential_mass_path():
-    # f2 = X and X(tau) = e^tau: the integral is e^t - e^s, up to the
-    # trapezoid error O(h^2) of the sampled path; (s, t) off the grid nodes
-    # exercises the linearly interpolated partial end cells
-    sp = grid_1d(0.0, 1.0, 4)
-    fp = custom_pair(sp, lambda X, pts: np.zeros(len(pts)), lambda X, pts: X * np.ones(len(pts)))
-    h = 0.01
-    ts = np.arange(0.0, 1.0 + h / 2, h)
-    path = MassPath(ts, np.exp(ts))
-    for s, t in [(0.2, 0.9), (0.2035, 0.8971)]:
-        exact = np.exp(-(np.exp(t) - np.exp(s)))
-        assert survival_factor(fp, s, t, 0, path) == pytest.approx(exact, abs=5 * h**2)
+def picard_oracle(alpha, u, kernel, fp):
+    """[S alpha](t_k) = e^(-int_0^t_k f2) u
+    + trapz_s sum_j f1(alpha(s)(Q), q_hat_j) alpha_j(s) gamma_bar_{s,t_k}(q_hat_j)."""
+    out = np.empty_like(alpha.weights)
+    for k in range(alpha.n_nodes):
+        terms = [
+            sum(fp.f1(alpha.masses[s])[j] * alpha.weights[s, j] * gamma_bar(fp, kernel, alpha, s, k, j)
+                for j in range(u.space.n))
+            for s in range(k + 1)
+        ]
+        h = np.diff(alpha.times[: k + 1])
+        births = sum(0.5 * h[m] * (terms[m] + terms[m + 1]) for m in range(k))
+        out[k] = np.exp(-mortality_integral(fp, alpha, 0, k)) * u.weights + births
+    return out
 
 
-def test_survival_factor_rejects_reversed_times():
-    sp, _, fp, _ = reference_components(cells=8)
-    path = MassPath(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        survival_factor(fp, 0.5, 0.2, 0, path)
-
-
-def test_gamma_bar_cases():
+def test_gamma_bar_oracle_cases():
     sp = grid_1d(0.0, 1.0, 6)
     kernel = uniform_kernel(sp)
     fp = constant_pair(sp, a=0.0, b=0.5)
-    path = MassPath(np.linspace(0, 1, 11), np.ones(11))
+    times = np.linspace(0, 1, 11)
+    alpha = Trajectory(sp, times, np.ones((11, sp.n)))
     # t = s: the kernel row unchanged
-    g0 = gamma_bar(fp, kernel, 0.4, 0.4, 2, path)
-    assert np.allclose(g0.weights, kernel.apply(2).weights)
+    assert np.array_equal(gamma_bar(fp, kernel, alpha, 4, 4, 2), kernel.apply(2).weights)
     # constant mortality scales the whole row by e^{-c (t-s)}
-    g1 = gamma_bar(fp, kernel, 0.0, 1.0, 2, path)
-    assert np.allclose(g1.weights, np.exp(-0.5) * kernel.apply(2).weights, rtol=1e-12)
-    assert g1.total_mass() <= 1.0 + 1e-12
+    for s, k in [(0, 10), (3, 7)]:
+        g = gamma_bar(fp, kernel, alpha, s, k, 2)
+        factor = np.exp(-0.5 * (times[k] - times[s]))
+        assert np.allclose(g, factor * kernel.apply(2).weights, rtol=1e-12)
+        assert g.sum() <= 1.0 + 1e-12
     # Dirac kernel: single atom scaled by its own survival factor
-    gd = gamma_bar(fp, dirac_kernel(sp), 0.0, 1.0, 3, path)
+    gd = gamma_bar(fp, dirac_kernel(sp), alpha, 0, 10, 3)
     expected = np.zeros(sp.n)
     expected[3] = np.exp(-0.5)
-    assert np.allclose(gd.weights, expected, rtol=1e-12)
+    assert np.allclose(gd, expected, rtol=1e-12)
+
+
+def random_problem(rng, space_kind, n, kernel_kind):
+    """A random space, kernel and truncated rate pair, and an initial measure."""
+    if space_kind == "grid1d":
+        sp = grid_1d(0.0, float(rng.uniform(0.5, 2.0)), n)
+    elif space_kind == "grid2d":
+        sp = grid_2d([[0.0, 1.0], [0.0, float(rng.uniform(0.5, 2.0))]], (n, int(rng.integers(1, 4))))
+    else:
+        sp = atoms(rng.uniform(0.0, 1.0, (n, int(rng.integers(1, 3)))))
+    if kernel_kind == "dirac":
+        kernel = dirac_kernel(sp)
+    elif kernel_kind == "gaussian":
+        kernel = gaussian_kernel(sp, float(rng.uniform(0.05, 0.5)))
+    else:
+        rows = rng.uniform(0.0, 1.0, (sp.n, sp.n))
+        kernel = matrix_kernel(sp, rows / rows.sum(axis=1, keepdims=True))
+    coef = lambda lo, hi: rng.uniform(lo, hi, sp.n)
+    if rng.random() < 0.5:
+        fp = ricker_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0),
+                         floor=float(rng.uniform(0.05, 0.5)))
+    else:
+        fp = logistic_pair(sp, a=coef(0.2, 2.0), b=coef(0.1, 1.0), floor=float(rng.uniform(0.05, 0.5)))
+    u = MeasureVec(sp, rng.uniform(0.0, 1.0, sp.n) / sp.n)
+    return sp, kernel, fp.truncated(float(rng.uniform(1.0, 4.0))), u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 5),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
+    n_nodes=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_picard_operator_equals_the_gamma_bar_oracle(space_kind, n, kernel_kind, n_nodes, seed):
+    # any candidate path (uneven steps, masses above and below K~) from u
+    rng = np.random.default_rng(seed)
+    sp, kernel, fp, u = random_problem(rng, space_kind, n, kernel_kind)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, n_nodes - 1))])
+    weights = rng.uniform(0.0, 2.0, (n_nodes, sp.n)) / sp.n
+    weights[0] = u.weights
+    alpha = Trajectory(sp, times, weights)
+    out = picard_operator(alpha, u, kernel, fp)
+    expected = picard_oracle(alpha, u, kernel, fp)
+    assert np.abs(out.weights - expected).sum(axis=1).max() <= 1e-12
+
+
+def test_picard_operator_exponential_mass_path():
+    # f1 = 0, f2 = X and a candidate of mass e^t: the mortality integral is
+    # e^t - 1, so [S alpha](t) = u e^{-(e^t - 1)} up to the trapezoid error
+    # O(h^2) of the sampled path
+    sp = grid_1d(0.0, 1.0, 4)
+    fp = custom_pair(sp, lambda X, pts: np.zeros(len(pts)), lambda X, pts: X * np.ones(len(pts)))
+    u = MeasureVec(sp, np.full(sp.n, 1.0 / sp.n))
+    h = 0.01
+    ts = np.arange(0.0, 1.0 + h / 2, h)
+    alpha = Trajectory(sp, ts, np.exp(ts)[:, None] * u.weights)
+    out = picard_operator(alpha, u, dirac_kernel(sp), fp.truncated(10.0))
+    exact = np.exp(-(np.exp(ts) - 1.0))[:, None] * u.weights
+    assert np.abs(out.weights - exact).max() <= 5 * h**2
 
 
 # ─── Picard operator ─────────────────────────────────────────────────
@@ -323,6 +383,18 @@ def test_picard_window_cannot_exceed_contraction_bound():
         picard_solve(u, kernel, fp, tc, dt=1e-3, window=tc.b * 2)
 
 
+def test_picard_rejects_bad_settings_and_mean_fitness():
+    sp, kernel, fp, u = reference_components(cells=8)
+    tc = estimate_constants(fp, sp, u.total_mass(), 1.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(u, kernel, fp, tc, dt=1e-3, max_iter=0)
+    with pytest.raises(ValueError, match="tol"):
+        picard_solve(u, kernel, fp, tc, dt=1e-3, tol=-1.0)
+    # the refusal comes from the pair's f2, the one place that states it
+    with pytest.raises(ValueError, match="contraction theory; use RK4"):
+        picard_solve(u, kernel, mean_fitness_pair(sp, 1.0), tc, dt=1e-3)
+
+
 def test_picard_reports_last_residual_when_out_of_iterations():
     sp, kernel, fp, u = reference_components(cells=8)
     tc = estimate_constants(fp, sp, u.total_mass(), 1.0)
@@ -373,8 +445,6 @@ def test_flow_picard_agrees_with_rk4_globally():
 
 
 def test_flow_rejects_mean_fitness_picard():
-    from evomeasure import mean_fitness_pair
-
     sp = grid_1d(0.0, 1.0, 4)
     fp = mean_fitness_pair(sp, 1.0)
     u = MeasureVec(sp, np.full(4, 0.25))

@@ -7,6 +7,8 @@ package's fixed-point iteration is checked against an independent route.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evomeasure import (
     atoms,
@@ -21,7 +23,7 @@ from evomeasure import (
     ricker_pair,
     verify_assumptions,
 )
-from evomeasure.fitness import fitness_from_config
+from evomeasure.fitness import _lattice_bounds, fitness_from_config
 
 
 def window_oracle(B1, B2, L1, L2, u_mass, a, n_iter=60):
@@ -155,6 +157,15 @@ def test_assumptions_not_applicable_for_mean_fitness():
     assert not report.applicable
 
 
+def test_mean_fitness_f2_refuses_with_the_rk4_hint():
+    # every Picard or constants path evaluates f2, so this is the one refusal
+    fp = mean_fitness_pair(grid_1d(0.0, 1.0, 4), 1.0)
+    assert np.array_equal(fp.f1(0.5), np.ones(4))
+    for pair in (fp, fp.truncated(3.0)):
+        with pytest.raises(ValueError, match="outside the contraction theory; use RK4"):
+            pair.f2(0.5)
+
+
 # ─── truncation constants and the window ─────────────────────────────
 
 
@@ -205,6 +216,34 @@ def test_constants_logistic_2d_stable_under_lattice_refinement():
         if v1 == 0 and v2 == 0:
             continue
         assert abs(v1 - v2) / max(abs(v1), abs(v2)) < 0.05
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker"]),
+    n=st.integers(1, 6),
+    n_x=st.integers(2, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refined_lattice_bounds_dominate_the_coarse_ones(family, n, n_x, seed):
+    # why estimate_constants tabulates the refined lattice only: its nodes
+    # include the coarse ones and every coarse divided difference is the
+    # mean of two refined ones, so no coarse bound is larger (bitwise)
+    rng = np.random.default_rng(seed)
+    sp = grid_1d(0.0, 1.0, n)
+    coef = lambda: rng.uniform(0.0, 3.0, n)
+    floor = float(rng.uniform(0.0, 0.5))
+    if family == "logistic":
+        fp = logistic_pair(sp, a=coef(), b=coef(), floor=floor)
+    elif family == "beverton_holt":
+        fp = beverton_holt_pair(sp, a=coef(), c=coef(), b=coef(), floor=floor)
+    else:
+        fp = ricker_pair(sp, a=coef(), c=coef(), b=coef(), floor=floor)
+    k_tilde = float(rng.uniform(0.1, 20.0))
+    fpt = fp.truncated(k_tilde)
+    coarse = _lattice_bounds(fpt, k_tilde, n_x)
+    fine = _lattice_bounds(fpt, k_tilde, 2 * n_x - 1)
+    assert all(c <= f for c, f in zip(coarse, fine))
 
 
 def test_constants_lipschitz_self_consistent():
