@@ -30,13 +30,22 @@ from .measures import MeasureVec
 from .space import StrategySpace, atoms, grid_1d, grid_2d
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a fractional number is refused, not truncated."""
+    i = int(value)
+    if isinstance(value, float) and i != value:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return i
+
+
 def space_from_config(cfg: dict) -> StrategySpace:
     kind = cfg.get("kind")
     if kind == "grid1d":
         lo, hi = cfg["bounds"]
-        return grid_1d(float(lo), float(hi), int(cfg.get("cells", 128)))
+        return grid_1d(float(lo), float(hi), _integer(cfg.get("cells", 128), "space.cells"))
     if kind == "grid2d":
-        return grid_2d(cfg["bounds"], cfg.get("cells", (32, 32)))
+        cells = [_integer(c, "space.cells") for c in cfg.get("cells", (32, 32))]
+        return grid_2d(cfg["bounds"], cells)
     if kind == "atoms":
         return atoms(cfg["points"])
     raise ConfigError(f"unknown space kind {kind!r}")
@@ -114,7 +123,7 @@ class RunConfig:
             picard_tol = float(picard.get("tol", 1e-10))
             if not 0 < picard_tol < np.inf:
                 raise ConfigError("picard.tol must be positive and finite")
-            picard_max_iter = int(picard.get("max_iter", 30))
+            picard_max_iter = _integer(picard.get("max_iter", 30), "picard.max_iter")
             if picard_max_iter < 1:
                 raise ConfigError("picard.max_iter must be at least 1")
             ball_radius = picard.get("ball_radius")
@@ -124,7 +133,7 @@ class RunConfig:
                     raise ConfigError("picard.ball_radius must be positive and finite")
             summary_stride = d.get("summary_stride")
             if summary_stride is not None:
-                summary_stride = int(summary_stride)
+                summary_stride = _integer(summary_stride, "summary_stride")
                 if summary_stride < 1:
                     raise ConfigError("summary_stride must be at least 1")
             return RunConfig(
@@ -135,7 +144,7 @@ class RunConfig:
                 solver=solver,
                 T=T,
                 dt=dt,
-                seed=int(d.get("seed", 0)),
+                seed=_integer(d.get("seed", 0), "seed"),
                 picard_tol=picard_tol,
                 picard_max_iter=picard_max_iter,
                 ball_radius=ball_radius,

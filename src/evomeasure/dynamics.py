@@ -362,25 +362,25 @@ def flow(
     tol: float = 1e-10,
     max_iter: int = 30,
     ball_radius: float | None = None,
-    k_tilde: float | None = None,
 ) -> Trajectory:
     """The global semiflow phi(t; u, gamma) on [0, T].
 
     ``rk4`` integrates in one pass.  ``picard`` solves consecutive
     contraction windows, re-estimating the truncation constants from the
     mass at each window start, and concatenates the pieces.  Windows are
-    aligned to multiples of dt so both solvers share node times.
+    aligned to multiples of dt so both solvers share node times.  ``dt``
+    may be omitted only at T = 0, where the flow is the identity.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     _check_shared_space(u.space, kernel, fp)
-    if dt is None:
-        dt = T / 2000.0 if T > 0 else 1.0
     if T == 0.0:
         return Trajectory(u.space, np.array([0.0]), u.weights[None, :].copy(), solver=solver)
+    if dt is None:
+        raise ValueError("dt is required when T > 0")
 
     if solver == "rk4":
-        return rk4_integrate(u, kernel, fp, T, dt, k_tilde=k_tilde)
+        return rk4_integrate(u, kernel, fp, T, dt)
     if solver != "picard":
         raise ValueError(f"unknown solver {solver!r}")
 

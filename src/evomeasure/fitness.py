@@ -24,7 +24,7 @@ since C2 depends on b).  The chosen b sits at 0.9x the binding bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -316,21 +316,7 @@ class TruncationConstants:
     kappa: float
 
     def to_dict(self) -> dict:
-        return {
-            "k_tilde": self.k_tilde,
-            "B1": self.B1,
-            "B2": self.B2,
-            "L1": self.L1,
-            "L2": self.L2,
-            "M_f1": self.M_f1,
-            "varpi": self.varpi,
-            "u_mass": self.u_mass,
-            "a": self.a,
-            "b": self.b,
-            "C1": self.C1,
-            "C2": self.C2,
-            "kappa": self.kappa,
-        }
+        return asdict(self)
 
 
 def _lattice_bounds(fp: FitnessPair, k_tilde: float, n_x: int):

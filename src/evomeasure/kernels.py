@@ -1,14 +1,11 @@
 """Selection-mutation kernels: the family gamma(q_hat) in P(Q).
 
-Three concrete guises share one interface:
-
-  * Dirac: offspring inherit the parent strategy exactly (pure selection),
-  * Matrix: an explicit row-stochastic matrix over the support points,
-  * Density: a probability density p(q, q_hat), discretized per source row.
-
-Rows are indexed by the source point q_hat_j; row j, column i holds
-gamma(q_hat_j)({q_i}).  Kernels are immutable after construction and safe to
-share between solver threads.
+A kernel has one representation: ``rows``, an n x n row-stochastic table
+whose row j, column i holds gamma(q_hat_j)({q_i}), or None for the Dirac
+kernel (offspring inherit the parent strategy exactly: pure selection).
+Every density kernel (Gaussian, uniform, or a user density p(q, q_hat)) is
+tabulated over the support and normalized by one rule, ``_density_kernel``.
+Kernels are immutable after construction.
 """
 
 from __future__ import annotations
@@ -27,28 +24,27 @@ TOL_ROW = 1e-10
 class MutationKernel:
     """gamma: Q -> P(Q) on a fixed discretized strategy space.
 
-    For the Dirac variant ``rows`` is None and every source maps to the unit
-    atom at itself.
+    ``rows`` is None for the Dirac kernel, which maps every source to the
+    unit atom at itself.
     """
 
     space: StrategySpace
-    variant: str
     rows: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.variant not in ("dirac", "matrix", "density"):
-            raise ValueError(f"unknown kernel variant {self.variant!r}")
-        if self.variant == "dirac":
-            if self.rows is not None:
-                raise ValueError("dirac kernel carries no rows")
+        if self.rows is None:
             return
         rows = np.asarray(self.rows, dtype=float)
         n = self.space.n
         if rows.shape != (n, n):
             raise ValueError(f"kernel matrix must be {n}x{n}, got {rows.shape}")
-        if np.any(rows < 0):
-            raise ValueError("kernel rows must be nonnegative")
+        bad = ~np.isfinite(rows) | (rows < 0)
+        if np.any(bad):
+            j, i = np.argwhere(bad)[0]
+            raise ValueError(
+                f"kernel rows must be finite and nonnegative; row {j} column {i} is {rows[j, i]!r}"
+            )
         sums = rows.sum(axis=1)
         bad = np.abs(sums - 1.0) > TOL_ROW
         if np.any(bad):
@@ -58,7 +54,7 @@ class MutationKernel:
 
     @property
     def is_dirac(self) -> bool:
-        return self.variant == "dirac"
+        return self.rows is None
 
     def apply(self, j: int) -> MeasureVec:
         """gamma(q_hat_j) as a probability measure on the space."""
@@ -98,68 +94,66 @@ class MutationKernel:
             worst = max(worst, num / dist[j, jn])
         return worst
 
-    def to_dict(self) -> dict:
-        if self.is_dirac:
-            return {"variant": "dirac"}
-        return {"variant": "matrix", "rows": self.rows.tolist()}
-
 
 def dirac_kernel(space: StrategySpace) -> MutationKernel:
     """Pure selection: gamma(q_hat) = delta_{q_hat}."""
-    return MutationKernel(space, "dirac")
+    return MutationKernel(space)
 
 
 def matrix_kernel(space: StrategySpace, rows) -> MutationKernel:
     """Explicit row-stochastic kernel; rows are validated on construction."""
-    return MutationKernel(space, "matrix", rows=np.asarray(rows, dtype=float))
+    return MutationKernel(space, rows=np.asarray(rows, dtype=float))
 
 
-def kernel_from_density(space: StrategySpace, p) -> MutationKernel:
-    """Discretize a density p(q, q_hat) into a row-stochastic kernel.
+def _density_kernel(space: StrategySpace, table: np.ndarray, meta: dict) -> MutationKernel:
+    """The kernel of a density tabulated as table[j, i] = p(q_i, q_hat_j).
 
     Row j is proportional to p(q_i, q_hat_j) * cell_volumes[i], renormalized
     to sum exactly to 1 so that gamma(q_hat_j) stays in P(Q) even when the
     density is truncated by the compact space.  A row whose quadrature
     vanishes falls back to the Dirac row at q_hat_j.
     """
-    n = space.n
-    rows = np.empty((n, n))
-    for j in range(n):
-        qhat = space.points[j]
-        vals = np.array([p(q, qhat) for q in space.points], dtype=float)
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            i = int(np.argmin(vals))
-            raise ValueError(
-                f"density is negative or non-finite at (q={space.points[i]}, q_hat={qhat})"
-            )
-        row = vals * space.cell_volumes
-        s = row.sum()
-        if s > 0:
-            rows[j] = row / s
-        else:
-            rows[j] = 0.0
-            rows[j, j] = 1.0
-    return MutationKernel(space, "density", rows=rows, meta={"source": "density"})
+    bad = ~np.isfinite(table) | (table < 0)
+    if np.any(bad):
+        j, i = np.argwhere(bad)[0]
+        raise ValueError(
+            f"density is negative or non-finite ({table[j, i]!r}) at "
+            f"(q={space.points[i]}, q_hat={space.points[j]})"
+        )
+    rows = table * space.cell_volumes
+    sums = rows.sum(axis=1)
+    zero = np.flatnonzero(sums == 0.0)
+    sums[zero] = 1.0
+    rows /= sums[:, None]
+    rows[zero, zero] = 1.0
+    return MutationKernel(space, rows=rows, meta=meta)
+
+
+def kernel_from_density(space: StrategySpace, p) -> MutationKernel:
+    """Discretize a density p(q, q_hat) into a row-stochastic kernel.
+
+    ``p`` is called once per (q, q_hat) pair of support points with two
+    coordinate arrays and returns a nonnegative float; the table is
+    normalized by ``_density_kernel``.
+    """
+    table = np.array([[p(q, qhat) for q in space.points] for qhat in space.points], dtype=float)
+    return _density_kernel(space, table, {"source": "density"})
 
 
 def gaussian_kernel(space: StrategySpace, sigma: float) -> MutationKernel:
     """Gaussian mutation density centered at the parent, truncated to Q."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     inv = 1.0 / (2.0 * sigma * sigma)
-
-    def p(q, qhat):
-        return float(np.exp(-inv * np.sum((q - qhat) ** 2)))
-
-    k = kernel_from_density(space, p)
-    return MutationKernel(space, "density", rows=k.rows, meta={"source": "gaussian", "sigma": sigma})
+    d2 = 0.0
+    for x in space.points.T:
+        d2 = d2 + (x[None, :] - x[:, None]) ** 2
+    return _density_kernel(space, np.exp(-inv * d2), {"source": "gaussian", "sigma": sigma})
 
 
 def uniform_kernel(space: StrategySpace) -> MutationKernel:
     """Offspring strategy uniform over Q regardless of the parent."""
-    row = space.cell_volumes / space.volume()
-    rows = np.tile(row, (space.n, 1))
-    return MutationKernel(space, "density", rows=rows, meta={"source": "uniform"})
+    return _density_kernel(space, np.ones((space.n, space.n)), {"source": "uniform"})
 
 
 def kernel_from_config(cfg: dict, space: StrategySpace) -> MutationKernel:

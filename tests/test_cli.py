@@ -73,6 +73,19 @@ def test_config_bad_values_rejected():
                    {"tol": float("nan")}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(small_reference(picard=picard))
+    # fractional integer settings are refused, not truncated
+    for over in ({"picard": {"max_iter": 2.5}}, {"summary_stride": 3.9}, {"seed": 1.7}):
+        with pytest.raises(ConfigError, match="whole number"):
+            RunConfig.from_dict(small_reference(**over))
+    for space in ({"kind": "grid1d", "bounds": [0.0, 2.0], "cells": 16.7},
+                  {"kind": "grid2d", "bounds": [[0.0, 2.0], [0.0, 2.0]], "cells": [4.9, 3.2]}):
+        with pytest.raises(ConfigError, match="space.cells"):
+            RunConfig.from_dict(small_reference(space=space)).build()
+    # an integral float is still an integer
+    cfg = RunConfig.from_dict(small_reference(seed=2.0, summary_stride=3.0,
+                                              space={"kind": "grid1d", "bounds": [0.0, 2.0],
+                                                     "cells": 16.0}))
+    assert (cfg.seed, cfg.summary_stride, cfg.build()[0].n) == (2, 3, 16)
 
 
 def test_horizon_override_takes_the_default_step(tmp_path):
@@ -201,6 +214,15 @@ def test_simulate_config_error_exit_2(tmp_path):
             code = main(["simulate", "--config", good, "--out", str(tmp_path / "out"), flag, value])
             assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_nan_kernel_matrix_exits_2(tmp_path):
+    cfg = small_reference(space={"kind": "atoms", "points": [[0.0], [1.0]]},
+                          kernel={"variant": "matrix", "rows": [[float("nan"), 1.0], [1.0, 0.0]]},
+                          fitness={"family": "constant", "a": 1.0, "b": 1.0})
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
 
 
 def test_simulate_numeric_failure_exit_3(tmp_path):

@@ -413,6 +413,13 @@ def test_flow_time_zero_is_identity():
         assert np.array_equal(traj.weights[0], u.weights)
 
 
+def test_flow_needs_dt_after_time_zero():
+    sp, kernel, fp, u = reference_components(cells=8)
+    for solver in ("rk4", "picard"):
+        with pytest.raises(ValueError, match="dt"):
+            flow(u, kernel, fp, 0.5, solver=solver)
+
+
 def test_flow_semigroup_property():
     sp, kernel, fp, u = reference_components(cells=32)
     dt = 1e-3

@@ -2,17 +2,22 @@
 
 The density-discretization oracle integrates p over each cell with a 4x
 finer midpoint quadrature and renormalizes, independently of the kernel
-code path.
+code path.  The broadcast Gaussian and uniform tables are checked bitwise
+against the scalar density path.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evomeasure import (
     MutationKernel,
+    atoms,
     dirac_kernel,
     gaussian_kernel,
     grid_1d,
+    grid_2d,
     kernel_from_density,
     matrix_kernel,
     uniform_kernel,
@@ -70,6 +75,21 @@ def test_matrix_rows_validated():
         matrix_kernel(sp, [[-0.1, 1.1], [0.5, 0.5]])
 
 
+def test_matrix_rows_must_be_finite():
+    # a NaN entry makes both `rows < 0` and the row-sum test False
+    sp = grid_1d(0.0, 1.0, 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="row 0 column 1"):
+            matrix_kernel(sp, [[0.5, bad], [0.5, 0.5]])
+
+
+def test_gaussian_sigma_must_be_positive_and_finite():
+    sp = grid_1d(0.0, 1.0, 4)
+    for sigma in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_kernel(sp, sigma)
+
+
 def test_rows_are_probability_measures():
     sp = grid_1d(0.0, 2.0, 16)
     for k in (dirac_kernel(sp), uniform_kernel(sp), gaussian_kernel(sp, 0.3)):
@@ -121,6 +141,16 @@ def test_negative_density_rejected():
         kernel_from_density(sp, lambda q, qhat: q[0] - 0.5)
 
 
+def test_infinite_density_names_the_offending_pair():
+    sp = grid_1d(0.0, 1.0, 4)  # centers 0.125, 0.375, 0.625, 0.875
+
+    def p(q, qhat):
+        return np.inf if q[0] > 0.5 and qhat[0] > 0.8 else 1.0
+
+    with pytest.raises(ValueError, match=r"inf.*q=\[0\.625\], q_hat=\[0\.875\]"):
+        kernel_from_density(sp, p)
+
+
 def test_zero_row_falls_back_to_dirac():
     sp = grid_1d(0.0, 1.0, 4)
 
@@ -143,6 +173,37 @@ def test_from_density_matches_fine_quadrature():
     k = kernel_from_density(sp, p)
     oracle = fine_quadrature_rows(sp, p, refine=4)
     assert np.max(np.abs(k.rows - oracle)) < 1e-3
+
+
+def random_space(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    lo = float(rng.uniform(-2.0, 2.0))
+    if kind == "grid1d":
+        return grid_1d(lo, lo + float(rng.uniform(0.1, 5.0)), n)
+    if kind == "grid2d":
+        ny = int(rng.integers(1, 9))
+        return grid_2d([[lo, lo + float(rng.uniform(0.1, 5.0))], [0.0, float(rng.uniform(0.1, 5.0))]],
+                       (n, ny))
+    return atoms(rng.uniform(lo, lo + 4.0, (n, int(rng.integers(1, 3)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 24),
+    sigma=st.floats(1e-3, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_broadcast_tables_equal_the_scalar_density_path(kind, n, sigma, seed):
+    sp = random_space(kind, n, seed)
+    inv = 1.0 / (2.0 * sigma * sigma)
+
+    def p(q, qhat):
+        return float(np.exp(-inv * np.sum((q - qhat) ** 2)))
+
+    assert np.array_equal(gaussian_kernel(sp, sigma).rows, kernel_from_density(sp, p).rows)
+    expected = np.tile(sp.cell_volumes / sp.volume(), (sp.n, 1))
+    assert np.array_equal(uniform_kernel(sp).rows, expected)
 
 
 # ─── continuity modulus ──────────────────────────────────────────────
@@ -184,4 +245,4 @@ def test_kernel_from_config_variants():
 def test_kernel_dimensions_must_match_space():
     sp = grid_1d(0.0, 1.0, 3)
     with pytest.raises(ValueError):
-        MutationKernel(sp, "matrix", rows=np.eye(4))
+        MutationKernel(sp, rows=np.eye(4))
