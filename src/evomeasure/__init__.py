@@ -12,13 +12,9 @@ experiment CLI.
 from .space import StrategySpace, atoms, grid_1d, grid_2d
 from .measures import (
     MeasureVec,
-    add_scaled,
     bl_distance,
     from_density,
     merge_supports,
-    pair,
-    total_mass,
-    tv_norm,
     unit_atom,
     zero_measure,
 )

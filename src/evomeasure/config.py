@@ -23,19 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .fitness import FitnessPair, fitness_from_config
 from .kernels import MutationKernel, kernel_from_config
 from .measures import MeasureVec
 from .space import StrategySpace, atoms, grid_1d, grid_2d
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a fractional number is refused, not truncated."""
-    i = int(value)
-    if isinstance(value, float) and i != value:
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return i
 
 
 def space_from_config(cfg: dict) -> StrategySpace:

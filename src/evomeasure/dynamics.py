@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NumericError
 from .fitness import FitnessPair, TruncationConstants, estimate_constants
@@ -86,7 +85,7 @@ class Trajectory:
         return len(self.times)
 
     def state(self, k: int) -> MeasureVec:
-        return MeasureVec(self.space, self.weights[k].copy())
+        return MeasureVec(self.space, self.weights[k])
 
     @property
     def initial(self) -> MeasureVec:
@@ -118,12 +117,12 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """Long-form ``t,index,weight`` rows, 17 significant digits."""
+        # one template per time row, "t,0,%.17g\nt,1,%.17g\n...", filled by one %
+        template = "".join(f"\0,{i},%.17g\n" for i in range(self.space.n))
         with open(path, "w", newline="") as fh:
             fh.write("t,index,weight\n")
-            for t, row in zip(self.times, self.weights):
-                ts = format(t, ".17g")
-                for i, w in enumerate(row):
-                    fh.write(f"{ts},{i},{format(w, '.17g')}\n")
+            for t, row in zip(self.times.tolist(), self.weights.tolist()):
+                fh.write(template.replace("\0", format(t, ".17g")) % tuple(row))
 
     def write_summary_csv(self, path, stride: int = 1) -> None:
         """``t,total_mass,bl_to_final`` rows (flat distance to the end state)."""
@@ -254,6 +253,17 @@ def _enforce_nonneg(w: np.ndarray, step: int, t: float) -> np.ndarray:
 # ─── Picard fixed point ──────────────────────────────────────────────
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of y's rows from x[0] to each x[k] (row 0 is zero).
+
+    The arithmetic of ``scipy.integrate.cumulative_trapezoid(y, x, axis=0,
+    initial=0)``, so results are bitwise equal to it.
+    """
+    out = np.zeros_like(y)
+    np.cumsum(np.diff(x)[:, None] * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
+
+
 def picard_operator(
     alpha: Trajectory, u: MeasureVec, kernel: MutationKernel, fp: FitnessPair
 ) -> Trajectory:
@@ -277,12 +287,12 @@ def picard_operator(
         raise ValueError("candidate trajectory must start at the initial measure")
     times = alpha.times
     f2_tab = np.stack([fp.f2(x) for x in alpha.masses])
-    cumint = cumulative_trapezoid(f2_tab, x=times, axis=0, initial=0.0)
+    cumint = _cumulative_trapezoid(f2_tab, times)
     births = np.stack(
         [kernel.push_births(fp.f1(x) * w) for x, w in zip(alpha.masses, alpha.weights)]
     )
     integrand = np.exp(cumint) * births
-    accum = cumulative_trapezoid(integrand, x=times, axis=0, initial=0.0)
+    accum = _cumulative_trapezoid(integrand, times)
     out = np.exp(-cumint) * (u.weights[None, :] + accum)
     out[0] = u.weights
     return Trajectory(alpha.space, times.copy(), out, solver="picard_operator", meta={})

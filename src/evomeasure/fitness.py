@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import _integer
 from .space import StrategySpace
 
 
@@ -40,7 +41,7 @@ def _coef(space: StrategySpace, spec, name: str) -> np.ndarray:
     """
     n = space.n
     if isinstance(spec, dict):
-        i = int(spec["trait"])
+        i = _integer(spec["trait"], f"coefficient {name}: trait index")
         if not 0 <= i < space.dim:
             raise ValueError(f"coefficient {name}: trait index {i} out of range")
         return space.points[:, i].copy()

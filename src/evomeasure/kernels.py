@@ -35,7 +35,7 @@ class MutationKernel:
     def __post_init__(self):
         if self.rows is None:
             return
-        rows = np.asarray(self.rows, dtype=float)
+        rows = np.array(self.rows, dtype=float)  # copied: the caller keeps a writeable array
         n = self.space.n
         if rows.shape != (n, n):
             raise ValueError(f"kernel matrix must be {n}x{n}, got {rows.shape}")
@@ -65,7 +65,7 @@ class MutationKernel:
             w = np.zeros(n)
             w[j] = 1.0
             return MeasureVec(self.space, w)
-        return MeasureVec(self.space, self.rows[j].copy())
+        return MeasureVec(self.space, self.rows[j])
 
     def push_births(self, v: np.ndarray) -> np.ndarray:
         """Redistribute per-source birth output v_j onto targets.

@@ -34,11 +34,12 @@ class StrategySpace:
     grid_shape: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        # copied: the caller keeps writeable arrays
+        pts = np.atleast_2d(np.array(self.points, dtype=float))
         if pts.shape[0] == 0:
             raise ValueError("strategy space needs at least one point")
-        vols = np.asarray(self.cell_volumes, dtype=float)
-        bounds = np.asarray(self.bounds, dtype=float).reshape(pts.shape[1], 2)
+        vols = np.array(self.cell_volumes, dtype=float)
+        bounds = np.array(self.bounds, dtype=float).reshape(pts.shape[1], 2)
         if pts.shape[1] not in (1, 2):
             raise ValueError(f"only 1-D and 2-D strategy spaces supported, got dim={pts.shape[1]}")
         if vols.shape != (pts.shape[0],):

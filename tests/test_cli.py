@@ -225,6 +225,17 @@ def test_simulate_nan_kernel_matrix_exits_2(tmp_path):
     assert code == 2
 
 
+def test_simulate_fractional_trait_index_exits_2(tmp_path):
+    # {"trait": 1.7} used to read coordinate 1; an integral float still reads it
+    space = {"kind": "grid2d", "bounds": [[0.0, 1.0], [0.0, 1.0]], "cells": [2, 2]}
+    for trait, want in ((1.7, 2), (1.0, 0)):
+        cfg = small_reference(space=space, T=0.01,
+                              fitness={"family": "logistic", "a": {"trait": trait}, "b": 1.0})
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / f"out{trait}")])
+        assert code == want
+
+
 def test_simulate_numeric_failure_exit_3(tmp_path):
     # the planted negativity problem from the solver tests, via the CLI
     cfg = {

@@ -36,7 +36,7 @@ from evomeasure import (
     vector_field,
     zero_measure,
 )
-from evomeasure.dynamics import Trajectory, finite_difference_residual
+from evomeasure.dynamics import Trajectory, _cumulative_trapezoid, finite_difference_residual
 
 RNG = np.random.default_rng(3)
 
@@ -173,6 +173,31 @@ def test_trajectory_invariants_cached_masses():
     for k in (0, 10, traj.n_nodes - 1):
         assert traj.masses[k] == traj.state(k).total_mass()
     assert traj.mass_bound_excess(traj.meta["M_f1"]) <= 1e-6
+
+
+def test_write_csv_matches_a_per_entry_loop(tmp_path):
+    # the per-row template writes exactly what one format() per entry does
+    rng = np.random.default_rng(7)
+    sp = atoms(rng.uniform(0.0, 1.0, 12))
+    w = rng.uniform(0.0, 1.0, (5, sp.n)) * 10.0 ** rng.integers(-300, 300, (5, sp.n))
+    w[0, :3] = [0.0, 1e-320, 1.0]
+    traj = Trajectory(sp, np.cumsum(rng.uniform(1e-9, 1e3, 5)), w)
+    traj.write_csv(tmp_path / "t.csv")
+    lines = ["t,index,weight\n"]
+    for t, row in zip(traj.times, traj.weights):
+        lines += [f"{format(t, '.17g')},{i},{format(x, '.17g')}\n" for i, x in enumerate(row)]
+    assert (tmp_path / "t.csv").read_text() == "".join(lines)
+
+
+def test_cumulative_trapezoid_is_scipys_bitwise():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(3)
+    for n_nodes in (1, 2, 3, 17, 200):
+        x = np.cumsum(rng.uniform(1e-4, 1.0, n_nodes))
+        y = rng.normal(size=(n_nodes, int(rng.integers(1, 9)))) * 10.0 ** rng.uniform(-5, 5)
+        want = cumulative_trapezoid(y, x=x, axis=0, initial=0.0)
+        assert np.array_equal(_cumulative_trapezoid(y, x), want)
 
 
 # ─── the discounted kernel: the oracle for the integral operator ─────

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evomeasure import (
+    MeasureVec,
     MutationKernel,
+    StrategySpace,
     atoms,
     dirac_kernel,
     gaussian_kernel,
@@ -81,6 +83,18 @@ def test_matrix_rows_must_be_finite():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="row 0 column 1"):
             matrix_kernel(sp, [[0.5, bad], [0.5, 0.5]])
+
+
+def test_constructors_leave_the_callers_arrays_writeable():
+    # each constructor freezes its own copy, never the array it was given
+    sp = grid_1d(0.0, 1.0, 3)
+    arrays = [np.eye(3), np.eye(3), np.ones(3), sp.points.copy(), np.ones(3), np.array([[-1.0, 1.0]])]
+    built = [matrix_kernel(sp, arrays[0]), MutationKernel(sp, rows=arrays[1]), MeasureVec(sp, arrays[2]),
+             StrategySpace(points=arrays[3], cell_volumes=arrays[4], bounds=arrays[5])]
+    assert all(a.flags.writeable for a in arrays)
+    arrays[0][0, 0] = arrays[2][0] = arrays[3][0, 0] = 0.5
+    assert built[0].rows[0, 0] == 1.0 and built[2].weights[0] == 1.0
+    assert built[3].points[0, 0] == sp.points[0, 0]
 
 
 def test_gaussian_sigma_must_be_positive_and_finite():

@@ -5,11 +5,20 @@ Oracles used here:
   * closed-form integrals for pairings on grids,
   * closed-form flat distances between atoms,
   * CDF-based 1-Wasserstein for equal-mass 1-D measures,
-  * the all-pairs 2-D LP on the points (x, 0) for the 1-D neighbour LP.
+  * the all-pairs flat-metric LP at tight HiGHS tolerances for the exact
+    1-D chain program.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from evomeasure import (
     MeasureVec,
@@ -17,6 +26,7 @@ from evomeasure import (
     bl_distance,
     from_density,
     grid_1d,
+    grid_2d,
     merge_supports,
     unit_atom,
     zero_measure,
@@ -57,16 +67,36 @@ def random_measure(space, rng, nonneg=True, scale=1.0):
     return MeasureVec(space, scale * w)
 
 
-def bl_on_the_plane(m1, m2):
-    """bl_distance with the 1-D support embedded as the points (x, 0).
+def flat_lp(points, d):
+    """sup <d, f> over |f| <= 1 and |f_i - f_j| <= |q_i - q_j| for every pair.
 
-    Distances are unchanged, and a 2-D support takes the all-pairs LP, so
-    this is the dense oracle for the 1-D sorted-neighbour LP.
+    The dense LP, solved by HiGHS at primal and dual feasibility 1e-10 (its
+    default is 1e-7), so its value is good to about 1e-10 relative.
     """
-    m1, m2 = merge_supports(m1, m2)
-    x = m1.space.points[:, 0]
-    plane = atoms(np.column_stack([x, np.zeros_like(x)]))
-    return bl_distance(MeasureVec(plane, m1.weights), MeasureVec(plane, m2.weights))
+    pts = np.asarray(points, dtype=float).reshape(len(d), -1)
+    n = len(d)
+    if n == 1:
+        return abs(float(d[0]))
+    iu, ju = np.triu_indices(n, k=1)
+    a = np.zeros((2 * len(iu), n))
+    rows = np.arange(len(iu))
+    a[rows, iu], a[rows, ju] = 1.0, -1.0
+    a[len(iu):] = -a[: len(iu)]
+    gaps = np.sqrt(((pts[iu] - pts[ju]) ** 2).sum(axis=1))
+    res = linprog(-np.asarray(d), A_ub=a, b_ub=np.concatenate([gaps, gaps]),
+                  bounds=[(-1.0, 1.0)] * n, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(-res.fun)
+
+
+def assert_flat_matches_lp(m1, m2):
+    """bl_distance equals the tight all-pairs LP within 1e-12 * max(1, TV)."""
+    u1, u2 = merge_supports(m1, m2)
+    d = u1.weights - u2.weights
+    oracle = flat_lp(u1.space.points, d)
+    assert bl_distance(m1, m2) == pytest.approx(oracle, abs=1e-12 * max(1.0, np.abs(d).sum()))
 
 
 # ─── total mass and TV norm ──────────────────────────────────────────
@@ -249,13 +279,15 @@ def test_bl_equals_w1_for_equal_mass_small_diameter():
         assert bl_distance(m1, m2) == pytest.approx(w1d, abs=1e-8)
 
 
+# The 1-D flat metric is the exact chain program over sorted neighbours;
+# the dense LP at tight tolerances is its oracle.
+
+
 def test_bl_neighbour_lp_matches_all_pairs_on_random_grids():
     for _ in range(20):
         lo = RNG.uniform(-3.0, 1.0)
         sp = grid_1d(lo, lo + RNG.uniform(0.5, 6.0), int(RNG.integers(2, 40)))
-        m1 = random_measure(sp, RNG, nonneg=False)
-        m2 = random_measure(sp, RNG)
-        assert bl_distance(m1, m2) == pytest.approx(bl_on_the_plane(m1, m2), abs=1e-9)
+        assert_flat_matches_lp(random_measure(sp, RNG, nonneg=False), random_measure(sp, RNG))
 
 
 def test_bl_neighbour_lp_matches_all_pairs_on_unsorted_atoms():
@@ -265,9 +297,8 @@ def test_bl_neighbour_lp_matches_all_pairs_on_unsorted_atoms():
         x = RNG.uniform(0.0, 6.0, int(RNG.integers(2, 25)))
         x[0] = 6.5
         sp = atoms(x)
-        m1 = random_measure(sp, RNG, nonneg=False)
-        m2 = random_measure(sp, RNG, scale=2.0)
-        assert bl_distance(m1, m2) == pytest.approx(bl_on_the_plane(m1, m2), abs=1e-9)
+        assert_flat_matches_lp(random_measure(sp, RNG, nonneg=False),
+                               random_measure(sp, RNG, scale=2.0))
 
 
 def test_bl_neighbour_lp_matches_all_pairs_on_merged_supports():
@@ -277,16 +308,65 @@ def test_bl_neighbour_lp_matches_all_pairs_on_merged_supports():
         m1 = random_measure(grid, RNG)
         m2 = random_measure(sp, RNG, scale=0.5)
         assert merge_supports(m1, m2)[0].space.n > grid.n
-        assert bl_distance(m1, m2) == pytest.approx(bl_on_the_plane(m1, m2), abs=1e-9)
+        assert_flat_matches_lp(m1, m2)
 
 
 @pytest.mark.parametrize("points", [[0.3], [1.2, -0.4], [0.0, 2.5]], ids=["n1", "n2", "n2_far"])
 def test_bl_neighbour_lp_matches_all_pairs_on_tiny_supports(points):
     sp = atoms(points)
     for _ in range(5):
-        m1 = random_measure(sp, RNG, nonneg=False)
-        m2 = random_measure(sp, RNG)
-        assert bl_distance(m1, m2) == pytest.approx(bl_on_the_plane(m1, m2), abs=1e-9)
+        assert_flat_matches_lp(random_measure(sp, RNG, nonneg=False), random_measure(sp, RNG))
+
+
+def test_bl_chain_matches_all_pairs_lp_near_a_dirac():
+    # what dirac-limit measures: a concentrating state against a unit atom
+    sp = grid_1d(0.0, 2.0, 64)
+    for _ in range(10):
+        k = int(RNG.integers(sp.n))
+        w = RNG.uniform(0.0, 1.0, sp.n) * 10.0 ** RNG.uniform(-8, -2)
+        w[k] = 1.0 - w.sum() + w[k]
+        assert_flat_matches_lp(MeasureVec(sp, w), unit_atom(sp, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ticks=st.lists(st.integers(-4000, 4000), min_size=1, max_size=30, unique=True),
+    step=st.floats(1e-3, 0.5),
+    data=st.data(),
+)
+def test_bl_chain_matches_all_pairs_lp_on_random_supports(ticks, step, data):
+    # atoms on a random lattice: uneven gaps, some beyond 2, any order
+    sp = atoms(np.array(ticks, dtype=float) * step)
+    weights = st.lists(st.floats(-2.0, 2.0), min_size=sp.n, max_size=sp.n)
+    m1 = MeasureVec(sp, np.array(data.draw(weights)))
+    m2 = MeasureVec(sp, np.array(data.draw(weights)))
+    assert_flat_matches_lp(m1, m2)
+
+
+def test_one_dimensional_runs_import_no_scipy():
+    # scipy serves only the 2-D LP; the CLI and every 1-D distance run on numpy
+    code = (
+        "import sys\n"
+        "import evomeasure.cli\n"
+        "from evomeasure import bl_distance, grid_1d, grid_2d, unit_atom\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded(), loaded()\n"
+        "sp = grid_1d(0.0, 1.0, 8)\n"
+        "bl_distance(unit_atom(sp, 1), unit_atom(sp, 6))\n"
+        "assert not loaded(), loaded()\n"
+        "plane = grid_2d([[0.0, 1.0], [0.0, 1.0]], (2, 2))\n"
+        "print(repr(bl_distance(unit_atom(plane, 0), unit_atom(plane, 3))))\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # the 2-D distance is still the LP's: atoms (0.25, 0.25) and (0.75, 0.75)
+    plane = grid_2d([[0.0, 1.0], [0.0, 1.0]], (2, 2))
+    d = unit_atom(plane, 0).weights - unit_atom(plane, 3).weights
+    assert float(proc.stdout) == pytest.approx(flat_lp(plane.points, d), abs=1e-8)
 
 
 # ─── nonnegativity flag ──────────────────────────────────────────────
