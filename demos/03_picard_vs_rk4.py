@@ -18,7 +18,7 @@ kernel = gaussian_kernel(space, 0.15)
 fitness = ricker_pair(space, a=1.0 + 0.5 * space.points[:, 0], c=0.6, b=0.5, floor=0.2)
 u = MeasureVec(space, space.cell_volumes / space.volume())
 
-constants = estimate_constants(fitness, space, u.total_mass(), a=1.0)
+constants = estimate_constants(fitness, u.total_mass(), a=1.0)
 print("truncation constants and the contraction window:")
 for key, val in constants.to_dict().items():
     print(f"  {key:8} = {val:.6g}")

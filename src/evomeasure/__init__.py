@@ -33,6 +33,7 @@ from .fitness import (
 )
 from .dynamics import (
     Trajectory,
+    field_lipschitz_ratio,
     flow,
     picard_operator,
     picard_solve,

@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -101,15 +102,20 @@ def main(argv=None) -> int:
 
 
 def _sigmas(args, cfg: RunConfig) -> list[float]:
+    """The kernel widths from --sigmas or the config, each finite and positive."""
     if args.sigmas:
-        try:
-            return [float(s) for s in args.sigmas.split(",") if s.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --sigmas list: {exc}") from exc
-    sigmas = cfg.raw.get("sigmas")
-    if not sigmas:
-        raise ConfigError("mutation-limit needs --sigmas or a 'sigmas' config entry")
-    return [float(s) for s in sigmas]
+        entries = [s for s in args.sigmas.split(",") if s.strip()]
+    else:
+        entries = cfg.raw.get("sigmas")
+        if not entries:
+            raise ConfigError("mutation-limit needs --sigmas or a 'sigmas' config entry")
+    try:
+        sigmas = [float(s) for s in entries]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sigma list: {exc}") from exc
+    if not all(0.0 < s < math.inf for s in sigmas):
+        raise ConfigError(f"every sigma must be a finite positive number, got {sigmas}")
+    return sigmas
 
 
 if __name__ == "__main__":

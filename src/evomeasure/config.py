@@ -70,10 +70,13 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
         raise ConfigError("initial measure must be nonnegative")
     mass = cfg.get("mass")
     if mass is not None:
+        mass = float(mass)
+        if not 0 <= mass < np.inf:
+            raise ConfigError("initial.mass must be nonnegative and finite")
         total = float(np.sum(w))
         if total <= 0:
             raise ConfigError("cannot scale a zero initial measure to a target mass")
-        w = w * (float(mass) / total)
+        w = w * (mass / total)
     return MeasureVec(space, w)
 
 

@@ -55,7 +55,6 @@ class Trajectory:
     space: StrategySpace
     times: np.ndarray
     weights: np.ndarray
-    solver: str = ""
     meta: dict = field(default_factory=dict)
     masses: np.ndarray = field(init=False)
 
@@ -86,10 +85,6 @@ class Trajectory:
 
     def state(self, k: int) -> MeasureVec:
         return MeasureVec(self.space, self.weights[k])
-
-    @property
-    def initial(self) -> MeasureVec:
-        return self.state(0)
 
     @property
     def final(self) -> MeasureVec:
@@ -164,6 +159,31 @@ def _field_weights(w: np.ndarray, kernel: MutationKernel, fp: FitnessPair) -> np
     return births - deaths
 
 
+def field_lipschitz_ratio(
+    kernel: MutationKernel, fp: FitnessPair, radius: float, rng: np.random.Generator
+) -> float:
+    """Largest TV ratio |F(mu) - F(nu)| / |mu - nu| over 200 random pairs.
+
+    Each measure of a pair has uniform random weights scaled to a mass drawn
+    uniformly from [0, radius], so both lie in the TV ball of that radius.
+    With ``fp`` truncated at K~ and radius C1, the ratio is bounded by the
+    field's Lipschitz constant K_F = B1 + B2 + (L1 + L2) C1.
+    """
+    _check_shared_space(kernel.space, kernel, fp)
+    n = kernel.space.n
+    worst = 0.0
+    for _ in range(200):
+        w1 = rng.uniform(0.0, 1.0, n)
+        w2 = rng.uniform(0.0, 1.0, n)
+        w1 *= rng.uniform(0.0, radius) / max(w1.sum(), 1e-300)
+        w2 *= rng.uniform(0.0, radius) / max(w2.sum(), 1e-300)
+        dm = float(np.sum(np.abs(w1 - w2)))
+        if dm > 0:
+            dv = _field_weights(w1, kernel, fp) - _field_weights(w2, kernel, fp)
+            worst = max(worst, float(np.sum(np.abs(dv))) / dm)
+    return worst
+
+
 def _check_shared_space(space: StrategySpace, kernel: MutationKernel, fp: FitnessPair) -> None:
     if not (space.same_support(kernel.space) and space.same_support(fp.space)):
         raise ValueError("measure, kernel and fitness must share one strategy space")
@@ -226,7 +246,7 @@ def rk4_integrate(
             raise NumericError(f"RK4 produced non-finite weights at step {k + 1} (t={times[k + 1]})")
         w = _enforce_nonneg(w, k + 1, times[k + 1])
         out[k + 1] = w
-    traj = Trajectory(u.space, times, out, solver="rk4", meta=meta)
+    traj = Trajectory(u.space, times, out, meta=meta)
     over = np.flatnonzero(traj.masses > fp.k_tilde)
     if len(over):
         k = over[0]
@@ -295,7 +315,7 @@ def picard_operator(
     accum = _cumulative_trapezoid(integrand, times)
     out = np.exp(-cumint) * (u.weights[None, :] + accum)
     out[0] = u.weights
-    return Trajectory(alpha.space, times.copy(), out, solver="picard_operator", meta={})
+    return Trajectory(alpha.space, times.copy(), out)
 
 
 def picard_solve(
@@ -327,9 +347,7 @@ def picard_solve(
     times = time_grid(b, dt)
     fpt = fp.truncated(constants.k_tilde)
 
-    alpha = Trajectory(
-        u.space, times, np.tile(u.weights, (len(times), 1)), solver="picard", meta={}
-    )
+    alpha = Trajectory(u.space, times, np.tile(u.weights, (len(times), 1)))
     residuals: list[float] = []
     ratios: list[float] = []
     for it in range(max_iter):
@@ -340,7 +358,6 @@ def picard_solve(
         residuals.append(residual)
         alpha = new
         if residual < tol:
-            alpha.solver = "picard"
             alpha.meta = {
                 "iterations": it + 1,
                 "residuals": residuals,
@@ -385,7 +402,7 @@ def flow(
         raise ValueError("T must be nonnegative")
     _check_shared_space(u.space, kernel, fp)
     if T == 0.0:
-        return Trajectory(u.space, np.array([0.0]), u.weights[None, :].copy(), solver=solver)
+        return Trajectory(u.space, np.array([0.0]), u.weights[None, :].copy())
     if dt is None:
         raise ValueError("dt is required when T > 0")
 
@@ -403,7 +420,7 @@ def flow(
     while t_done < T - 1e-12:
         mass = current.total_mass()
         a = ball_radius if ball_radius is not None else max(1.0, mass)
-        constants = estimate_constants(fp, fp.space, mass, a)
+        constants = estimate_constants(fp, mass, a)
         m = int(math.floor(constants.b / dt + 1e-12))
         if m < 1:
             raise NumericError(
@@ -431,7 +448,6 @@ def flow(
         u.space,
         np.concatenate(times_acc),
         np.vstack(weights_acc),
-        solver="picard",
         meta={"dt": dt, "tol": tol, "windows": window_meta, "window_breaks": breaks[:-1]},
     )
 

@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import Trajectory, flow, vector_field
+# vector_field is not called here: perfbench/tracer.py looks the name up in
+# this module to count its calls
+from .dynamics import Trajectory, field_lipschitz_ratio, flow, vector_field
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
 from .kernels import dirac_kernel, gaussian_kernel
-from .measures import MeasureVec, bl_distance, unit_atom
+from .measures import bl_distance, unit_atom
 from .reductions import (
     DiscreteSystem,
     integrate_discrete,
@@ -46,6 +48,12 @@ def _summary_stride(cfg: RunConfig, traj: Trajectory) -> int:
     return cfg.summary_stride or max(1, traj.n_nodes // 200)
 
 
+def _flow(cfg: RunConfig, u, kernel, fp, T: float) -> Trajectory:
+    """``flow`` on [0, T] with the config's solver settings."""
+    return flow(u, kernel, fp, T, solver=cfg.solver, dt=cfg.dt, tol=cfg.picard_tol,
+                max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
+
+
 # ─── simulate ────────────────────────────────────────────────────────
 
 
@@ -58,17 +66,7 @@ def simulate(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     space, kernel, fp, u = cfg.build()
-    traj = flow(
-        u,
-        kernel,
-        fp,
-        cfg.T,
-        solver=cfg.solver,
-        dt=cfg.dt,
-        tol=cfg.picard_tol,
-        max_iter=cfg.picard_max_iter,
-        ball_radius=cfg.ball_radius,
-    )
+    traj = _flow(cfg, u, kernel, fp, cfg.T)
     meta = {
         "solver": cfg.solver,
         "T": cfg.T,
@@ -104,7 +102,6 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     finite-difference consistency of the frequency dynamics.
     """
     space, kernel, fp, u = cfg.build()
-    rng = np.random.default_rng(cfg.seed)
     checks: dict[str, dict] = {}
 
     def record(name, passed, **info):
@@ -118,28 +115,16 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     if fp.mean_fitness_mortality:
         record("assumptions", True, applicable=False)
     else:
-        constants = estimate_constants(fp, space, u_mass, ball)
-        report = verify_assumptions(fp, space, k_tilde=constants.k_tilde)
+        constants = estimate_constants(fp, u_mass, ball)
+        report = verify_assumptions(fp, k_tilde=constants.k_tilde)
         info = {k: v for k, v in report.to_dict().items() if k != "passed"}
         record("assumptions", report.passed, **info)
 
     # Lipschitz bound of the truncated field on a TV ball
     if constants is not None:
-        c_w = constants.C1
-        k_f = constants.B1 + constants.B2 + (constants.L1 + constants.L2) * c_w
-        fpt = fp.truncated(constants.k_tilde)
-        worst = 0.0
-        for _ in range(200):
-            w1 = rng.uniform(0.0, 1.0, space.n)
-            w2 = rng.uniform(0.0, 1.0, space.n)
-            w1 *= rng.uniform(0.0, c_w) / max(w1.sum(), 1e-300)
-            w2 *= rng.uniform(0.0, c_w) / max(w2.sum(), 1e-300)
-            m1 = MeasureVec(space, w1)
-            m2 = MeasureVec(space, w2)
-            dv = vector_field(m1, kernel, fpt).add_scaled(-1.0, vector_field(m2, kernel, fpt))
-            dm = m1.add_scaled(-1.0, m2).tv_norm()
-            if dm > 0:
-                worst = max(worst, dv.tv_norm() / dm)
+        k_f = constants.B1 + constants.B2 + (constants.L1 + constants.L2) * constants.C1
+        worst = field_lipschitz_ratio(kernel, fp.truncated(constants.k_tilde), constants.C1,
+                                      np.random.default_rng(cfg.seed))
         record("lipschitz_field", worst <= k_f, observed_ratio=worst, bound=k_f)
 
     # one RK4 reference on [0, T] at one truncation level K~; every RK4-based
@@ -157,16 +142,12 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         if reference is None:
             raise NumericError(rk4_witness)
         n = int(np.searchsorted(reference.times, t + 1e-9 * cfg.dt, side="right"))
-        return Trajectory(space, reference.times[:n], reference.weights[:n], solver="rk4",
-                          meta=reference.meta)
+        return Trajectory(space, reference.times[:n], reference.weights[:n], meta=reference.meta)
 
     # positivity and the mass bound along the configured run
     traj = None
     try:
-        traj = head(cfg.T) if cfg.solver == "rk4" else flow(
-            u, kernel, fp, cfg.T, solver=cfg.solver, dt=cfg.dt,
-            tol=cfg.picard_tol, max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius,
-        )
+        traj = head(cfg.T) if cfg.solver == "rk4" else _flow(cfg, u, kernel, fp, cfg.T)
         record("positivity", True)
     except NumericError as exc:
         record("positivity", False, witness=str(exc))
@@ -178,7 +159,7 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     # semigroup axioms: identity at 0, composition at a grid-aligned split;
     # composition restarts the RK4 realization from the reference node at
     # t1 with the same K~, so both sides follow one vector field
-    ident = flow(u, kernel, fp, 0.0, solver=cfg.solver, dt=cfg.dt)
+    ident = _flow(cfg, u, kernel, fp, 0.0)
     record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
     if cfg.T > 0:
         t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
@@ -271,8 +252,7 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     best = int(order[-1])
     tie = bool(len(order) > 1 and ratio_floored[order[-2]] >= ratio_floored[best] - 1e-12)
 
-    traj = flow(u, kernel, fp, cfg.T, solver=cfg.solver, dt=cfg.dt,
-                tol=cfg.picard_tol, max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
+    traj = _flow(cfg, u, kernel, fp, cfg.T)
     target_atom = unit_atom(space, best)
     rows = []
     for k in traj.summary_nodes(_summary_stride(cfg, traj)):
@@ -330,10 +310,8 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
         raise ConfigError("mutation-limit needs at least one sigma")
     space, _, fp, u = cfg.build()
 
-    kw = dict(solver=cfg.solver, dt=cfg.dt, tol=cfg.picard_tol,
-              max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
-    base = flow(u, dirac_kernel(space), fp, cfg.T, **kw)
-    runs = [flow(u, gaussian_kernel(space, s), fp, cfg.T, **kw) for s in sigmas]
+    base = _flow(cfg, u, dirac_kernel(space), fp, cfg.T)
+    runs = [_flow(cfg, u, gaussian_kernel(space, s), fp, cfg.T) for s in sigmas]
 
     idx = base.summary_nodes(_summary_stride(cfg, base))
     table = np.empty((len(idx), len(sigmas)))

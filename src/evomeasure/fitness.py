@@ -64,9 +64,10 @@ class FitnessPair:
     [0, k_tilde] before evaluation (the truncated extension); the resulting
     functions are globally bounded and globally Lipschitz in X.
 
-    ``mean_fitness_mortality`` marks the quasi-species variant in which the
-    mortality is the population's average birth rate; such pairs have no
-    pointwise f2 and are only legal with the direct RK4 solver.
+    ``death`` is None for the quasi-species variant, in which the mortality
+    is the population's average birth rate (``mean_fitness_mortality``);
+    such pairs have no pointwise f2 and are only legal with the direct RK4
+    solver.
     """
 
     space: StrategySpace
@@ -74,8 +75,11 @@ class FitnessPair:
     birth: Callable[[float], np.ndarray]
     death: Callable[[float], np.ndarray] | None
     params: dict = field(default_factory=dict)
-    mean_fitness_mortality: bool = False
     k_tilde: float | None = None
+
+    @property
+    def mean_fitness_mortality(self) -> bool:
+        return self.death is None
 
     def _clamp(self, X: float) -> float:
         if self.k_tilde is None:
@@ -93,19 +97,6 @@ class FitnessPair:
             )
         return self.death(self._clamp(X))
 
-    def eval(self, which: str, X: float, q) -> float:
-        """Rate value at a single (X, q); errors on a negative result."""
-        i = q if isinstance(q, (int, np.integer)) else self.space.index_of(q)
-        if which == "f1":
-            v = float(self.f1(X)[i])
-        elif which == "f2":
-            v = float(self.f2(X)[i])
-        else:
-            raise ValueError("which must be 'f1' or 'f2'")
-        if v < 0:
-            raise ValueError(f"{which}({X}, q_{i}) = {v} < 0 violates the rate assumptions")
-        return v
-
     def truncated(self, k_tilde: float) -> "FitnessPair":
         """Clamp X to [0, k_tilde] before evaluation; idempotent."""
         if k_tilde <= 0:
@@ -116,7 +107,6 @@ class FitnessPair:
             birth=self.birth,
             death=self.death,
             params=self.params,
-            mean_fitness_mortality=self.mean_fitness_mortality,
             k_tilde=float(k_tilde),
         )
 
@@ -195,7 +185,7 @@ def mean_fitness_pair(space: StrategySpace, f1) -> FitnessPair:
     else:
         av = _coef(space, f1, "a")
         birth = lambda X: av
-    return FitnessPair(space, "mean_fitness", birth, None, mean_fitness_mortality=True)
+    return FitnessPair(space, "mean_fitness", birth, None)
 
 
 def fitness_from_config(cfg: dict, space: StrategySpace) -> FitnessPair:
@@ -234,22 +224,15 @@ class AssumptionReport:
     violations: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "varpi": self.varpi,
-            "n_x": self.n_x,
-            "violations": self.violations[:20],
-        }
+        return dict(asdict(self), violations=self.violations[:20])
 
 
-def verify_assumptions(
-    fp: FitnessPair, space: StrategySpace, k_tilde: float = 10.0, n_x: int = 101
-) -> AssumptionReport:
+def verify_assumptions(fp: FitnessPair, k_tilde: float = 10.0, n_x: int = 101) -> AssumptionReport:
     """Check nonnegativity, monotonicity in X, and the mortality floor.
 
-    Sampled on a lattice of ``n_x`` X-values on [0, k_tilde] times all
-    support points.  Mean-fitness pairs are reported as not applicable.
+    Sampled on a lattice of ``n_x`` X-values on [0, k_tilde] times the
+    support points of ``fp.space``; witnesses name the offending point.
+    Mean-fitness pairs are reported as not applicable.
     """
     if fp.mean_fitness_mortality:
         return AssumptionReport(applicable=False, passed=True, varpi=float("nan"), n_x=0)
@@ -265,7 +248,7 @@ def verify_assumptions(
                 "X": float(xs[k]),
                 **({"X2": float(x2)} if x2 is not None else {}),
                 "q_index": int(i),
-                "q": space.points[i].tolist(),
+                "q": fp.space.points[i].tolist(),
                 "value": float(value),
             }
         )
@@ -335,7 +318,6 @@ def _lattice_bounds(fp: FitnessPair, k_tilde: float, n_x: int):
 
 def estimate_constants(
     fp: FitnessPair,
-    space: StrategySpace,
     u_mass: float,
     a: float,
     k_tilde: float | None = None,
@@ -343,12 +325,14 @@ def estimate_constants(
 ) -> TruncationConstants:
     """Measure B1, B2, L1, L2 on a lattice and pick the contraction window b.
 
-    The rates are tabulated on the ``n_x``-point lattice on [0, K~] refined
-    once by its midpoints (2 n_x - 1 points).  The refinement holds every
-    coarse node, and each coarse divided difference is the mean of two
-    refined ones, so the coarse lattice alone never gives a larger
-    estimate.  b is set to 0.9x the binding bound, iterating because C2
-    depends on b; both window inequalities are re-asserted at the result.
+    ``u_mass`` is u(Q), ``a`` the ball radius, and K~ defaults to
+    1.1 (u(Q) + 2a).  The rates are tabulated at the support points of
+    ``fp.space`` on the ``n_x``-point lattice on [0, K~] refined once by its
+    midpoints (2 n_x - 1 points).  The refinement holds every coarse node,
+    and each coarse divided difference is the mean of two refined ones, so
+    the coarse lattice alone never gives a larger estimate.  b is set to
+    0.9x the binding bound, iterating because C2 depends on b; both window
+    inequalities are re-asserted at the result.
     """
     if a <= 0:
         raise ValueError("ball radius a must be positive")

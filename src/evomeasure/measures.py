@@ -16,8 +16,6 @@ errors of a few 1e-9 against closed-form values.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -95,56 +93,6 @@ class MeasureVec:
             raise ValueError("cannot normalize a measure with nonpositive mass")
         return MeasureVec(self.space, self.weights / m)
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """Write ``index,q1[,q2],weight`` rows; 17 significant digits."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            cols = ["index", "q1", "weight"] if self.space.dim == 1 else ["index", "q1", "q2", "weight"]
-            writer.writerow(cols)
-            for i, (q, w) in enumerate(zip(self.space.points, self.weights)):
-                writer.writerow([i, *(_fmt(x) for x in q), _fmt(w)])
-
-    @staticmethod
-    def from_csv(path, space: StrategySpace) -> "MeasureVec":
-        """Read ``to_csv`` output; each index in [0, n) at most once."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError("empty CSV")
-            if len(header) != space.dim + 2:
-                raise ValueError("CSV header does not match the space dimension")
-            w, seen = np.zeros(space.n), set()
-            for row in reader:
-                i = int(row[0])
-                if i in seen or not 0 <= i < space.n:
-                    raise ValueError(f"CSV index {i} is repeated or outside [0, {space.n})")
-                seen.add(i)
-                w[i] = float(row[-1])
-        return MeasureVec(space, w)
-
-    def to_json_dict(self) -> dict:
-        return {"space": self.space.to_dict(), "weights": self.weights.tolist()}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "MeasureVec":
-        return MeasureVec(StrategySpace.from_dict(d["space"]), np.asarray(d["weights"], dtype=float))
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @staticmethod
-    def from_json(path) -> "MeasureVec":
-        with open(path) as fh:
-            return MeasureVec.from_json_dict(json.load(fh))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def zero_measure(space: StrategySpace) -> MeasureVec:
     return MeasureVec(space, np.zeros(space.n))
@@ -190,7 +138,6 @@ def merge_supports(m1: MeasureVec, m2: MeasureVec) -> tuple[MeasureVec, MeasureV
         points=union_pts,
         cell_volumes=np.ones(len(idx)),
         bounds=np.column_stack([lo - 1e-9 * span, hi + 1e-9 * span]),
-        kind="atoms",
     )
     return MeasureVec(space, w1), MeasureVec(space, w2)
 

@@ -127,7 +127,7 @@ def normalized_trajectory(traj: Trajectory) -> Trajectory:
     weights = traj.weights / traj.masses[:, None]
     meta = dict(traj.meta)
     meta["source_masses"] = traj.masses.copy()
-    return Trajectory(traj.space, traj.times.copy(), weights, solver=traj.solver, meta=meta)
+    return Trajectory(traj.space, traj.times.copy(), weights, meta=meta)
 
 
 def mm_rhs(p: np.ndarray, X: float, kernel: MutationKernel, fp: FitnessPair) -> np.ndarray:
@@ -191,28 +191,17 @@ def replicator_check(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) 
 # ─── quasi-species run ───────────────────────────────────────────────
 
 
-def quasispecies_run(
-    u: MeasureVec,
-    kernel: MutationKernel,
-    f1,
-    T: float,
-    dt: float,
-    solver: str = "rk4",
-) -> Trajectory:
+def quasispecies_run(u: MeasureVec, kernel: MutationKernel, f1, T: float, dt: float) -> Trajectory:
     """Replicator-mutator dynamics with average-fitness mortality.
 
-    The mortality equals the population mean of f1, which conserves total
-    mass exactly (RK4 preserves linear invariants), so the returned
-    normalized trajectory drifts off the simplex only by round-off.  Only
-    the direct RK4 solver is legal here; the contraction theory does not
-    cover state-dependent mortality.
+    ``f1`` is the birth-rate spec of ``mean_fitness_pair``.  The mortality
+    equals the population mean of f1, which conserves total mass exactly
+    (RK4 preserves linear invariants), so the returned normalized
+    trajectory drifts off the simplex only by round-off.  The direct RK4
+    solver is the only one used: the contraction theory behind the Picard
+    solver does not cover state-dependent mortality.
     """
-    if solver != "rk4":
-        raise ValueError("quasi-species dynamics is outside the contraction theory; use rk4")
     from .dynamics import rk4_integrate
 
-    fp = f1 if isinstance(f1, FitnessPair) else mean_fitness_pair(u.space, f1)
-    if not fp.mean_fitness_mortality:
-        raise ValueError("quasispecies_run requires an average-fitness mortality pair")
-    traj = rk4_integrate(u, kernel, fp, T, dt)
+    traj = rk4_integrate(u, kernel, mean_fitness_pair(u.space, f1), T, dt)
     return normalized_trajectory(traj)

@@ -11,7 +11,7 @@ everything the dynamics needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +24,11 @@ class StrategySpace:
         points: (n, dim) array of support points, pairwise distinct.
         cell_volumes: (n,) positive volumes (1.0 for pure atom sets).
         bounds: (dim, 2) array of [lo, hi] per coordinate containing all points.
-        kind: "grid" or "atoms" (serialization hint only).
     """
 
     points: np.ndarray
     cell_volumes: np.ndarray
     bounds: np.ndarray
-    kind: str = "atoms"
-    grid_shape: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         # copied: the caller keeps writeable arrays
@@ -72,39 +69,11 @@ class StrategySpace:
     def volume(self) -> float:
         return float(self.cell_volumes.sum())
 
-    def index_of(self, q, tol: float = 1e-9) -> int:
-        """Index of the support point equal to ``q`` (within ``tol``)."""
-        q = np.asarray(q, dtype=float).reshape(self.dim)
-        d = np.sqrt(((self.points - q) ** 2).sum(axis=1))
-        i = int(np.argmin(d))
-        if d[i] > tol:
-            raise ValueError(f"{q} is not a support point of this space")
-        return i
-
     def same_support(self, other: "StrategySpace") -> bool:
         return (
             self.points.shape == other.points.shape
             and np.array_equal(self.points, other.points)
             and np.array_equal(self.cell_volumes, other.cell_volumes)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "points": self.points.tolist(),
-            "cell_volumes": self.cell_volumes.tolist(),
-            "bounds": self.bounds.tolist(),
-            "grid_shape": list(self.grid_shape),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "StrategySpace":
-        return StrategySpace(
-            points=np.asarray(d["points"], dtype=float),
-            cell_volumes=np.asarray(d["cell_volumes"], dtype=float),
-            bounds=np.asarray(d["bounds"], dtype=float),
-            kind=d.get("kind", "atoms"),
-            grid_shape=tuple(d.get("grid_shape", ())),
         )
 
 
@@ -126,8 +95,6 @@ def grid_1d(lo: float, hi: float, cells: int) -> StrategySpace:
         points=centers[:, None],
         cell_volumes=np.full(cells, h),
         bounds=np.array([[lo, hi]]),
-        kind="grid",
-        grid_shape=(cells,),
     )
 
 
@@ -152,8 +119,6 @@ def grid_2d(bounds, cells) -> StrategySpace:
         points=pts,
         cell_volumes=np.full(nx * ny, hx * hy),
         bounds=bounds,
-        kind="grid",
-        grid_shape=(nx, ny),
     )
 
 
@@ -174,5 +139,4 @@ def atoms(points) -> StrategySpace:
         points=pts,
         cell_volumes=np.ones(pts.shape[0]),
         bounds=bounds,
-        kind="atoms",
     )

@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import concentration_config_dict, reference_config_dict
-from evomeasure import MeasureVec
 from evomeasure.cli import main
 from evomeasure.config import RunConfig
-from evomeasure.space import StrategySpace
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -214,6 +212,15 @@ def test_simulate_config_error_exit_2(tmp_path):
             code = main(["simulate", "--config", good, "--out", str(tmp_path / "out"), flag, value])
             assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_or_nonfinite_initial_mass_exits_2(tmp_path):
+    # the nonnegativity check runs on the unscaled weights: a negative mass
+    # must be refused on its own, not reach the solver
+    for mass in (-1.0, float("nan"), float("inf")):
+        p = write_config(tmp_path, small_reference(initial={"kind": "uniform", "mass": mass}))
+        for command in ("simulate", "verify"):
+            assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_simulate_nan_kernel_matrix_exits_2(tmp_path):
@@ -441,6 +448,17 @@ def test_mutation_limit_needs_sigmas(tmp_path):
     assert code == 2
 
 
+def test_mutation_limit_bad_sigmas_exit_2_before_running(tmp_path):
+    cfg = reference_config_dict(cells=16, T=0.2, dt=0.01)
+    p = str(write_config(tmp_path, cfg))
+    for sigmas in ("0.4,-1", "0", "nan", "inf"):
+        assert main(["mutation-limit", "--config", p, "--out", str(tmp_path / "out"),
+                     "--sigmas", sigmas]) == 2
+    p = str(write_config(tmp_path, dict(cfg, sigmas=[0.2, "x"]), name="listed.json"))
+    assert main(["mutation-limit", "--config", p, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_mutation_limit_huge_sigma_dominates(tmp_path):
     # a near-uniform kernel sits at the top of the sweep
     cfg = reference_config_dict(cells=16, T=0.2, dt=0.01)
@@ -451,15 +469,3 @@ def test_mutation_limit_huge_sigma_dominates(tmp_path):
     rep = json.loads((tmp_path / "out" / "mutation_limit.json").read_text())
     dists = rep["final_distances"]
     assert dists[0] == max(dists)
-
-
-# ─── measure JSON round-trip through configs ─────────────────────────
-
-
-def test_measure_json_roundtrip_through_space_dict(tmp_path):
-    cfg = RunConfig.from_dict(small_reference())
-    space, _, _, u = cfg.build()
-    d = u.to_json_dict()
-    back = MeasureVec.from_json_dict(d)
-    assert back.space.same_support(space)
-    assert np.array_equal(back.weights, u.weights)

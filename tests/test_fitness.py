@@ -57,10 +57,10 @@ def test_logistic_eval_at_zero_density():
     # two-trait classes: birth = q1, mortality = floor + q2 X
     sp = atoms([[1.0, 1.0], [1.5, 2.0]])
     fp = logistic_pair(sp, a={"trait": 0}, b={"trait": 1}, floor=0.1)
-    assert fp.eval("f1", 0.0, 0) == 1.0
-    assert fp.eval("f1", 0.0, 1) == 1.5
-    assert fp.eval("f2", 0.0, 0) == pytest.approx(0.1)
-    assert fp.eval("f2", 2.0, 1) == pytest.approx(0.1 + 2.0 * 2.0)
+    assert fp.f1(0.0)[0] == 1.0
+    assert fp.f1(0.0)[1] == 1.5
+    assert fp.f2(0.0)[0] == pytest.approx(0.1)
+    assert fp.f2(2.0)[1] == pytest.approx(0.1 + 2.0 * 2.0)
 
 
 def test_beverton_holt_degenerate_c():
@@ -73,14 +73,7 @@ def test_beverton_holt_degenerate_c():
 def test_ricker_hand_value():
     sp = atoms([[0.5]])
     fp = ricker_pair(sp, a=2.0, c=1.0, b=1.0)
-    assert fp.eval("f1", np.log(2.0), 0) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_eval_rejects_negative_rate():
-    sp = grid_1d(0.0, 1.0, 3)
-    fp = custom_pair(sp, lambda X, pts: 1.0 - X * np.ones(len(pts)), lambda X, pts: np.ones(len(pts)))
-    with pytest.raises(ValueError, match="violates"):
-        fp.eval("f1", 2.0, 0)
+    assert fp.f1(np.log(2.0))[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_coefficient_array_length_checked():
@@ -125,7 +118,7 @@ def test_truncation_idempotent():
 def test_assumptions_pass_for_ricker():
     sp = grid_1d(0.0, 2.0, 8)
     fp = ricker_pair(sp, a=2.0, c=0.5, b=1.0, floor=0.25)
-    report = verify_assumptions(fp, sp, k_tilde=5.0)
+    report = verify_assumptions(fp, k_tilde=5.0)
     assert report.applicable and report.passed
     assert report.varpi == pytest.approx(0.25)
 
@@ -134,7 +127,7 @@ def test_assumptions_fail_without_mortality_floor():
     # f2 = b(q) X has f2(0, q) = 0: no inherent mortality
     sp = grid_1d(0.0, 2.0, 8)
     fp = logistic_pair(sp, a=1.0, b=1.0, floor=0.0)
-    report = verify_assumptions(fp, sp, k_tilde=5.0)
+    report = verify_assumptions(fp, k_tilde=5.0)
     assert not report.passed
     assert report.varpi == 0.0
     assert any(v["kind"] == "mortality_floor_nonpositive" for v in report.violations)
@@ -144,7 +137,7 @@ def test_assumptions_catch_increasing_birth_rate():
     sp = grid_1d(0.0, 1.0, 4)
     fp = custom_pair(sp, lambda X, pts: (1.0 + X) * np.ones(len(pts)),
                      lambda X, pts: np.ones(len(pts)))
-    report = verify_assumptions(fp, sp, k_tilde=4.0)
+    report = verify_assumptions(fp, k_tilde=4.0)
     assert not report.passed
     bad = [v for v in report.violations if v["kind"] == "f1_not_nonincreasing"]
     assert bad and "X" in bad[0] and "q" in bad[0]
@@ -153,7 +146,7 @@ def test_assumptions_catch_increasing_birth_rate():
 def test_assumptions_not_applicable_for_mean_fitness():
     sp = grid_1d(0.0, 1.0, 4)
     fp = mean_fitness_pair(sp, 1.0)
-    report = verify_assumptions(fp, sp)
+    report = verify_assumptions(fp)
     assert not report.applicable
 
 
@@ -173,7 +166,7 @@ def test_constants_constant_pair_match_hand_oracle():
     sp = grid_1d(0.0, 1.0, 4)
     fp = constant_pair(sp, a=1.0, b=1.0)
     u_mass, ball = 1.0, 1.0
-    tc = estimate_constants(fp, sp, u_mass, ball)
+    tc = estimate_constants(fp, u_mass, ball)
     assert tc.B1 == 1.0 and tc.B2 == 1.0
     assert tc.L1 == 0.0 and tc.L2 == 0.0
     assert tc.C2 == 0.0
@@ -186,7 +179,7 @@ def test_constants_constant_pair_match_hand_oracle():
 def test_constants_dead_birth_case():
     sp = grid_1d(0.0, 1.0, 4)
     fp = constant_pair(sp, a=0.0, b=1.0)
-    tc = estimate_constants(fp, sp, 1.0, 1.0)
+    tc = estimate_constants(fp, 1.0, 1.0)
     assert tc.B1 == 0.0
     assert tc.M_f1 == 0.0
 
@@ -195,7 +188,7 @@ def test_constants_window_inequalities_hold_with_margin():
     sp = grid_1d(0.0, 2.0, 16)
     fp = ricker_pair(sp, a=2.0, c=0.6, b=0.5, floor=0.2)
     for u_mass, ball in [(1.0, 1.0), (0.3, 1.0), (2.0, 2.5)]:
-        tc = estimate_constants(fp, sp, u_mass, ball)
+        tc = estimate_constants(fp, u_mass, ball)
         lhs1 = (1 - np.exp(-tc.B2 * tc.b)) * u_mass + 2 * tc.B1 * tc.C1 * tc.b
         assert lhs1 < ball
         bound2 = 1.0 / (2 * tc.L2 * tc.C1 + 2 * tc.B1 + 2 * tc.C2 * tc.C1)
@@ -209,8 +202,8 @@ def test_constants_window_inequalities_hold_with_margin():
 def test_constants_logistic_2d_stable_under_lattice_refinement():
     sp = grid_2d([[1.0, 2.0], [1.0, 2.0]], (6, 6))
     fp = logistic_pair(sp, a={"trait": 0}, b={"trait": 1}, floor=0.1)
-    c1 = estimate_constants(fp, sp, 1.0, 1.0, k_tilde=10.0, n_x=101)
-    c2 = estimate_constants(fp, sp, 1.0, 1.0, k_tilde=10.0, n_x=202)
+    c1 = estimate_constants(fp, 1.0, 1.0, k_tilde=10.0, n_x=101)
+    c2 = estimate_constants(fp, 1.0, 1.0, k_tilde=10.0, n_x=202)
     for name in ("B1", "B2", "L1", "L2", "b", "kappa"):
         v1, v2 = getattr(c1, name), getattr(c2, name)
         if v1 == 0 and v2 == 0:
@@ -249,7 +242,7 @@ def test_refined_lattice_bounds_dominate_the_coarse_ones(family, n, n_x, seed):
 def test_constants_lipschitz_self_consistent():
     sp = grid_1d(0.0, 2.0, 8)
     fp = ricker_pair(sp, a=2.0, c=0.7, b=0.4, floor=0.3)
-    tc = estimate_constants(fp, sp, 1.0, 1.0)
+    tc = estimate_constants(fp, 1.0, 1.0)
     fpt = fp.truncated(tc.k_tilde)
     xs = np.linspace(0.0, tc.k_tilde, 101)
     rng = np.random.default_rng(7)
@@ -262,12 +255,12 @@ def test_constants_lipschitz_self_consistent():
 def test_constants_reject_mean_fitness_and_bad_inputs():
     sp = grid_1d(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="contraction"):
-        estimate_constants(mean_fitness_pair(sp, 1.0), sp, 1.0, 1.0)
+        estimate_constants(mean_fitness_pair(sp, 1.0), 1.0, 1.0)
     fp = constant_pair(sp, 1.0, 1.0)
     with pytest.raises(ValueError):
-        estimate_constants(fp, sp, 1.0, 0.0)
+        estimate_constants(fp, 1.0, 0.0)
     with pytest.raises(ValueError):
-        estimate_constants(fp, sp, 1.0, 1.0, k_tilde=2.0)  # below u(Q) + 2a
+        estimate_constants(fp, 1.0, 1.0, k_tilde=2.0)  # below u(Q) + 2a
 
 
 # ─── config loading ──────────────────────────────────────────────────

@@ -380,62 +380,6 @@ def test_nonneg_flag_tolerates_roundoff():
     assert not m2.is_nonnegative()
 
 
-# ─── serialization ───────────────────────────────────────────────────
-
-
-def test_csv_roundtrip_bit_exact(tmp_path):
-    sp = grid_1d(0.0, 1.0, 16)
-    m = MeasureVec(sp, RNG.standard_normal(16) * np.pi)
-    p = tmp_path / "m.csv"
-    m.to_csv(p)
-    back = MeasureVec.from_csv(p, sp)
-    assert np.array_equal(back.weights, m.weights)
-
-
-def test_csv_roundtrip_2d(tmp_path):
-    from evomeasure import grid_2d
-
-    sp = grid_2d([[0, 1], [0, 1]], (3, 3))
-    m = MeasureVec(sp, RNG.standard_normal(9))
-    p = tmp_path / "m2.csv"
-    m.to_csv(p)
-    assert np.array_equal(MeasureVec.from_csv(p, sp).weights, m.weights)
-
-
-@pytest.mark.parametrize(
-    "body",
-    ["-1,0.5,5\n0,0.25,1\n", "3,0.5,5\n", "0,0.25,1\n0,0.25,2\n"],
-    ids=["negative", "past_the_end", "repeated"],
-)
-def test_csv_rejects_bad_indices(tmp_path, body):
-    sp = grid_1d(0.0, 1.0, 3)
-    p = tmp_path / "bad.csv"
-    p.write_text("index,q1,weight\n" + body)
-    with pytest.raises(ValueError, match="index"):
-        MeasureVec.from_csv(p, sp)
-
-
-def test_csv_header_checked_before_rows(tmp_path):
-    sp = grid_1d(0.0, 1.0, 3)
-    p = tmp_path / "bad.csv"
-    p.write_text("index,q1,q2,weight\n7,0.5,0.5,1\n")
-    with pytest.raises(ValueError, match="header"):
-        MeasureVec.from_csv(p, sp)
-    p.write_text("")
-    with pytest.raises(ValueError, match="empty CSV"):
-        MeasureVec.from_csv(p, sp)
-
-
-def test_json_roundtrip_bit_exact(tmp_path):
-    sp = atoms([[1.0, 1.0], [1.0, 2.0]])
-    m = MeasureVec(sp, np.array([0.1, 1 / 3]))
-    p = tmp_path / "m.json"
-    m.to_json(p)
-    back = MeasureVec.from_json(p)
-    assert np.array_equal(back.weights, m.weights)
-    assert back.space.same_support(m.space)
-
-
 def test_merge_supports_zero_fills():
     m1 = MeasureVec(atoms([[0.0], [1.0]]), np.array([1.0, 2.0]))
     m2 = MeasureVec(atoms([[1.0], [2.0]]), np.array([3.0, 4.0]))
@@ -443,7 +387,7 @@ def test_merge_supports_zero_fills():
     assert u1.space.n == 3
     assert u1.total_mass() == pytest.approx(3.0)
     assert u2.total_mass() == pytest.approx(7.0)
-    # shared point keeps both weights in their own measures
-    i = u1.space.index_of([1.0])
-    assert u1.weights[i] == 2.0
-    assert u2.weights[i] == 3.0
+    # the shared point q = 1 is merged index 1 and keeps both weights
+    assert u1.space.points[1, 0] == 1.0
+    assert u1.weights[1] == 2.0
+    assert u2.weights[1] == 3.0

@@ -18,6 +18,7 @@ from evomeasure import (
     constant_pair,
     dirac_kernel,
     discrete_rhs,
+    flow,
     gaussian_kernel,
     grid_1d,
     integrate_discrete,
@@ -264,8 +265,8 @@ def test_quasispecies_mass_conserved_and_picard_rejected():
     u = MeasureVec(sp, np.array([0.5, 0.25, 0.25]))
     traj = quasispecies_run(u, kernel, np.array([2.0, 1.0, 0.5]), T=10.0, dt=1e-3)
     assert np.max(np.abs(traj.masses - 1.0)) <= 1e-9
-    with pytest.raises(ValueError, match="rk4"):
-        quasispecies_run(u, kernel, 1.0, T=1.0, dt=0.01, solver="picard")
+    with pytest.raises(ValueError, match="RK4"):
+        flow(u, kernel, mean_fitness_pair(sp, 1.0), 1.0, solver="picard", dt=0.01)
 
 
 def test_quasispecies_matches_simplex_integration():
