@@ -47,12 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    """The config file with the command-line overrides merged in, validated
-    (and the default dt derived) by ``RunConfig.from_dict`` after the merge."""
-    cfg = RunConfig.from_json(args.config)
+    """The config file with the command-line overrides merged in."""
     over = {k: v for k, v in (("solver", args.solver), ("dt", args.dt), ("T", args.T))
             if v is not None}
-    return RunConfig.from_dict({**cfg.raw, **over}) if over else cfg
+    return RunConfig.from_json(args.config, **over)
 
 
 def main(argv=None) -> int:

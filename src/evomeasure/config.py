@@ -19,7 +19,7 @@ Validation failures raise ConfigError (CLI exit code 2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,12 +82,10 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
 
 @dataclass
 class RunConfig:
-    """Validated run description; ``build()`` materializes the components."""
+    """Validated run description; ``build()`` materializes the components
+    from the sections of ``raw``, the validated document."""
 
-    space_spec: dict
-    kernel_spec: dict
-    fitness_spec: dict
-    initial_spec: dict
+    raw: dict
     solver: str = "rk4"
     T: float = 1.0
     dt: float | None = None
@@ -96,7 +94,6 @@ class RunConfig:
     picard_max_iter: int = 30
     ball_radius: float | None = None
     summary_stride: int | None = None
-    raw: dict = field(default_factory=dict)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -132,10 +129,7 @@ class RunConfig:
                 if summary_stride < 1:
                     raise ConfigError("summary_stride must be at least 1")
             return RunConfig(
-                space_spec=d["space"],
-                kernel_spec=d["kernel"],
-                fitness_spec=d["fitness"],
-                initial_spec=d["initial"],
+                raw=d,
                 solver=solver,
                 T=T,
                 dt=dt,
@@ -144,7 +138,6 @@ class RunConfig:
                 picard_max_iter=picard_max_iter,
                 ball_radius=ball_radius,
                 summary_stride=summary_stride,
-                raw=d,
             )
         except ConfigError:
             raise
@@ -152,20 +145,24 @@ class RunConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
     @staticmethod
-    def from_json(path) -> "RunConfig":
+    def from_json(path, **overrides) -> "RunConfig":
+        """The config file with ``overrides`` replacing its top-level keys,
+        validated (and the default dt derived) after the merge."""
         try:
             with open(path) as fh:
                 d = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return RunConfig.from_dict(d)
+        if not isinstance(d, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
+        return RunConfig.from_dict({**d, **overrides})
 
     def build(self) -> tuple[StrategySpace, MutationKernel, FitnessPair, MeasureVec]:
         try:
-            space = space_from_config(self.space_spec)
-            kernel = kernel_from_config(self.kernel_spec, space)
-            fp = fitness_from_config(self.fitness_spec, space)
-            u = initial_from_config(self.initial_spec, space, seed=self.seed)
+            space = space_from_config(self.raw["space"])
+            kernel = kernel_from_config(self.raw["kernel"], space)
+            fp = fitness_from_config(self.raw["fitness"], space)
+            u = initial_from_config(self.raw["initial"], space, seed=self.seed)
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

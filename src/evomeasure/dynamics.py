@@ -201,20 +201,16 @@ def time_grid(T: float, dt: float) -> np.ndarray:
 
 
 def rk4_integrate(
-    u: MeasureVec,
-    kernel: MutationKernel,
-    fp: FitnessPair,
-    T: float,
-    dt: float,
-    k_tilde: float | None = None,
+    u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float, dt: float
 ) -> Trajectory:
     """Classical fixed-step RK4 on the weight vector over [0, T].
 
-    The pair is truncated at a level above the a-priori mass bound
-    u(Q) e^(M_f1 T) unless the caller already truncated it.  Weights that
-    dip below zero by round-off are clipped; anything below
-    -1e-8 max(1, TV) aborts with the offending step (step size too large).
-    A node whose mass exceeds K~ aborts too: there the clamp is active.
+    The pair carries the truncation level K~ (recorded in ``meta``): a pair
+    the caller truncated keeps its level, any other is truncated above the
+    a-priori mass bound u(Q) e^(M_f1 T).  Weights that dip below zero by
+    round-off are clipped; anything below -1e-8 max(1, TV) aborts with the
+    offending step (step size too large).  A node whose mass exceeds K~
+    aborts too: there the clamp is active.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -224,11 +220,9 @@ def rk4_integrate(
     if not u.is_nonnegative():
         raise ValueError("initial measure must be nonnegative")
 
-    m_f1 = float(np.max(fp.f1(0.0))) if fp.space.n else 0.0
+    m_f1 = float(np.max(fp.f1(0.0)))
     if fp.k_tilde is None:
-        if k_tilde is None:
-            k_tilde = max(1.0, u.total_mass()) * math.exp(min(m_f1 * T, 60.0)) * 1.1 + 1.0
-        fp = fp.truncated(k_tilde)
+        fp = fp.truncated(max(1.0, u.total_mass()) * math.exp(min(m_f1 * T, 60.0)) * 1.1 + 1.0)
     meta = {"dt": dt, "M_f1": m_f1, "k_tilde": fp.k_tilde}
 
     times = time_grid(T, dt)

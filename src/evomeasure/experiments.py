@@ -36,6 +36,14 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header``, then one line per row with every value as ``.17g``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
 def _jsonable(x):
     if isinstance(x, np.ndarray):
         return x.tolist()
@@ -63,8 +71,6 @@ def simulate(cfg: RunConfig, out_dir) -> dict:
     When the Picard solver is selected, an RK4 reference at the same dt is
     run alongside and the sup-TV cross distance recorded in the metadata.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     space, kernel, fp, u = cfg.build()
     traj = _flow(cfg, u, kernel, fp, cfg.T)
     meta = {
@@ -84,6 +90,8 @@ def simulate(cfg: RunConfig, out_dir) -> dict:
         m_f1 = float(np.max(fp.f1(0.0)))
         meta["M_f1"] = m_f1
         meta["gronwall_excess"] = traj.mass_bound_excess(m_f1)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out / "trajectory.csv")
     traj.write_summary_csv(out / "summary.csv", stride=_summary_stride(cfg, traj))
     _write_json(out / "metadata.json", meta)
@@ -99,7 +107,9 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     Checks: rate assumptions, the Lipschitz bound of the vector field, flow
     positivity, the exponential mass bound, the semigroup axioms, agreement
     with direct integration of the finite class system, and (where defined)
-    finite-difference consistency of the frequency dynamics.
+    finite-difference consistency of the frequency dynamics.  The RK4-based
+    checks follow one pair, truncated at the K~ of the RK4 reference, which
+    carries that level to the restart, the dt/2 run and the class system.
     """
     space, kernel, fp, u = cfg.build()
     checks: dict[str, dict] = {}
@@ -127,13 +137,14 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
                                       np.random.default_rng(cfg.seed))
         record("lipschitz_field", worst <= k_f, observed_ratio=worst, bound=k_f)
 
-    # one RK4 reference on [0, T] at one truncation level K~; every RK4-based
-    # check below reads its nodes instead of integrating its own copy
+    # one RK4 reference on [0, T]; every RK4-based check below reads its
+    # nodes or integrates ``fpt``, the pair truncated at its level K~
     from .dynamics import rk4_integrate
 
-    reference, rk4_witness = None, None
+    reference, fpt, rk4_witness = None, None, None
     try:
         reference = rk4_integrate(u, kernel, fp, cfg.T, cfg.dt)
+        fpt = fp.truncated(reference.meta["k_tilde"])
     except NumericError as exc:
         rk4_witness = str(exc)
 
@@ -142,7 +153,7 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         if reference is None:
             raise NumericError(rk4_witness)
         n = int(np.searchsorted(reference.times, t + 1e-9 * cfg.dt, side="right"))
-        return Trajectory(space, reference.times[:n], reference.weights[:n], meta=reference.meta)
+        return Trajectory(space, reference.times[:n], reference.weights[:n])
 
     # positivity and the mass bound along the configured run
     traj = None
@@ -151,14 +162,13 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         record("positivity", True)
     except NumericError as exc:
         record("positivity", False, witness=str(exc))
-    if traj is not None and not fp.mean_fitness_mortality:
-        m_f1 = float(np.max(fp.f1(0.0)))
-        excess = traj.mass_bound_excess(m_f1)
-        record("gronwall", excess <= 1e-6, excess=excess, M_f1=m_f1)
+    if traj is not None and constants is not None:
+        excess = traj.mass_bound_excess(constants.M_f1)
+        record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
 
     # semigroup axioms: identity at 0, composition at a grid-aligned split;
-    # composition restarts the RK4 realization from the reference node at
-    # t1 with the same K~, so both sides follow one vector field
+    # composition restarts the RK4 realization of the truncated pair from the
+    # reference node at t1, so both sides follow one vector field
     ident = _flow(cfg, u, kernel, fp, 0.0)
     record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
     if cfg.T > 0:
@@ -166,54 +176,51 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         if t1 < cfg.T:
             try:
                 first = head(t1)
-                second = rk4_integrate(first.final, kernel, fp, cfg.T - t1, cfg.dt,
-                                       k_tilde=first.meta["k_tilde"])
+                second = rk4_integrate(first.final, kernel, fpt, cfg.T - t1, cfg.dt)
                 gap = second.final.add_scaled(-1.0, reference.final).tv_norm()
                 record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
             except NumericError as exc:
                 record("semigroup_composition", False, witness=str(exc))
 
-    # reduction equivalences, reported in the {case, max_discrepancy,
-    # tolerance, pass} schema as well as the named checks
-    reductions: list[dict] = []
-
-    def record_reduction(case, discrepancy, tolerance, passed, **info):
-        reductions.append(
-            {"case": case, "max_discrepancy": discrepancy, "tolerance": tolerance, "pass": bool(passed)}
-        )
-        record(case, passed, max_discrepancy=discrepancy, tolerance=tolerance, **info)
-
     # the finite class system is the same ODE: direct integration must agree
     if not fp.mean_fitness_mortality:
         try:
             mtraj = head(min(cfg.T, 10.0))
-            fpt = fp.truncated(mtraj.meta["k_tilde"])
             sys = DiscreteSystem.from_measure_problem(kernel, fpt)
             _, xs = integrate_discrete(sys, u.weights, mtraj.times[-1], cfg.dt)
             gap = float(np.max(np.abs(mtraj.weights - xs).sum(axis=1)))
-            record_reduction("discrete_reduction", gap, 1e-10, gap <= 1e-10, T=mtraj.times[-1])
+            record("discrete_reduction", gap <= 1e-10, max_discrepancy=gap, tolerance=1e-10,
+                   T=mtraj.times[-1])
         except NumericError as exc:
-            record_reduction("discrete_reduction", float("nan"), 1e-10, False, witness=str(exc))
+            record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-10,
+                   witness=str(exc))
 
     # frequency-dynamics consistency, at two resolutions (order check); the
     # reference's head is the coarse run, only the dt/2 run is new
     if traj is not None and not fp.mean_fitness_mortality and np.all(traj.masses > 0):
         try:
             coarse = head(min(cfg.T, 1.0))
-            fine = rk4_integrate(u, kernel, fp, coarse.times[-1], cfg.dt / 2.0,
-                                 k_tilde=coarse.meta["k_tilde"])
+            fine = rk4_integrate(u, kernel, fpt, coarse.times[-1], cfg.dt / 2.0)
             if kernel.is_dirac:
                 rc = replicator_check(coarse, kernel, fp).max_discrepancy
                 rf = replicator_check(fine, kernel, fp).max_discrepancy
                 tol = max(1e-12, rc / 2.8)
-                record_reduction("replicator_fd", rf, tol, rc <= 1e-10 or rf <= tol, coarse=rc)
+                record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf, tolerance=tol,
+                       coarse=rc)
             nc = mm_residual(normalized_trajectory(coarse), kernel, fp).max_discrepancy
             nf = mm_residual(normalized_trajectory(fine), kernel, fp).max_discrepancy
             tol = max(1e-12, nc / 2.8)
-            record_reduction("normalized_fd", nf, tol, nc <= 1e-10 or nf <= tol, coarse=nc)
+            record("normalized_fd", nc <= 1e-10 or nf <= tol, max_discrepancy=nf, tolerance=tol,
+                   coarse=nc)
         except NumericError as exc:
-            record_reduction("normalized_fd", float("nan"), 0.0, False, witness=str(exc))
+            record("normalized_fd", False, max_discrepancy=float("nan"), tolerance=0.0,
+                   witness=str(exc))
 
+    # the reduction equivalences are the checks with a tolerance, reported a
+    # second time in the {case, max_discrepancy, tolerance, pass} schema
+    reductions = [{"case": name, "max_discrepancy": c["max_discrepancy"],
+                   "tolerance": c["tolerance"], "pass": c["passed"]}
+                  for name, c in checks.items() if "tolerance" in c]
     passed = all(c["passed"] for c in checks.values())
     report = {"passed": passed, "checks": checks, "reductions": reductions, "seed": cfg.seed}
     if out_dir is not None:
@@ -234,8 +241,6 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     the fittest cell and the flat distance between the normalized state and
     the unit atom there, plus trend summaries.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     space, kernel, fp, u = cfg.build()
     if not kernel.is_dirac:
         raise ConfigError("dirac-limit requires the Dirac (pure selection) kernel")
@@ -260,10 +265,9 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
         frac = traj.weights[k, best] / mass if mass > 0 else 0.0
         dist = bl_distance(traj.state(k).normalized(), target_atom) if mass > 0 else float("nan")
         rows.append((traj.times[k], frac, dist, mass))
-    with open(out / "concentration.csv", "w", newline="") as fh:
-        fh.write("t,mass_fraction,bl_to_atom,total_mass\n")
-        for t, frac, dist, mass in rows:
-            fh.write(",".join(format(v, ".17g") for v in (t, frac, dist, mass)) + "\n")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "concentration.csv", "t,mass_fraction,bl_to_atom,total_mass", rows)
 
     fracs = np.array([r[1] for r in rows])
     dists = np.array([r[2] for r in rows])
@@ -284,10 +288,7 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     if tie:
         shares = (traj.weights[-1] / traj.masses[-1]).tolist()
         report["final_shares"] = shares
-        with open(out / "shares.csv", "w", newline="") as fh:
-            fh.write("index,share\n")
-            for i, s in enumerate(shares):
-                fh.write(f"{i},{format(s, '.17g')}\n")
+        _write_csv(out / "shares.csv", "index,share", enumerate(shares))
     _write_json(out / "dirac_limit.json", report)
     return report
 
@@ -303,8 +304,6 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
     run at sampled times; the report checks that the final-time distance is
     nonincreasing along the list (5% slack).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ConfigError("mutation-limit needs at least one sigma")
@@ -318,11 +317,10 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
     for c, traj in enumerate(runs):
         for r, k in enumerate(idx):
             table[r, c] = bl_distance(traj.state(k), base.state(k))
-    with open(out / "mutation_limit.csv", "w", newline="") as fh:
-        fh.write("t," + ",".join(f"sigma_{s:g}" for s in sigmas) + "\n")
-        for r, k in enumerate(idx):
-            fh.write(format(base.times[k], ".17g") + ","
-                     + ",".join(format(v, ".17g") for v in table[r]) + "\n")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "mutation_limit.csv", "t," + ",".join(f"sigma_{s:g}" for s in sigmas),
+               np.column_stack([base.times[idx], table]))
 
     final = table[-1]
     nonincreasing = all(final[i + 1] <= final[i] * 1.05 for i in range(len(sigmas) - 1))

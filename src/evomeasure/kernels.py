@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import MeasureVec, bl_distance
+from .measures import MeasureVec, bl_distance, unit_atom
 from .space import StrategySpace, _frozen
 
 TOL_ROW = 1e-10
@@ -62,9 +62,7 @@ class MutationKernel:
         if not 0 <= j < n:
             raise IndexError(f"source index {j} out of range for {n} points")
         if self.is_dirac:
-            w = np.zeros(n)
-            w[j] = 1.0
-            return MeasureVec(self.space, w)
+            return unit_atom(self.space, j)
         return MeasureVec(self.space, self.rows[j])
 
     def push_births(self, v: np.ndarray) -> np.ndarray:

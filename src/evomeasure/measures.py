@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import StrategySpace, _frozen
+from .space import StrategySpace, _frozen, atoms
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,7 @@ def merge_supports(m1: MeasureVec, m2: MeasureVec) -> tuple[MeasureVec, MeasureV
     w2 = np.zeros(len(idx))
     np.add.at(w1, inv[:n1], m1.weights)
     np.add.at(w2, inv[n1:], m2.weights)
-    lo = union_pts.min(axis=0)
-    hi = union_pts.max(axis=0)
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    space = StrategySpace(
-        points=union_pts,
-        cell_volumes=np.ones(len(idx)),
-        bounds=np.column_stack([lo - 1e-9 * span, hi + 1e-9 * span]),
-    )
+    space = atoms(union_pts)
     return MeasureVec(space, w1), MeasureVec(space, w2)
 
 

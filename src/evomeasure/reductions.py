@@ -32,7 +32,6 @@ class DiscreteSystem:
     transpose of the kernel's row layout).
     """
 
-    points: np.ndarray
     P: np.ndarray
     fp: FitnessPair
 
@@ -54,7 +53,7 @@ class DiscreteSystem:
         """View a kernel/fitness pair on a finite support as a class system."""
         n = kernel.space.n
         rows = np.eye(n) if kernel.is_dirac else kernel.rows
-        return DiscreteSystem(points=kernel.space.points, P=rows.T.copy(), fp=fp)
+        return DiscreteSystem(P=rows.T.copy(), fp=fp)
 
 
 def discrete_rhs(x: np.ndarray, sys: DiscreteSystem) -> np.ndarray:

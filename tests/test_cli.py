@@ -216,11 +216,13 @@ def test_simulate_config_error_exit_2(tmp_path):
 
 def test_negative_or_nonfinite_initial_mass_exits_2(tmp_path):
     # the nonnegativity check runs on the unscaled weights: a negative mass
-    # must be refused on its own, not reach the solver
+    # must be refused on its own, not reach the solver, and leave no --out
+    out = tmp_path / "out"
     for mass in (-1.0, float("nan"), float("inf")):
         p = write_config(tmp_path, small_reference(initial={"kind": "uniform", "mass": mass}))
-        for command in ("simulate", "verify"):
-            assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        for command in (["simulate"], ["verify"], ["mutation-limit", "--sigmas", "0.2"]):
+            assert main([*command, "--config", str(p), "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 def test_simulate_nan_kernel_matrix_exits_2(tmp_path):
@@ -408,10 +410,18 @@ def test_dirac_limit_tie_reports_shares(tmp_path):
 
 def test_dirac_limit_requires_dirac_kernel(tmp_path):
     cfg = concentration_config_dict(cells=16, T=1.0, dt=0.01)
-    cfg["kernel"] = {"variant": "uniform"}
-    code = main(["dirac-limit", "--config", str(write_config(tmp_path, cfg)),
-                 "--out", str(tmp_path / "d")])
-    assert code == 2
+    out = tmp_path / "d"
+    for kernel in ({"variant": "uniform"}, {"variant": "gaussian", "sigma": 0.2}):
+        cfg["kernel"] = kernel
+        code = main(["dirac-limit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+
+def test_non_object_config_exits_2(tmp_path):
+    p = write_config(tmp_path, [1, 2])
+    for over in ([], ["--T", "0.1"]):
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out"), *over]) == 2
 
 
 # ─── mutation-limit ──────────────────────────────────────────────────

@@ -6,6 +6,8 @@ term by term as the oracle for the integral operator, closed-form
 survival factors, and cross-solver comparisons at matching grids.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,29 @@ def test_picard_operator_equals_the_gamma_bar_oracle(space_kind, n, kernel_kind,
     out = picard_operator(alpha, u, kernel, fp)
     expected = picard_oracle(alpha, u, kernel, fp)
     assert np.abs(out.weights - expected).sum(axis=1).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 5),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rk4_of_the_pair_truncated_at_the_references_level(space_kind, n, kernel_kind, seed):
+    # the pair truncated at the reference's K~ carries the level: integrating
+    # it reproduces the reference bitwise, and a restart from a grid node t1
+    # follows the same field to T
+    rng = np.random.default_rng(seed)
+    sp, kernel, fp, u = random_problem(rng, space_kind, n, kernel_kind)
+    fp = replace(fp, k_tilde=None)
+    T, dt = float(rng.uniform(0.1, 1.0)), 0.05
+    ref = rk4_integrate(u, kernel, fp, T, dt)
+    fpt = fp.truncated(ref.meta["k_tilde"])
+    assert np.array_equal(rk4_integrate(u, kernel, fpt, T, dt).weights, ref.weights)
+    k1 = int(rng.integers(1, ref.n_nodes - 1))
+    second = rk4_integrate(ref.state(k1), kernel, fpt, T - ref.times[k1], dt)
+    assert second.final.add_scaled(-1.0, ref.final).tv_norm() <= 1e-6
 
 
 def test_picard_operator_exponential_mass_path():

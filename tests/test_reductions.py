@@ -44,7 +44,7 @@ RNG = np.random.default_rng(17)
 def test_discrete_rhs_identity_kernel_decouples():
     pts = np.array([[0.5], [1.0], [1.5]])
     fp = ricker_pair(atoms(pts), a=np.array([1.0, 2.0, 3.0]), c=0.5, b=1.0, floor=0.1)
-    sys = DiscreteSystem(points=pts, P=np.eye(3), fp=fp)
+    sys = DiscreteSystem(P=np.eye(3), fp=fp)
     x = np.array([0.2, 0.3, 0.5])
     X = x.sum()
     expected = (fp.f1(X) - fp.f2(X)) * x
@@ -55,7 +55,7 @@ def test_discrete_rhs_two_class_hand_case():
     # f1 = 1, f2 = 0, swap matrix, x = (1, 0): class 1 feeds class 2 only
     pts = np.array([[0.0], [1.0]])
     fp = constant_pair(atoms(pts), a=1.0, b=0.0)
-    sys = DiscreteSystem(points=pts, P=np.array([[0.0, 1.0], [1.0, 0.0]]), fp=fp)
+    sys = DiscreteSystem(P=np.array([[0.0, 1.0], [1.0, 0.0]]), fp=fp)
     assert np.allclose(discrete_rhs(np.array([1.0, 0.0]), sys), [0.0, 1.0])
 
 
@@ -71,7 +71,7 @@ def test_discrete_rhs_change_of_variable_structure():
     fp = logistic_pair(sp, a=a, b=b, floor=0.0)
     P = RNG.uniform(0, 1, (n, n))
     P /= P.sum(axis=0, keepdims=True)
-    sys = DiscreteSystem(points=pts, P=P, fp=fp)
+    sys = DiscreteSystem(P=P, fp=fp)
     for _ in range(20):
         x = RNG.uniform(0, 1, n)
         y = a * x
