@@ -48,8 +48,9 @@ class Trajectory:
     """Time grid plus one measure per node; what solvers produce.
 
     ``masses`` caches mu(t_k)(Q) with the same summation used by
-    ``MeasureVec.total_mass``.  States are nonnegative within the round-off
-    tolerance; construction rejects anything worse.
+    ``MeasureVec.total_mass``: one row sum over C-contiguous rows is
+    bitwise the per-row ``np.sum``.  States are nonnegative within the
+    round-off tolerance; construction rejects anything worse.
     """
 
     space: StrategySpace
@@ -60,7 +61,7 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        w = np.ascontiguousarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape != (len(t), self.space.n):
             raise ValueError(f"weights must be ({len(t)}, {self.space.n}), got {w.shape}")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
@@ -77,7 +78,7 @@ class Trajectory:
             )
         self.times = _frozen(t)
         self.weights = _frozen(w)
-        self.masses = _frozen(np.array([float(np.sum(row)) for row in w]))
+        self.masses = _frozen(w.sum(axis=1))
 
     @property
     def n_nodes(self) -> int:
@@ -149,10 +150,11 @@ def vector_field(m: MeasureVec, kernel: MutationKernel, fp: FitnessPair) -> Meas
 
 
 def _field_weights(w: np.ndarray, kernel: MutationKernel, fp: FitnessPair) -> np.ndarray:
-    X = float(np.sum(w))
-    births = kernel.push_births(fp.f1(X) * w)
+    X = float(w.sum())
+    f1 = fp.f1(X)
+    births = kernel.push_births(f1 * w)
     if fp.mean_fitness_mortality:
-        fbar = float(np.dot(fp.f1(X), w)) / X if X != 0.0 else 0.0
+        fbar = float(np.dot(f1, w)) / X if X != 0.0 else 0.0
         deaths = fbar * w
     else:
         deaths = fp.f2(X) * w
@@ -208,9 +210,11 @@ def rk4_integrate(
     The pair carries the truncation level K~ (recorded in ``meta``): a pair
     the caller truncated keeps its level, any other is truncated above the
     a-priori mass bound u(Q) e^(M_f1 T).  Weights that dip below zero by
-    round-off are clipped; anything below -1e-8 max(1, TV) aborts with the
-    offending step (step size too large).  A node whose mass exceeds K~
-    aborts too: there the clamp is active.
+    round-off are clipped, and ``meta`` records how many entries were
+    clipped and the largest clipped magnitude; anything below
+    -1e-8 max(1, TV) aborts with the offending step (step size too large),
+    and so does a non-finite weight.  A node whose mass exceeds K~ aborts
+    too: there the clamp is active.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -229,6 +233,7 @@ def rk4_integrate(
     out = np.empty((len(times), u.space.n))
     out[0] = u.weights
     w = u.weights.copy()
+    clip_count, clip_max = 0, 0.0
     for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
         k1 = _field_weights(w, kernel, fp)
@@ -236,10 +241,15 @@ def rk4_integrate(
         k3 = _field_weights(w + 0.5 * h * k2, kernel, fp)
         k4 = _field_weights(w + h * k3, kernel, fp)
         w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(w)):
-            raise NumericError(f"RK4 produced non-finite weights at step {k + 1} (t={times[k + 1]})")
-        w = _enforce_nonneg(w, k + 1, times[k + 1])
+        # the minimum is the witness: a node whose minimum is nonnegative and
+        # whose maximum is below +inf is finite and needs no clip
+        lowest = float(w.min())
+        if not (lowest >= 0.0 and w.max() < math.inf):
+            w, clipped = _enforce_nonneg(w, lowest, k + 1, times[k + 1])
+            clip_count += clipped
+            clip_max = max(clip_max, -lowest)
         out[k + 1] = w
+    meta.update(clip_count=clip_count, clip_max=clip_max)
     traj = Trajectory(u.space, times, out, meta=meta)
     over = np.flatnonzero(traj.masses > fp.k_tilde)
     if len(over):
@@ -251,17 +261,19 @@ def rk4_integrate(
     return traj
 
 
-def _enforce_nonneg(w: np.ndarray, step: int, t: float) -> np.ndarray:
-    lowest = float(w.min())
-    if lowest >= 0.0:
-        return w
+def _enforce_nonneg(w: np.ndarray, lowest: float, step: int, t: float) -> tuple[np.ndarray, int]:
+    """A node that is not finite, or whose minimum ``lowest`` is negative:
+    raise naming the step, or return it clipped at zero with the number of
+    entries clipped."""
+    if not np.all(np.isfinite(w)):
+        raise NumericError(f"RK4 produced non-finite weights at step {step} (t={t})")
     tv = float(np.abs(w).sum())
     if lowest < -NEG_ABORT * max(1.0, tv):
         raise NumericError(
             f"weight {lowest} at step {step} (t={t}) is below the negativity "
             f"tolerance; the step size is too large"
         )
-    return np.maximum(w, 0.0)
+    return np.maximum(w, 0.0), np.count_nonzero(w < 0.0)
 
 
 # ─── Picard fixed point ──────────────────────────────────────────────

@@ -153,10 +153,11 @@ def ricker_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> FitnessPa
     av = _coef(space, a, "a")
     cv = _coef(space, c, "c")
     bv = _coef(space, b, "b")
+    neg_cv = -cv
     return FitnessPair(
         space,
         "ricker",
-        lambda X: av * np.exp(-cv * X),
+        lambda X: av * np.exp(neg_cv * X),
         lambda X: floor + bv * X,
         params={"a": av, "b": bv, "c": cv, "floor": floor},
     )

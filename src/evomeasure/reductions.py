@@ -57,16 +57,20 @@ class DiscreteSystem:
 
 
 def discrete_rhs(x: np.ndarray, sys: DiscreteSystem) -> np.ndarray:
-    """dx_i/dt = sum_j f1(X, q_j) P[i][j] x_j - f2(X, q_i) x_i, X = sum x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise ValueError(f"state must have {sys.n} entries")
-    X = float(np.sum(x))
+    """dx_i/dt = sum_j f1(X, q_j) P[i][j] x_j - f2(X, q_i) x_i, X = sum x.
+
+    ``x`` is a float array of ``sys.n`` entries; ``integrate_discrete``
+    checks its initial state once, not every stage.
+    """
+    X = float(x.sum())
     return sys.P @ (sys.fp.f1(X) * x) - sys.fp.f2(X) * x
 
 
 def integrate_discrete(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Plain RK4 on the class system; the oracle side of reduction checks."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (sys.n,):
+        raise ValueError(f"state must have {sys.n} entries, got shape {x0.shape}")
     return _rk4(lambda x: discrete_rhs(x, sys), x0, T, dt)
 
 

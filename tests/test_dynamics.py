@@ -6,6 +6,8 @@ term by term as the oracle for the integral operator, closed-form
 survival factors, and cross-solver comparisons at matching grids.
 """
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import reference_components
 from evomeasure import (
+    DiscreteSystem,
     MeasureVec,
     NumericError,
     atoms,
+    beverton_holt_pair,
     constant_pair,
     custom_pair,
     dirac_kernel,
@@ -27,6 +31,7 @@ from evomeasure import (
     gaussian_kernel,
     grid_1d,
     grid_2d,
+    integrate_discrete,
     logistic_pair,
     matrix_kernel,
     mean_fitness_pair,
@@ -39,7 +44,13 @@ from evomeasure import (
     vector_field,
     zero_measure,
 )
-from evomeasure.dynamics import Trajectory, _cumulative_trapezoid, finite_difference_residual
+from evomeasure.dynamics import (
+    NEG_ABORT,
+    Trajectory,
+    _cumulative_trapezoid,
+    finite_difference_residual,
+    time_grid,
+)
 
 RNG = np.random.default_rng(3)
 
@@ -170,12 +181,62 @@ def test_rk4_aborts_when_mass_reaches_the_clamp():
     assert traj.masses.max() > 3.0
 
 
+def test_rk4_records_clips_that_do_not_abort():
+    # w0' = (1 - eps - 26) w0, w1' = eps w0 - 18 w1 from w1 = 0: at h = 0.1
+    # both h-scaled rates lie left of the minimum of the RK4 polynomial R, so
+    # each step's w1 entry is eps h (R(-2.5) - R(-1.8)) / (-0.7) w0 < 0, far
+    # inside the abort tolerance: every one of the 10 steps clips one entry
+    sp = atoms([[0.0], [1.0]])
+    eps = 1e-9
+    kern = matrix_kernel(sp, [[1.0 - eps, eps], [0.0, 1.0]])
+    fp = constant_pair(sp, a=np.array([1.0, 0.0]), b=np.array([26.0, 18.0]))
+    u = MeasureVec(sp, np.array([1.0, 0.0]))
+    R = lambda x: 1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24
+    traj = rk4_integrate(u, kern, fp, T=1.0, dt=0.1)
+    assert traj.meta["clip_count"] == 10
+    assert traj.meta["clip_max"] == pytest.approx(eps * 0.1 * (R(-2.5) - R(-1.8)) / 0.7, rel=1e-6)
+    assert 0.0 < traj.meta["clip_max"] < NEG_ABORT
+    assert traj.weights.min() == 0.0
+    # a step inside the positive region clips nothing
+    clean = rk4_integrate(u, kern, fp, T=1.0, dt=0.01)
+    assert (clean.meta["clip_count"], clean.meta["clip_max"]) == (0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rk4_names_the_step_of_a_non_finite_weight(bad):
+    # the birth rate of atom 0 turns ``bad`` in the k4 stage of step 3 only:
+    # call 1 is rk4_integrate's M_f1 probe, then four stages per step, so
+    # step 3's weights hold exactly one non-finite entry
+    sp = atoms([[0.0], [1.0], [2.0]])
+    calls = []
+
+    def birth(X, points):
+        calls.append(X)
+        rates = np.full(len(points), 1.0)
+        if len(calls) == 1 + 4 * 2 + 4:
+            rates[0] = bad
+        return rates
+
+    fp = custom_pair(sp, birth, lambda X, points: np.full(len(points), 0.5))
+    u = MeasureVec(sp, np.array([0.2, 0.3, 0.5]))
+    t3 = time_grid(1.0, 0.1)[3]
+    with pytest.raises(NumericError, match=re.escape(f"non-finite weights at step 3 (t={t3})")):
+        rk4_integrate(u, dirac_kernel(sp), fp, T=1.0, dt=0.1)
+
+
 def test_trajectory_invariants_cached_masses():
     sp, kernel, fp, u = reference_components(cells=16)
     traj = rk4_integrate(u, kernel, fp, T=0.5, dt=0.01)
     for k in (0, 10, traj.n_nodes - 1):
         assert traj.masses[k] == traj.state(k).total_mass()
     assert traj.mass_bound_excess(traj.meta["M_f1"]) <= 1e-6
+    # the row sums are the per-row np.sum bitwise even from a column-major
+    # array, whose axis-1 reduction would add in another order
+    rng = np.random.default_rng(5)
+    sp = grid_1d(0.0, 1.0, 128)
+    w = np.asfortranarray(rng.uniform(0.0, 1.0, (6, sp.n)) * 10.0 ** rng.integers(-8, 8, (6, sp.n)))
+    traj = Trajectory(sp, np.arange(6.0), w)
+    assert traj.masses.tobytes() == np.array([np.sum(row) for row in w]).tobytes()
 
 
 def test_write_csv_matches_a_per_entry_loop(tmp_path):
@@ -257,6 +318,22 @@ def test_gamma_bar_oracle_cases():
     assert np.allclose(gd, expected, rtol=1e-12)
 
 
+def random_pair(rng, sp, family):
+    """An untruncated rate pair of ``family`` with random coefficients."""
+    coef = lambda lo, hi: rng.uniform(lo, hi, sp.n)
+    floor = float(rng.uniform(0.05, 0.5))
+    if family == "logistic":
+        return logistic_pair(sp, a=coef(0.2, 2.0), b=coef(0.1, 1.0), floor=floor)
+    if family == "beverton_holt":
+        return beverton_holt_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=floor)
+    if family == "ricker":
+        return ricker_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=floor)
+    if family == "constant":
+        return constant_pair(sp, a=coef(0.0, 2.0), b=coef(0.0, 2.0))
+    a, c = coef(0.2, 2.0), coef(0.1, 1.0)
+    return mean_fitness_pair(sp, lambda X, points: a * np.exp(-c * X))
+
+
 def random_problem(rng, space_kind, n, kernel_kind):
     """A random space, kernel and truncated rate pair, and an initial measure."""
     if space_kind == "grid1d":
@@ -272,12 +349,7 @@ def random_problem(rng, space_kind, n, kernel_kind):
     else:
         rows = rng.uniform(0.0, 1.0, (sp.n, sp.n))
         kernel = matrix_kernel(sp, rows / rows.sum(axis=1, keepdims=True))
-    coef = lambda lo, hi: rng.uniform(lo, hi, sp.n)
-    if rng.random() < 0.5:
-        fp = ricker_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0),
-                         floor=float(rng.uniform(0.05, 0.5)))
-    else:
-        fp = logistic_pair(sp, a=coef(0.2, 2.0), b=coef(0.1, 1.0), floor=float(rng.uniform(0.05, 0.5)))
+    fp = random_pair(rng, sp, "ricker" if rng.random() < 0.5 else "logistic")
     u = MeasureVec(sp, rng.uniform(0.0, 1.0, sp.n) / sp.n)
     return sp, kernel, fp.truncated(float(rng.uniform(1.0, 4.0))), u
 
@@ -324,6 +396,113 @@ def test_rk4_of_the_pair_truncated_at_the_references_level(space_kind, n, kernel
     k1 = int(rng.integers(1, ref.n_nodes - 1))
     second = rk4_integrate(ref.state(k1), kernel, fpt, T - ref.times[k1], dt)
     assert second.final.add_scaled(-1.0, ref.final).tv_norm() <= 1e-6
+
+
+# the RK4 loops as they stood before the node bookkeeping was trimmed,
+# verbatim: the oracles for bitwise equality
+
+
+def parent_field_weights(w, kernel, fp):
+    X = float(np.sum(w))
+    births = kernel.push_births(fp.f1(X) * w)
+    if fp.mean_fitness_mortality:
+        fbar = float(np.dot(fp.f1(X), w)) / X if X != 0.0 else 0.0
+        deaths = fbar * w
+    else:
+        deaths = fp.f2(X) * w
+    return births - deaths
+
+
+def parent_enforce_nonneg(w, step, t):
+    lowest = float(w.min())
+    if lowest >= 0.0:
+        return w
+    tv = float(np.abs(w).sum())
+    if lowest < -NEG_ABORT * max(1.0, tv):
+        raise NumericError(
+            f"weight {lowest} at step {step} (t={t}) is below the negativity "
+            f"tolerance; the step size is too large"
+        )
+    return np.maximum(w, 0.0)
+
+
+def parent_rk4_weights(u, kernel, fp, T, dt):
+    m_f1 = float(np.max(fp.f1(0.0)))
+    if fp.k_tilde is None:
+        fp = fp.truncated(max(1.0, u.total_mass()) * math.exp(min(m_f1 * T, 60.0)) * 1.1 + 1.0)
+    times = time_grid(T, dt)
+    out = np.empty((len(times), u.space.n))
+    out[0] = u.weights
+    w = u.weights.copy()
+    for k in range(len(times) - 1):
+        h = times[k + 1] - times[k]
+        k1 = parent_field_weights(w, kernel, fp)
+        k2 = parent_field_weights(w + 0.5 * h * k1, kernel, fp)
+        k3 = parent_field_weights(w + 0.5 * h * k2, kernel, fp)
+        k4 = parent_field_weights(w + h * k3, kernel, fp)
+        w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.all(np.isfinite(w)):
+            raise NumericError(f"RK4 produced non-finite weights at step {k + 1} (t={times[k + 1]})")
+        w = parent_enforce_nonneg(w, k + 1, times[k + 1])
+        out[k + 1] = w
+    return out
+
+
+def parent_discrete_rhs(x, sys):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.n,):
+        raise ValueError(f"state must have {sys.n} entries")
+    X = float(np.sum(x))
+    return sys.P @ (sys.fp.f1(X) * x) - sys.fp.f2(X) * x
+
+
+def parent_rk4(rhs, x0, T, dt):
+    x = np.asarray(x0, dtype=float).copy()
+    times = time_grid(T, dt)
+    out = np.empty((len(times), len(x)))
+    out[0] = x
+    for k in range(len(times) - 1):
+        h = times[k + 1] - times[k]
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out[k + 1] = x
+    return times, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 5),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant", "mean_fitness"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rk4_nodes_are_the_parent_loops_bitwise(space_kind, n, kernel_kind, family, seed):
+    rng = np.random.default_rng(seed)
+    sp, kernel, _, u = random_problem(rng, space_kind, n, kernel_kind)
+    fp = random_pair(rng, sp, family)
+    T, dt = float(rng.uniform(0.1, 1.0)), 0.05
+    traj = rk4_integrate(u, kernel, fp, T, dt)
+    assert traj.weights.tobytes() == parent_rk4_weights(u, kernel, fp, T, dt).tobytes()
+    for k in range(traj.n_nodes):
+        assert traj.masses[k] == traj.state(k).total_mass()
+    if family == "ricker":
+        a, c = fp.params["a"], fp.params["c"]
+        for X in traj.masses:
+            assert fp.f1(X).tobytes() == (a * np.exp(-c * X)).tobytes()
+    if family == "mean_fitness":
+        return
+    sys = DiscreteSystem.from_measure_problem(kernel, fp.truncated(traj.meta["k_tilde"]))
+    times, xs = integrate_discrete(sys, u.weights, T, dt)
+    want_times, want = parent_rk4(lambda x: parent_discrete_rhs(x, sys), u.weights, T, dt)
+    assert times.tobytes() == want_times.tobytes()
+    assert xs.tobytes() == want.tobytes()
+    for wrong in (sp.n + 1, sp.n - 1):
+        with pytest.raises(ValueError, match=f"{sp.n} entries"):
+            integrate_discrete(sys, np.full(wrong, 0.1), T, dt)
 
 
 def test_picard_operator_exponential_mass_path():

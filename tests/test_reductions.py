@@ -258,6 +258,22 @@ def test_quasispecies_identity_kernel_equal_fitness_is_stationary():
     assert np.allclose(traj.weights[-1], u.weights, atol=1e-12)
 
 
+def test_quasispecies_evaluates_the_birth_rate_once_per_stage():
+    # the mean-fitness field reads f1(X) once for births and mortality:
+    # one call for rk4_integrate's M_f1 probe, then one per RK4 stage
+    sp = atoms([[0.0], [1.0], [2.0]])
+    rows = np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.0, 0.3, 0.7]])
+    calls = []
+
+    def birth(X, points):
+        calls.append(X)
+        return 2.0 - 0.5 * points[:, 0] - 0.1 * X
+
+    u = MeasureVec(sp, np.array([0.5, 0.25, 0.25]))
+    traj = quasispecies_run(u, matrix_kernel(sp, rows), birth, T=1.0, dt=0.01)
+    assert len(calls) == 1 + 4 * (traj.n_nodes - 1)
+
+
 def test_quasispecies_mass_conserved_and_picard_rejected():
     sp = atoms([[0.0], [1.0], [2.0]])
     rows = np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.0, 0.3, 0.7]])
