@@ -66,13 +66,15 @@ class Trajectory:
             raise ValueError(f"weights must be ({len(t)}, {self.space.n}), got {w.shape}")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(w)):
-            raise NumericError("trajectory contains non-finite weights")
-        tv = np.abs(w).sum(axis=1)
-        tol = 1e-12 * np.maximum(1.0, tv)
+        # NaN and -inf show in the row minima, +inf in the maximum; only rows
+        # with a negative minimum need their TV for the round-off tolerance
         worst = w.min(axis=1)
-        if np.any(worst < -tol):
-            k = int(np.argmin(worst + tol))
+        if not (np.all(np.isfinite(worst)) and w.max(initial=0.0) < math.inf):
+            raise NumericError("trajectory contains non-finite weights")
+        neg = np.flatnonzero(worst < 0.0)
+        tol = 1e-12 * np.maximum(1.0, np.abs(w[neg]).sum(axis=1))
+        if np.any(worst[neg] < -tol):
+            k = int(neg[np.argmin(worst[neg] + tol)])
             raise NumericError(
                 f"trajectory state at t={t[k]} has weight {worst[k]}, below -tol_neg"
             )
@@ -99,7 +101,7 @@ class Trajectory:
         """Max over shared nodes of TV(self(t_k) - other(t_k))."""
         if not np.allclose(self.times, other.times, atol=1e-12):
             raise ValueError("trajectories live on different time grids")
-        return float(np.max(np.abs(self.weights - other.weights).sum(axis=1)))
+        return max_row_tv(self.weights - other.weights)
 
     def mass_bound_excess(self, m_f1: float) -> float:
         """Largest relative violation of mu(t)(Q) <= mu(0)(Q) e^(M_f1 t).
@@ -134,6 +136,12 @@ class Trajectory:
                     f"{format(self.masses[k], '.17g')},"
                     f"{format(d, '.17g')}\n"
                 )
+
+
+def max_row_tv(diff: np.ndarray) -> float:
+    """Largest row sum of |diff|; the absolute value is taken in place, so
+    ``diff`` (a caller's temporary) is consumed."""
+    return float(np.abs(diff, out=diff).sum(axis=1).max())
 
 
 # ─── the vector field ────────────────────────────────────────────────
@@ -251,14 +259,20 @@ def rk4_integrate(
         out[k + 1] = w
     meta.update(clip_count=clip_count, clip_max=clip_max)
     traj = Trajectory(u.space, times, out, meta=meta)
-    over = np.flatnonzero(traj.masses > fp.k_tilde)
+    _refuse_mass_above(traj, fp.k_tilde, "step")
+    return traj
+
+
+def _refuse_mass_above(traj: Trajectory, k_tilde: float, node: str) -> None:
+    """Raise naming the first ``node`` whose mass exceeds K~, where the
+    truncation clamp is active."""
+    over = np.flatnonzero(traj.masses > k_tilde)
     if len(over):
         k = over[0]
         raise NumericError(
-            f"mass {traj.masses[k]} at step {k} (t={times[k]}) exceeds the truncation "
-            f"level K~={fp.k_tilde}; the clamped vector field is not the model's"
+            f"mass {traj.masses[k]} at {node} {k} (t={traj.times[k]}) exceeds the truncation "
+            f"level K~={k_tilde}; the clamped vector field is not the model's"
         )
-    return traj
 
 
 def _enforce_nonneg(w: np.ndarray, lowest: float, step: int, t: float) -> tuple[np.ndarray, int]:
@@ -339,7 +353,8 @@ def picard_solve(
     ``constants`` supplies the contraction window b and the truncation level;
     ``window`` may shorten (never lengthen) the solved interval.  The
     returned trajectory records the residuals and observed contraction
-    ratios per iteration.
+    ratios per iteration.  A converged node whose mass exceeds K~ raises
+    ``NumericError`` naming it: there the clamp is active.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -364,6 +379,7 @@ def picard_solve(
         residuals.append(residual)
         alpha = new
         if residual < tol:
+            _refuse_mass_above(alpha, constants.k_tilde, "node")
             alpha.meta = {
                 "iterations": it + 1,
                 "residuals": residuals,
@@ -485,6 +501,10 @@ def _central_difference_gap(traj: Trajectory, rhs, skip=()) -> tuple[float, int]
     ks = np.setdiff1d(np.flatnonzero(even) + 1, skip)
     if len(ks) == 0:
         return 0.0, 0
-    deriv = (w[ks + 1] - w[ks - 1]) / (t[ks + 1] - t[ks - 1])[:, None]
-    gaps = np.abs(deriv - np.stack([rhs(k) for k in ks])).sum(axis=1)
-    return float(gaps.max()), len(ks)
+    # one buffer filled row by row: no fancy-index copies, no stacked rhs rows
+    gaps = np.empty((len(ks), w.shape[1]))
+    for row, k in zip(gaps, ks):
+        np.subtract(w[k + 1], w[k - 1], out=row)
+        row /= t[k + 1] - t[k - 1]
+        row -= rhs(k)
+    return max_row_tv(gaps), len(ks)

@@ -16,7 +16,7 @@ import numpy as np
 from .config import RunConfig
 # vector_field is not called here: perfbench/tracer.py looks the name up in
 # this module to count its calls
-from .dynamics import Trajectory, field_lipschitz_ratio, flow, vector_field
+from .dynamics import Trajectory, field_lipschitz_ratio, flow, max_row_tv, vector_field
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
 from .kernels import dirac_kernel, gaussian_kernel
@@ -155,29 +155,37 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         n = int(np.searchsorted(reference.times, t + 1e-9 * cfg.dt, side="right"))
         return Trajectory(space, reference.times[:n], reference.weights[:n])
 
-    # positivity and the mass bound along the configured run
-    traj = None
+    # positivity and the mass bound along the configured run; an RK4 run
+    # records the reference's clips.  Only the sign of its masses is kept.
+    positive_mass = False
     try:
-        traj = head(cfg.T) if cfg.solver == "rk4" else _flow(cfg, u, kernel, fp, cfg.T)
-        record("positivity", True)
+        if cfg.solver == "rk4":
+            traj = head(cfg.T)
+            record("positivity", True, clip_count=reference.meta["clip_count"],
+                   clip_max=reference.meta["clip_max"])
+        else:
+            traj = _flow(cfg, u, kernel, fp, cfg.T)
+            record("positivity", True)
+        if constants is not None:
+            excess = traj.mass_bound_excess(constants.M_f1)
+            record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
+        positive_mass = bool(np.all(traj.masses > 0))
+        del traj
     except NumericError as exc:
         record("positivity", False, witness=str(exc))
-    if traj is not None and constants is not None:
-        excess = traj.mass_bound_excess(constants.M_f1)
-        record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
 
     # semigroup axioms: identity at 0, composition at a grid-aligned split;
     # composition restarts the RK4 realization of the truncated pair from the
-    # reference node at t1, so both sides follow one vector field
+    # reference node at t1, so both sides follow one vector field; only the
+    # restart's end state outlives the statement
     ident = _flow(cfg, u, kernel, fp, 0.0)
     record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
     if cfg.T > 0:
         t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
         if t1 < cfg.T:
             try:
-                first = head(t1)
-                second = rk4_integrate(first.final, kernel, fpt, cfg.T - t1, cfg.dt)
-                gap = second.final.add_scaled(-1.0, reference.final).tv_norm()
+                end = rk4_integrate(head(t1).final, kernel, fpt, cfg.T - t1, cfg.dt).final
+                gap = end.add_scaled(-1.0, reference.final).tv_norm()
                 record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
             except NumericError as exc:
                 record("semigroup_composition", False, witness=str(exc))
@@ -186,9 +194,7 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     if not fp.mean_fitness_mortality:
         try:
             mtraj = head(min(cfg.T, 10.0))
-            sys = DiscreteSystem.from_measure_problem(kernel, fpt)
-            _, xs = integrate_discrete(sys, u.weights, mtraj.times[-1], cfg.dt)
-            gap = float(np.max(np.abs(mtraj.weights - xs).sum(axis=1)))
+            gap = _class_system_gap(mtraj, kernel, fpt, u, cfg.dt)
             record("discrete_reduction", gap <= 1e-10, max_discrepancy=gap, tolerance=1e-10,
                    T=mtraj.times[-1])
         except NumericError as exc:
@@ -197,18 +203,16 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
 
     # frequency-dynamics consistency, at two resolutions (order check); the
     # reference's head is the coarse run, only the dt/2 run is new
-    if traj is not None and not fp.mean_fitness_mortality and np.all(traj.masses > 0):
+    if positive_mass and not fp.mean_fitness_mortality:
         try:
             coarse = head(min(cfg.T, 1.0))
-            fine = rk4_integrate(u, kernel, fpt, coarse.times[-1], cfg.dt / 2.0)
+            rc, nc = _frequency_gaps(coarse, kernel, fp)
+            rf, nf = _frequency_gaps(rk4_integrate(u, kernel, fpt, coarse.times[-1], cfg.dt / 2.0),
+                                     kernel, fp)
             if kernel.is_dirac:
-                rc = replicator_check(coarse, kernel, fp).max_discrepancy
-                rf = replicator_check(fine, kernel, fp).max_discrepancy
                 tol = max(1e-12, rc / 2.8)
                 record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf, tolerance=tol,
                        coarse=rc)
-            nc = mm_residual(normalized_trajectory(coarse), kernel, fp).max_discrepancy
-            nf = mm_residual(normalized_trajectory(fine), kernel, fp).max_discrepancy
             tol = max(1e-12, nc / 2.8)
             record("normalized_fd", nc <= 1e-10 or nf <= tol, max_discrepancy=nf, tolerance=tol,
                    coarse=nc)
@@ -228,6 +232,22 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "verify.json", report)
     return report
+
+
+def _class_system_gap(mtraj: Trajectory, kernel, fpt, u, dt: float) -> float:
+    """Max TV gap between ``mtraj``'s nodes and direct RK4 of the finite
+    class system of (kernel, fpt) from u; the oracle's nodes are consumed."""
+    sys = DiscreteSystem.from_measure_problem(kernel, fpt)
+    _, xs = integrate_discrete(sys, u.weights, mtraj.times[-1], dt)
+    return max_row_tv(np.subtract(mtraj.weights, xs, out=xs))
+
+
+def _frequency_gaps(traj: Trajectory, kernel, fp) -> tuple[float | None, float]:
+    """Finite-difference gaps of ``traj``'s frequency dynamics: against the
+    replicator equation (Dirac kernels only, else None) and against the
+    normalized dynamics.  The normalized copies live only in here."""
+    rep = replicator_check(traj, kernel, fp).max_discrepancy if kernel.is_dirac else None
+    return rep, mm_residual(normalized_trajectory(traj), kernel, fp).max_discrepancy
 
 
 # ─── Dirac concentration ─────────────────────────────────────────────

@@ -321,6 +321,60 @@ def test_verify_planted_assumption_violation_fails(tmp_path):
     assert report["checks"]["assumptions"]["violations"]
 
 
+def test_verify_holds_each_trajectory_once():
+    # at 64 cells and 4001 nodes the RK4 reference (2 MB) is the largest
+    # array; the class-system oracle, the dt/2 run on [0, 1], its normalized
+    # copy and the gap buffers are dropped with their checks, so the traced
+    # peak stays within 3.5 references (5.8 while verify() kept them all)
+    import tracemalloc
+
+    from evomeasure.experiments import verify
+
+    cfg = RunConfig.from_dict(reference_config_dict(cells=64, T=4.0, dt=1e-3))
+    tracemalloc.start()
+    try:
+        report = verify(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    reference_bytes = 4001 * 64 * 8
+    assert peak <= 3.5 * reference_bytes, f"traced peak {peak / reference_bytes:.2f} references"
+
+
+def test_verify_records_the_references_clips(tmp_path):
+    # class 1 receives a 1e-9 share of class 0's births and dies at rate 18:
+    # at dt = 0.1 every RK4 step dips its weight below zero by far less than
+    # the abort tolerance and clips it (the problem of
+    # test_rk4_records_clips_that_do_not_abort); the positivity record of an
+    # rk4 verify carries the reference's clip record
+    from evomeasure import rk4_integrate
+
+    cfg = {
+        "space": {"kind": "atoms", "points": [[0.0], [1.0]]},
+        "kernel": {"variant": "matrix", "rows": [[1.0 - 1e-9, 1e-9], [0.0, 1.0]]},
+        "fitness": {"family": "constant", "a": [1.0, 0.0], "b": [26.0, 18.0]},
+        "initial": {"kind": "weights", "weights": [1.0, 0.0]},
+        "solver": "rk4",
+        "T": 1.0,
+        "dt": 0.1,
+    }
+    _, kernel, fp, u = RunConfig.from_dict(cfg).build()
+    meta = rk4_integrate(u, kernel, fp, 1.0, 0.1).meta
+    assert meta["clip_count"] == 10 and meta["clip_max"] > 0.0
+    for solver, dt, clips in (("rk4", 0.1, (10, meta["clip_max"])), ("rk4", 0.01, (0, 0.0)),
+                              ("picard", 0.01, None)):
+        out = tmp_path / f"{solver}{dt}"
+        main(["verify", "--config", str(write_config(tmp_path, dict(cfg, solver=solver, dt=dt))),
+              "--out", str(out)])
+        positivity = json.loads((out / "verify.json").read_text())["checks"]["positivity"]
+        assert positivity["passed"]
+        if clips is None:
+            assert "clip_count" not in positivity and "clip_max" not in positivity
+        else:
+            assert (positivity["clip_count"], positivity["clip_max"]) == clips
+
+
 def test_verify_oversized_dt_fails_positivity(tmp_path):
     cfg = {
         "space": {"kind": "atoms", "points": [[0.0], [1.0]]},

@@ -47,6 +47,7 @@ from evomeasure import (
 from evomeasure.dynamics import (
     NEG_ABORT,
     Trajectory,
+    _central_difference_gap,
     _cumulative_trapezoid,
     finite_difference_residual,
     time_grid,
@@ -237,6 +238,87 @@ def test_trajectory_invariants_cached_masses():
     w = np.asfortranarray(rng.uniform(0.0, 1.0, (6, sp.n)) * 10.0 ** rng.integers(-8, 8, (6, sp.n)))
     traj = Trajectory(sp, np.arange(6.0), w)
     assert traj.masses.tobytes() == np.array([np.sum(row) for row in w]).tobytes()
+
+
+def parent_validate(t, w):
+    """The validation of ``Trajectory.__post_init__`` before it took row
+    minima first: one full isfinite pass and one full |w| row sum."""
+    if not np.all(np.isfinite(w)):
+        raise NumericError("trajectory contains non-finite weights")
+    tv = np.abs(w).sum(axis=1)
+    tol = 1e-12 * np.maximum(1.0, tv)
+    worst = w.min(axis=1)
+    if np.any(worst < -tol):
+        k = int(np.argmin(worst + tol))
+        raise NumericError(
+            f"trajectory state at t={t[k]} has weight {worst[k]}, below -tol_neg"
+        )
+
+
+def parent_sup_tv_distance(a, b):
+    return float(np.max(np.abs(a.weights - b.weights).sum(axis=1)))
+
+
+def parent_central_difference_gap(traj, rhs, skip=()):
+    t, w = traj.times, traj.weights
+    h = np.diff(t)
+    even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
+    ks = np.setdiff1d(np.flatnonzero(even) + 1, skip)
+    if len(ks) == 0:
+        return 0.0, 0
+    deriv = (w[ks + 1] - w[ks - 1]) / (t[ks + 1] - t[ks - 1])[:, None]
+    gaps = np.abs(deriv - np.stack([rhs(k) for k in ks])).sum(axis=1)
+    return float(gaps.max()), len(ks)
+
+
+def _raised(f):
+    try:
+        f()
+    except NumericError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_nodes=st.integers(1, 12),
+    n=st.integers(1, 6),
+    last_step=st.sampled_from([1.0, 0.4, 1.0 + 1e-9, 1.0 + 1e-3]),
+    inject=st.lists(
+        st.sampled_from(["nan", "inf", "-inf", "huge", "neg_inside", "neg_outside"]), max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inject, seed):
+    # the parent's full-pass validation, sup_tv_distance and central
+    # difference gap are the oracle: same accept/reject with the same
+    # message, bitwise-equal gaps and the same number of nodes checked
+    rng = np.random.default_rng(seed)
+    sp = atoms(rng.uniform(0.0, 1.0, n))
+    h = float(rng.uniform(0.01, 1.0))
+    times = h * np.arange(n_nodes)
+    if n_nodes > 1:
+        times[-1] = times[-2] + h * last_step
+    w = rng.uniform(0.0, 1.0, (n_nodes, n)) * 10.0 ** rng.integers(-3, 4, (n_nodes, 1))
+    for kind in inject:
+        k, i = rng.integers(n_nodes), rng.integers(n)
+        # negatives on either side of the round-off tolerance 1e-12 max(1, TV)
+        tol = 1e-12 * max(1.0, float(np.abs(w[k]).sum()))
+        w[k, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "huge": 1e308,
+                   "neg_inside": -0.5 * tol, "neg_outside": -2.0 * tol}[kind]
+    want = _raised(lambda: parent_validate(times, w))
+    assert _raised(lambda: Trajectory(sp, times, w)) == want
+    if want is not None:
+        return
+    traj = Trajectory(sp, times, w)
+    other = Trajectory(sp, times, rng.uniform(0.0, 1.0, (n_nodes, n)))
+    assert traj.sup_tv_distance(other) == parent_sup_tv_distance(traj, other)
+    rhs_rows = rng.normal(size=(n_nodes, n))
+    rhs = lambda k: rhs_rows[k]
+    skip = tuple(int(k) for k in rng.choice(n_nodes, size=rng.integers(0, n_nodes + 1), replace=False))
+    got = _central_difference_gap(traj, rhs, skip)
+    want_gap, want_count = parent_central_difference_gap(traj, rhs, skip)
+    assert got[0] == want_gap and got[1] == want_count
 
 
 def test_write_csv_matches_a_per_entry_loop(tmp_path):
@@ -611,6 +693,23 @@ def test_picard_window_cannot_exceed_contraction_bound():
     tc = estimate_constants(fp, u.total_mass(), 1.0)
     with pytest.raises(ValueError, match="window"):
         picard_solve(u, kernel, fp, tc, dt=1e-3, window=tc.b * 2)
+
+
+def test_picard_refuses_a_converged_node_above_k_tilde():
+    # a constant pair ignores X, so truncating it at K~ = 1.01 (just above
+    # the initial mass 1) changes no rate: the solve at the estimated K~ is
+    # the same path, and the check names its first node above 1.01
+    sp = grid_1d(0.0, 1.0, 4)
+    fp = constant_pair(sp, a=2.0, b=0.5)
+    u = MeasureVec(sp, np.full(sp.n, 0.25))
+    tc = estimate_constants(fp, u.total_mass(), 1.0)
+    free = picard_solve(u, dirac_kernel(sp), fp, tc, dt=1e-3)
+    k = int(np.flatnonzero(free.masses > 1.01)[0])
+    assert 0 < k < free.n_nodes - 1
+    message = (f"mass {free.masses[k]} at node {k} (t={free.times[k]}) exceeds the "
+               f"truncation level K~=1.01; the clamped vector field is not the model's")
+    with pytest.raises(NumericError, match=re.escape(message)):
+        picard_solve(u, dirac_kernel(sp), fp, replace(tc, k_tilde=1.01), dt=1e-3)
 
 
 def test_picard_rejects_bad_settings_and_mean_fitness():
