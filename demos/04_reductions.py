@@ -21,7 +21,6 @@ from evomeasure import (
     logistic_pair,
     matrix_kernel,
     mm_residual,
-    normalized_trajectory,
     quasispecies_run,
     replicator_check,
     ricker_pair,
@@ -53,8 +52,7 @@ shares = sel.weights[-1] / sel.masses[-1]
 print(f"  final shares: {np.round(shares, 4)} (collapsing onto the fittest class)")
 
 # --- frequency dynamics of the mutation run --------------------------------
-ntraj = normalized_trajectory(traj)
-res = mm_residual(ntraj, kernel, fitness.truncated(traj.meta["k_tilde"]))
+res = mm_residual(traj, kernel, fitness.truncated(traj.meta["k_tilde"]))
 print("\nnormalized (frequency) dynamics of the 3-class run")
 print(f"  max finite-difference discrepancy vs the frequency RHS: {res.max_discrepancy:.2e}")
 

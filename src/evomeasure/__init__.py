@@ -46,7 +46,6 @@ from .reductions import (
     integrate_discrete,
     integrate_replicator_mutator,
     mm_residual,
-    mm_rhs,
     normalized_trajectory,
     quasispecies_run,
     replicator_check,

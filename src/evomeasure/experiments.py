@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-# vector_field is not called here: perfbench/tracer.py looks the name up in
-# this module to count its calls
-from .dynamics import Trajectory, field_lipschitz_ratio, flow, max_row_tv, vector_field
+# vector_field and normalized_trajectory are not called here: perfbench/tracer.py
+# looks the names up in this module to trace their calls
+from .dynamics import (Trajectory, field_lipschitz_ratio, flow, max_row_tv, vector_field,
+                       write_csv_rows)
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
 from .kernels import dirac_kernel, gaussian_kernel
@@ -34,14 +35,6 @@ def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    """``header``, then one line per row with every value as ``.17g``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def _jsonable(x):
@@ -245,9 +238,9 @@ def _class_system_gap(mtraj: Trajectory, kernel, fpt, u, dt: float) -> float:
 def _frequency_gaps(traj: Trajectory, kernel, fp) -> tuple[float | None, float]:
     """Finite-difference gaps of ``traj``'s frequency dynamics: against the
     replicator equation (Dirac kernels only, else None) and against the
-    normalized dynamics.  The normalized copies live only in here."""
+    normalized dynamics; both normalize one node at a time."""
     rep = replicator_check(traj, kernel, fp).max_discrepancy if kernel.is_dirac else None
-    return rep, mm_residual(normalized_trajectory(traj), kernel, fp).max_discrepancy
+    return rep, mm_residual(traj, kernel, fp).max_discrepancy
 
 
 # ─── Dirac concentration ─────────────────────────────────────────────
@@ -287,7 +280,7 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
         rows.append((traj.times[k], frac, dist, mass))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "concentration.csv", "t,mass_fraction,bl_to_atom,total_mass", rows)
+    write_csv_rows(out / "concentration.csv", "t,mass_fraction,bl_to_atom,total_mass", rows)
 
     fracs = np.array([r[1] for r in rows])
     dists = np.array([r[2] for r in rows])
@@ -308,7 +301,7 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     if tie:
         shares = (traj.weights[-1] / traj.masses[-1]).tolist()
         report["final_shares"] = shares
-        _write_csv(out / "shares.csv", "index,share", enumerate(shares))
+        write_csv_rows(out / "shares.csv", "index,share", enumerate(shares))
     _write_json(out / "dirac_limit.json", report)
     return report
 
@@ -339,8 +332,8 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
             table[r, c] = bl_distance(traj.state(k), base.state(k))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "mutation_limit.csv", "t," + ",".join(f"sigma_{s:g}" for s in sigmas),
-               np.column_stack([base.times[idx], table]))
+    write_csv_rows(out / "mutation_limit.csv", "t," + ",".join(f"sigma_{s:g}" for s in sigmas),
+                   np.column_stack([base.times[idx], table]))
 
     final = table[-1]
     nonincreasing = all(final[i + 1] <= final[i] * 1.05 for i in range(len(sigmas) - 1))

@@ -119,18 +119,16 @@ def integrate_replicator_mutator(x0, f, Q, T: float, dt: float) -> tuple[np.ndar
 
 
 def normalized_trajectory(traj: Trajectory) -> Trajectory:
-    """Scale every node to unit mass: P(t) = mu(t) / mu(t)(Q).
+    """Scale every node to unit mass: P(t) = mu(t) / mu(t)(Q)."""
+    weights = traj.weights / _positive_masses(traj)[:, None]
+    return Trajectory(traj.space, traj.times.copy(), weights, meta=dict(traj.meta))
 
-    The source masses are kept in the metadata because the frequency
-    dynamics still depends on the unnormalized total.
-    """
+
+def _positive_masses(traj: Trajectory) -> np.ndarray:
     if np.any(traj.masses <= 0.0):
         k = int(np.argmin(traj.masses))
         raise ValueError(f"cannot normalize: mass {traj.masses[k]} at t={traj.times[k]}")
-    weights = traj.weights / traj.masses[:, None]
-    meta = dict(traj.meta)
-    meta["source_masses"] = traj.masses.copy()
-    return Trajectory(traj.space, traj.times.copy(), weights, meta=meta)
+    return traj.masses
 
 
 def mm_rhs(p: np.ndarray, X: float, kernel: MutationKernel, fp: FitnessPair) -> np.ndarray:
@@ -158,16 +156,22 @@ class FdReport:
     n_nodes_checked: int
 
 
-def mm_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> FdReport:
-    """Central-difference check of the normalized dynamics against ``mm_rhs``.
+def _frequency_gap(traj: Trajectory, rhs) -> FdReport:
+    """Central-difference check of P(t) = mu(t) / mu(t)(Q) against
+    ``rhs(p, X)``, with p = P(t_k) and X = mu(t_k)(Q).  Node k is normalized
+    where it is read, by the division of ``normalized_trajectory``."""
+    masses = _positive_masses(traj)
+    p = lambda k: traj.weights[k] / masses[k]
+    return FdReport(*_central_difference_gap(traj.times, p, lambda k: rhs(p(k), float(masses[k]))))
 
-    ``traj`` must be a normalized trajectory carrying its source masses.
+
+def mm_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> FdReport:
+    """Central-difference check of the frequency dynamics against ``mm_rhs``.
+
+    ``traj`` is the measure trajectory a solver returns, not its normalized
+    copy: the frequency dynamics is driven by the unnormalized masses.
     """
-    masses = traj.meta.get("source_masses")
-    if masses is None:
-        raise ValueError("trajectory was not produced by normalized_trajectory")
-    return FdReport(*_central_difference_gap(
-        traj, lambda k: mm_rhs(traj.weights[k], float(masses[k]), kernel, fp)))
+    return _frequency_gap(traj, lambda p, X: mm_rhs(p, X, kernel, fp))
 
 
 def replicator_check(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> FdReport:
@@ -175,20 +179,17 @@ def replicator_check(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) 
 
     With a Dirac kernel, dP/dt(E) = int_E [f(X,q) - fbar] dP where
     f = f1 - f2 and fbar = int_Q f dP; the report carries the max TV gap
-    between central differences of the normalized states and that RHS.
+    between central differences of the normalized states of the measure
+    trajectory ``traj`` and that RHS.
     """
     if not kernel.is_dirac:
         raise ValueError("the replicator reduction is only defined for the Dirac kernel")
-    ntraj = normalized_trajectory(traj)
-    masses = ntraj.meta["source_masses"]
 
-    def rhs(k):
-        X = float(masses[k])
-        p = ntraj.weights[k]
+    def rhs(p, X):
         fvals = fp.f1(X) - fp.f2(X)
         return (fvals - float(np.dot(fvals, p))) * p
 
-    return FdReport(*_central_difference_gap(ntraj, rhs))
+    return _frequency_gap(traj, rhs)
 
 
 # ─── quasi-species run ───────────────────────────────────────────────

@@ -101,7 +101,8 @@ def grid_1d(lo: float, hi: float, cells: int) -> StrategySpace:
 def grid_2d(bounds, cells) -> StrategySpace:
     """Uniform 2-D grid; ``bounds`` is [[x_lo, x_hi], [y_lo, y_hi]], ``cells`` is (nx, ny).
 
-    Points are cell centers in row-major order (x fastest).
+    Points are cell centers with the x index outermost: point ``i * ny + j``
+    is the center of cell (i, j), so y varies fastest.
     """
     bounds = np.asarray(bounds, dtype=float).reshape(2, 2)
     nx, ny = int(cells[0]), int(cells[1])

@@ -240,6 +240,18 @@ def test_trajectory_invariants_cached_masses():
     assert traj.masses.tobytes() == np.array([np.sum(row) for row in w]).tobytes()
 
 
+def test_trajectory_refuses_an_overflowing_row_sum():
+    # finite weights of 1e308 whose row sum overflows: refused at the first
+    # such row, not cached as an infinite mass
+    sp = atoms([[0.0], [1.0]])
+    w = np.array([[1.0, 2.0], [1e308, 1e308], [1e308, 1e308]])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"t=0\.5 .* overflows"):
+        Trajectory(sp, np.array([0.0, 0.5, 1.0]), w)
+    # a sum at the top of the float range is still accepted
+    ok = Trajectory(sp, np.array([0.0, 0.5]), np.array([[1.0, 2.0], [8e307, 8e307]]))
+    assert ok.masses[1] == 1.6e308
+
+
 def parent_validate(t, w):
     """The validation of ``Trajectory.__post_init__`` before it took row
     minima first: one full isfinite pass and one full |w| row sum."""
@@ -307,6 +319,13 @@ def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inje
         w[k, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "huge": 1e308,
                    "neg_inside": -0.5 * tol, "neg_outside": -2.0 * tol}[kind]
     want = _raised(lambda: parent_validate(times, w))
+    with np.errstate(over="ignore"):
+        sums = w.sum(axis=1)
+    if want is None and not np.all(np.isfinite(sums)):
+        # the parent accepted finite weights whose row sum overflows; they are
+        # refused, naming the first such row
+        k = int(np.flatnonzero(~np.isfinite(sums))[0])
+        want = f"trajectory state at t={times[k]} has finite weights whose sum overflows"
     assert _raised(lambda: Trajectory(sp, times, w)) == want
     if want is not None:
         return
@@ -316,7 +335,7 @@ def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inje
     rhs_rows = rng.normal(size=(n_nodes, n))
     rhs = lambda k: rhs_rows[k]
     skip = tuple(int(k) for k in rng.choice(n_nodes, size=rng.integers(0, n_nodes + 1), replace=False))
-    got = _central_difference_gap(traj, rhs, skip)
+    got = _central_difference_gap(traj.times, traj.weights.__getitem__, rhs, skip)
     want_gap, want_count = parent_central_difference_gap(traj, rhs, skip)
     assert got[0] == want_gap and got[1] == want_count
 
@@ -852,6 +871,19 @@ def test_finite_difference_residual_matches_a_node_loop():
         worst = max(worst, float(np.abs(deriv - f).sum()))
     assert traj.n_nodes == 41 and t[-1] - t[-2] < 0.0051
     assert finite_difference_residual(traj, kernel, fpt, skip=skip) == worst
+
+
+def test_central_difference_gap_of_a_nan_rhs_is_nan():
+    # a NaN right-hand side at one interior node makes the gap NaN, wherever
+    # that node falls among larger and smaller gaps, so no check can pass on it
+    sp = atoms([[0.0], [1.0]])
+    traj = Trajectory(sp, 0.1 * np.arange(8.0), RNG.uniform(0.0, 1.0, (8, 2)))
+    for bad in (1, 3, 6):
+        rows = np.zeros((8, 2))
+        rows[bad] = [np.nan, 0.0]
+        rows[4] = [1e6, 0.0]
+        gap, count = _central_difference_gap(traj.times, traj.weights.__getitem__, rows.__getitem__)
+        assert count == 6 and math.isnan(gap)
 
 
 def test_picard_trajectory_solves_the_ode_at_order_two():

@@ -99,6 +99,17 @@ def assert_flat_matches_lp(m1, m2):
     assert bl_distance(m1, m2) == pytest.approx(oracle, abs=1e-12 * max(1.0, np.abs(d).sum()))
 
 
+# ─── spaces ──────────────────────────────────────────────────────────
+
+
+def test_grid_2d_point_order_has_y_fastest():
+    # cell (i, j) is point i * ny + j: the x index is the outer loop
+    sp = grid_2d([[0.0, 3.0], [0.0, 2.0]], (3, 2))
+    expected = [[0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5], [2.5, 0.5], [2.5, 1.5]]
+    assert sp.points.tolist() == expected
+    assert np.all(sp.cell_volumes == 1.0)
+
+
 # ─── total mass and TV norm ──────────────────────────────────────────
 
 

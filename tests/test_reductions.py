@@ -6,8 +6,12 @@ near machine level; the frequency dynamics and the replicator/quasi-species
 forms are checked by finite differences and independent simplex integration.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_components
 from evomeasure import (
@@ -21,6 +25,7 @@ from evomeasure import (
     flow,
     gaussian_kernel,
     grid_1d,
+    grid_2d,
     integrate_discrete,
     integrate_replicator_mutator,
     logistic_pair,
@@ -33,7 +38,10 @@ from evomeasure import (
     replicator_mutator_rhs,
     ricker_pair,
     rk4_integrate,
+    zero_measure,
 )
+from evomeasure.dynamics import Trajectory
+from evomeasure.reductions import mm_rhs
 
 RNG = np.random.default_rng(17)
 
@@ -157,8 +165,6 @@ def test_normalized_trajectory_unit_mass_nodes():
 
 def test_normalized_trajectory_rejects_vanishing_mass():
     sp = grid_1d(0.0, 1.0, 3)
-    from evomeasure.dynamics import Trajectory
-
     weights = np.array([[0.2, 0.3, 0.5], [0.0, 0.0, 0.0]])
     traj = Trajectory(sp, np.array([0.0, 1.0]), weights)
     with pytest.raises(ValueError, match="mass"):
@@ -171,7 +177,7 @@ def test_normalized_dynamics_match_frequency_rhs_at_order_two():
     for dt in (0.02, 0.01):
         traj = rk4_integrate(u, kernel, fp, T=1.0, dt=dt)
         fpt = fp.truncated(traj.meta["k_tilde"])
-        res.append(mm_residual(normalized_trajectory(traj), kernel, fpt).max_discrepancy)
+        res.append(mm_residual(traj, kernel, fpt).max_discrepancy)
     order = np.log2(res[0] / res[1])
     assert order >= 1.8, f"observed order {order} (residuals {res})"
 
@@ -182,10 +188,105 @@ def test_mm_residual_skips_the_node_before_a_short_last_step():
     even = rk4_integrate(u, kernel, fpt, T=0.3, dt=0.01)
     short = rk4_integrate(u, kernel, fpt, T=0.295, dt=0.01)
     assert even.n_nodes == short.n_nodes == 31
-    assert mm_residual(normalized_trajectory(even), kernel, fpt).n_nodes_checked == 29
-    report = mm_residual(normalized_trajectory(short), kernel, fpt)
+    assert mm_residual(even, kernel, fpt).n_nodes_checked == 29
+    report = mm_residual(short, kernel, fpt)
     assert report.n_nodes_checked == 28
     assert report.max_discrepancy <= 1e-5
+
+
+def parent_central_difference_gap(traj, rhs, skip=()):
+    t, w = traj.times, traj.weights
+    h = np.diff(t)
+    even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
+    ks = np.setdiff1d(np.flatnonzero(even) + 1, skip)
+    if len(ks) == 0:
+        return 0.0, 0
+    gaps = np.empty((len(ks), w.shape[1]))
+    for row, k in zip(gaps, ks):
+        np.subtract(w[k + 1], w[k - 1], out=row)
+        row /= t[k + 1] - t[k - 1]
+        row -= rhs(k)
+    return float(np.abs(gaps, out=gaps).sum(axis=1).max()), len(ks)
+
+
+def parent_normalized_trajectory(traj):
+    if np.any(traj.masses <= 0.0):
+        k = int(np.argmin(traj.masses))
+        raise ValueError(f"cannot normalize: mass {traj.masses[k]} at t={traj.times[k]}")
+    weights = traj.weights / traj.masses[:, None]
+    meta = dict(traj.meta)
+    meta["source_masses"] = traj.masses.copy()
+    return Trajectory(traj.space, traj.times.copy(), weights, meta=meta)
+
+
+def parent_mm_residual(traj, kernel, fp):
+    masses = traj.meta.get("source_masses")
+    if masses is None:
+        raise ValueError("trajectory was not produced by normalized_trajectory")
+    return parent_central_difference_gap(
+        traj, lambda k: mm_rhs(traj.weights[k], float(masses[k]), kernel, fp))
+
+
+def parent_replicator_check(traj, kernel, fp):
+    if not kernel.is_dirac:
+        raise ValueError("the replicator reduction is only defined for the Dirac kernel")
+    ntraj = parent_normalized_trajectory(traj)
+    masses = ntraj.meta["source_masses"]
+
+    def rhs(k):
+        X = float(masses[k])
+        p = ntraj.weights[k]
+        fvals = fp.f1(X) - fp.f2(X)
+        return (fvals - float(np.dot(fvals, p))) * p
+
+    return parent_central_difference_gap(ntraj, rhs)
+
+
+def _outcome(f):
+    """``(gap, nodes checked)``, or the message of the ValueError raised."""
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 6),
+    dirac=st.booleans(),
+    n_steps=st.integers(1, 40),
+    last_step=st.sampled_from([1.0, 0.3, 0.999]),
+    vanishing=st.sampled_from([False, False, False, True]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frequency_checks_normalize_the_parents_copy_bitwise(
+    space_kind, n, dirac, n_steps, last_step, vanishing, seed
+):
+    # the parent's normalized copy (masses in its metadata), its mm_residual
+    # and its replicator_check are the oracle: the checks that read the
+    # measure trajectory give bitwise-equal gaps, the same node counts and
+    # the same refusal of a nonpositive mass
+    rng = np.random.default_rng(seed)
+    if space_kind == "grid1d":
+        sp = grid_1d(0.0, float(rng.uniform(0.5, 2.0)), n)
+    elif space_kind == "grid2d":
+        sp = grid_2d([[0.0, 1.0], [0.0, float(rng.uniform(0.5, 2.0))]], (n, int(rng.integers(1, 4))))
+    else:
+        sp = atoms(rng.uniform(0.0, 1.0, (n, int(rng.integers(1, 3)))))
+    kernel = dirac_kernel(sp) if dirac else gaussian_kernel(sp, float(rng.uniform(0.05, 0.5)))
+    coef = lambda lo, hi: rng.uniform(lo, hi, sp.n)
+    fp = ricker_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=0.2)
+    fpt = fp.truncated(float(rng.uniform(2.0, 4.0)))
+    u = zero_measure(sp) if vanishing else MeasureVec(sp, rng.uniform(0.0, 1.0, sp.n) / sp.n)
+    dt = float(rng.uniform(0.005, 0.05))
+    traj = rk4_integrate(u, kernel, fpt, (n_steps - 1 + last_step) * dt, dt)
+
+    want = _outcome(lambda: parent_mm_residual(parent_normalized_trajectory(traj), kernel, fpt))
+    assert _outcome(lambda: astuple(mm_residual(traj, kernel, fpt))) == want
+    if dirac:
+        want = _outcome(lambda: parent_replicator_check(traj, kernel, fpt))
+        assert _outcome(lambda: astuple(replicator_check(traj, kernel, fpt))) == want
 
 
 # ─── replicator reduction (pure selection) ───────────────────────────
