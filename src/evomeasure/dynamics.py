@@ -8,7 +8,9 @@ The dynamics on a measure mu over the strategy space is
 semi-discretized over the support points into a coupled ODE on the weight
 vector.  Two independent solvers are provided:
 
-  * ``rk4_integrate``: classical fixed-step RK4 on the weights;
+  * ``rk4_integrate``: classical fixed-step RK4 on the weights, the nodes
+    of ``rk4_stream`` collected (checks that read each node once read the
+    stream itself);
   * ``picard_solve``: the fixed-point iteration of the integral operator
 
         [S alpha](t) = e^(-int_0^t f2~) du
@@ -29,6 +31,7 @@ Time quadrature throughout is composite trapezoid on the node grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +75,20 @@ class Trajectory:
         if not (np.all(np.isfinite(worst)) and w.max(initial=0.0) < math.inf):
             raise NumericError("trajectory contains non-finite weights")
         neg = np.flatnonzero(worst < 0.0)
-        tol = 1e-12 * np.maximum(1.0, np.abs(w[neg]).sum(axis=1))
+        tv = np.abs(w[neg]).sum(axis=1)
+        tol = 1e-12 * np.maximum(1.0, tv)
         if np.any(worst[neg] < -tol):
             k = int(neg[np.argmin(worst[neg] + tol)])
             raise NumericError(
                 f"trajectory state at t={t[k]} has weight {worst[k]}, below -tol_neg"
             )
+        # a row whose |w| sum overflows has no tolerance to judge its
+        # negatives by; a row without negatives overflows in its mass
         masses = w.sum(axis=1)
-        if not np.all(np.isfinite(masses)):
-            k = int(np.argmin(np.isfinite(masses)))
+        overflow = ~np.isfinite(masses)
+        overflow[neg[tv == math.inf]] = True
+        if np.any(overflow):
+            k = int(np.argmax(overflow))
             raise NumericError(f"trajectory state at t={t[k]} has finite weights whose sum overflows")
         self.times = _frozen(t)
         self.weights = _frozen(w)
@@ -101,11 +109,12 @@ class Trajectory:
         """Every ``stride``-th node index, then the last node."""
         return [*range(0, self.n_nodes - 1, max(1, stride)), self.n_nodes - 1]
 
-    def sup_tv_distance(self, other: "Trajectory") -> float:
-        """Max over shared nodes of TV(self(t_k) - other(t_k))."""
+    def sup_tv_distance(self, other: "Trajectory | NodeStream") -> float:
+        """Max over shared nodes of TV(self(t_k) - other(t_k)); a node
+        stream is read here, one node at a time."""
         if not np.allclose(self.times, other.times, atol=1e-12):
             raise ValueError("trajectories live on different time grids")
-        return max_row_tv(self.weights - other.weights)
+        return sup_tv(self.weights, other.weights)
 
     def mass_bound_excess(self, m_f1: float) -> float:
         """Largest relative violation of mu(t)(Q) <= mu(0)(Q) e^(M_f1 t).
@@ -144,10 +153,14 @@ def write_csv_rows(path, header: str, rows) -> None:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def max_row_tv(diff: np.ndarray) -> float:
-    """Largest row sum of |diff|; the absolute value is taken in place, so
-    ``diff`` (a caller's temporary) is consumed."""
-    return float(np.abs(diff, out=diff).sum(axis=1).max())
+def sup_tv(rows, others) -> float:
+    """Max over paired nodes of TV(row - other), one pair at a time; both
+    sides hold the same number of nodes.  ``np.maximum`` carries a NaN through."""
+    worst = 0.0
+    for a, b in zip(rows, others, strict=True):
+        diff = a - b
+        worst = np.maximum(worst, np.abs(diff, out=diff).sum())
+    return float(worst)
 
 
 # ─── the vector field ────────────────────────────────────────────────
@@ -160,19 +173,29 @@ def vector_field(m: MeasureVec, kernel: MutationKernel, fp: FitnessPair) -> Meas
     X = mu(Q).  A signed measure in general.
     """
     _check_shared_space(m.space, kernel, fp)
-    return MeasureVec(m.space, _field_weights(m.weights, kernel, fp))
+    return MeasureVec(m.space, _field(kernel, fp)(m.weights, float(m.weights.sum())))
 
 
-def _field_weights(w: np.ndarray, kernel: MutationKernel, fp: FitnessPair) -> np.ndarray:
-    X = float(w.sum())
-    f1 = fp.f1(X)
-    births = kernel.push_births(f1 * w)
-    if fp.mean_fitness_mortality:
-        fbar = float(np.dot(f1, w)) / X if X != 0.0 else 0.0
-        deaths = fbar * w
-    else:
-        deaths = fp.f2(X) * w
-    return births - deaths
+def _field(kernel: MutationKernel, fp: FitnessPair):
+    """The field of (kernel, fp) as a function of the weight vector w and
+    its mass X = float(w.sum()), which a solver has at hand.
+
+    The kernel table, the rates and the K~ clamp of ``FitnessPair._clamp``
+    are bound once, so a solver pays per evaluation only for the arithmetic.
+    Under mean-fitness mortality the deaths are the mean birth rate times w.
+    """
+    rows_t = None if kernel.is_dirac else kernel.rows.T
+    birth, death, k_tilde = fp.birth, fp.death, fp.k_tilde
+
+    def field(w: np.ndarray, X: float) -> np.ndarray:
+        x = X if k_tilde is None else min(max(X, 0.0), k_tilde)
+        f1 = birth(x)
+        births = f1 * w if rows_t is None else rows_t @ (f1 * w)
+        if death is None:
+            return births - (float(np.dot(f1, w)) / X if X != 0.0 else 0.0) * w
+        return births - death(x) * w
+
+    return field
 
 
 def field_lipschitz_ratio(
@@ -186,6 +209,7 @@ def field_lipschitz_ratio(
     field's Lipschitz constant K_F = B1 + B2 + (L1 + L2) C1.
     """
     _check_shared_space(kernel.space, kernel, fp)
+    field = _field(kernel, fp)
     n = kernel.space.n
     worst = 0.0
     for _ in range(200):
@@ -195,7 +219,7 @@ def field_lipschitz_ratio(
         w2 *= rng.uniform(0.0, radius) / max(w2.sum(), 1e-300)
         dm = float(np.sum(np.abs(w1 - w2)))
         if dm > 0:
-            dv = _field_weights(w1, kernel, fp) - _field_weights(w2, kernel, fp)
+            dv = field(w1, float(w1.sum())) - field(w2, float(w2.sum()))
             worst = max(worst, float(np.sum(np.abs(dv))) / dm)
     return worst
 
@@ -216,10 +240,29 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     return times
 
 
-def rk4_integrate(
-    u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float, dt: float
-) -> Trajectory:
-    """Classical fixed-step RK4 on the weight vector over [0, T].
+@dataclass
+class NodeStream:
+    """One RK4 run read node by node, for checks that read each node once.
+
+    ``weights`` yields each node's weight vector once, in time order, after
+    the node's checks; ``meta`` is the run record of ``rk4_integrate``, its
+    clip keys current with the nodes read so far.
+    """
+
+    space: StrategySpace
+    times: np.ndarray
+    weights: Iterator[np.ndarray]
+    meta: dict
+
+    def run_to_end(self) -> MeasureVec:
+        """Read every node; the state at the last one."""
+        for w in self.weights:
+            pass
+        return MeasureVec(self.space, w)
+
+
+def rk4_stream(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float, dt: float) -> NodeStream:
+    """Classical fixed-step RK4 on the weight vector over [0, T], one node at a time.
 
     The pair carries the truncation level K~ (recorded in ``meta``): a pair
     the caller truncated keeps its level, any other is truncated above the
@@ -228,7 +271,8 @@ def rk4_integrate(
     clipped and the largest clipped magnitude; anything below
     -1e-8 max(1, TV) aborts with the offending step (step size too large),
     and so does a non-finite weight.  A node whose mass exceeds K~ aborts
-    too: there the clamp is active.
+    too, before it is yielded: there the clamp is active.  The arguments are
+    checked here, before any node is read.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -241,44 +285,53 @@ def rk4_integrate(
     m_f1 = float(np.max(fp.f1(0.0)))
     if fp.k_tilde is None:
         fp = fp.truncated(max(1.0, u.total_mass()) * math.exp(min(m_f1 * T, 60.0)) * 1.1 + 1.0)
-    meta = {"dt": dt, "M_f1": m_f1, "k_tilde": fp.k_tilde}
-
     times = time_grid(T, dt)
-    out = np.empty((len(times), u.space.n))
-    out[0] = u.weights
-    w = u.weights.copy()
-    clip_count, clip_max = 0, 0.0
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        k1 = _field_weights(w, kernel, fp)
-        k2 = _field_weights(w + 0.5 * h * k1, kernel, fp)
-        k3 = _field_weights(w + 0.5 * h * k2, kernel, fp)
-        k4 = _field_weights(w + h * k3, kernel, fp)
-        w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        # the minimum is the witness: a node whose minimum is nonnegative and
-        # whose maximum is below +inf is finite and needs no clip
-        lowest = float(w.min())
-        if not (lowest >= 0.0 and w.max() < math.inf):
-            w, clipped = _enforce_nonneg(w, lowest, k + 1, times[k + 1])
-            clip_count += clipped
-            clip_max = max(clip_max, -lowest)
-        out[k + 1] = w
-    meta.update(clip_count=clip_count, clip_max=clip_max)
-    traj = Trajectory(u.space, times, out, meta=meta)
-    _refuse_mass_above(traj, fp.k_tilde, "step")
-    return traj
+    meta = {"dt": dt, "M_f1": m_f1, "k_tilde": fp.k_tilde, "clip_count": 0, "clip_max": 0.0}
+    return NodeStream(u.space, times, _rk4_nodes(u.weights, _field(kernel, fp), times, meta), meta)
 
 
-def _refuse_mass_above(traj: Trajectory, k_tilde: float, node: str) -> None:
-    """Raise naming the first ``node`` whose mass exceeds K~, where the
-    truncation clamp is active."""
-    over = np.flatnonzero(traj.masses > k_tilde)
-    if len(over):
-        k = over[0]
-        raise NumericError(
-            f"mass {traj.masses[k]} at {node} {k} (t={traj.times[k]}) exceeds the truncation "
-            f"level K~={k_tilde}; the clamped vector field is not the model's"
-        )
+def _rk4_nodes(w: np.ndarray, field, times: np.ndarray, meta: dict) -> Iterator[np.ndarray]:
+    # a node's mass serves its K~ check and the first stage of the next step
+    k_tilde = meta["k_tilde"]
+    times = times.tolist()
+    for k, t in enumerate(times):
+        if k:
+            h = t - times[k - 1]
+            k1 = field(w, mass)
+            s = w + 0.5 * h * k1
+            k2 = field(s, float(s.sum()))
+            s = w + 0.5 * h * k2
+            k3 = field(s, float(s.sum()))
+            s = w + h * k3
+            k4 = field(s, float(s.sum()))
+            w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            # the minimum is the witness: a node whose minimum is nonnegative
+            # and whose maximum is below +inf is finite and needs no clip
+            lowest = float(w.min())
+            if not (lowest >= 0.0 and w.max() < math.inf):
+                w, clipped = _enforce_nonneg(w, lowest, k, t)
+                meta["clip_count"] += clipped
+                meta["clip_max"] = max(meta["clip_max"], -lowest)
+        mass = float(w.sum())
+        if mass > k_tilde:
+            raise _above_k_tilde(mass, f"step {k}", t, k_tilde)
+        yield w
+
+
+def rk4_integrate(
+    u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float, dt: float
+) -> Trajectory:
+    """The nodes of ``rk4_stream`` collected into a trajectory with its ``meta``."""
+    run = rk4_stream(u, kernel, fp, T, dt)
+    weights = np.fromiter(run.weights, dtype=(float, u.space.n), count=len(run.times))
+    return Trajectory(u.space, run.times, weights, meta=run.meta)
+
+
+def _above_k_tilde(mass: float, node: str, t: float, k_tilde: float) -> NumericError:
+    return NumericError(
+        f"mass {mass} at {node} (t={t}) exceeds the truncation level K~={k_tilde}; "
+        f"the clamped vector field is not the model's"
+    )
 
 
 def _enforce_nonneg(w: np.ndarray, lowest: float, step: int, t: float) -> tuple[np.ndarray, int]:
@@ -385,7 +438,10 @@ def picard_solve(
         residuals.append(residual)
         alpha = new
         if residual < tol:
-            _refuse_mass_above(alpha, constants.k_tilde, "node")
+            over = np.flatnonzero(alpha.masses > constants.k_tilde)
+            if len(over):
+                k = over[0]
+                raise _above_k_tilde(alpha.masses[k], f"node {k}", alpha.times[k], constants.k_tilde)
             alpha.meta = {
                 "iterations": it + 1,
                 "residuals": residuals,
@@ -492,23 +548,33 @@ def finite_difference_residual(
     nodes, TV((w[k+1]-w[k-1])/(t[k+1]-t[k-1]) - F(w[k])).  Nodes in ``skip``
     (e.g. window seams of a stitched Picard run) are excluded.
     """
-    w = traj.weights
-    return _central_difference_gap(traj.times, w.__getitem__, lambda k: _field_weights(w[k], kernel, fp), skip)[0]
+    field = _field(kernel, fp)
+    nodes = ((w, None) for w in traj.weights)
+    return _central_difference_gap(traj.times, nodes, [lambda w, _: field(w, float(w.sum()))], skip)[0][0]
 
 
-def _central_difference_gap(times: np.ndarray, state, rhs, skip=()) -> tuple[float, int]:
-    """Max TV gap between central differences of ``state(k)`` on ``times``
-    and ``rhs(k)``, and the number of nodes checked.  Nodes in ``skip``, and
-    nodes between steps of unequal length (where the difference is only
-    first order), are left out.  ``np.maximum`` carries a NaN gap through.
+def _central_difference_gap(times: np.ndarray, nodes, rhs, skip=()) -> tuple[list[float], int]:
+    """Max TV gaps between central differences of the states on ``times``
+    and each right-hand side in ``rhs``, and the number of nodes checked.
+
+    ``nodes`` yields one ``(state, data)`` pair per node, in time order, and
+    is read once through a window of three nodes; ``rhs[i](state, data)`` is
+    the i-th right-hand side at a node.  Nodes in ``skip``, and nodes between
+    steps of unequal length (where the difference is only first order), are
+    left out.  ``np.maximum`` carries a NaN gap through.
     """
     h = np.diff(times)
     even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
-    ks = np.setdiff1d(np.flatnonzero(even) + 1, skip)
-    worst = 0.0
-    for k in ks:
-        row = state(k + 1) - state(k - 1)
-        row /= times[k + 1] - times[k - 1]
-        row -= rhs(k)
-        worst = np.maximum(worst, np.abs(row, out=row).sum())
-    return float(worst), len(ks)
+    checked = np.zeros(len(times), dtype=bool)
+    checked[np.setdiff1d(np.flatnonzero(even) + 1, skip)] = True
+    worst = [0.0] * len(rhs)
+    before = here = None
+    for k, node in enumerate(nodes):
+        if k >= 2 and checked[k - 1]:
+            deriv = node[0] - before[0]
+            deriv /= times[k] - times[k - 2]
+            for i, f in enumerate(rhs):
+                row = deriv - f(*here)
+                worst[i] = np.maximum(worst[i], np.abs(row, out=row).sum())
+        before, here = here, node
+    return [float(g) for g in worst], int(np.count_nonzero(checked))

@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-# vector_field and normalized_trajectory are not called here: perfbench/tracer.py
-# looks the names up in this module to trace their calls
-from .dynamics import (Trajectory, field_lipschitz_ratio, flow, max_row_tv, vector_field,
+# vector_field, integrate_discrete, mm_residual and normalized_trajectory are not
+# called here: perfbench/tracer.py looks the names up in this module to trace
+# their calls
+from .dynamics import (Trajectory, field_lipschitz_ratio, flow, rk4_stream, sup_tv, vector_field,
                        write_csv_rows)
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
@@ -24,10 +25,11 @@ from .kernels import dirac_kernel, gaussian_kernel
 from .measures import bl_distance, unit_atom
 from .reductions import (
     DiscreteSystem,
+    discrete_nodes,
+    frequency_gaps,
     integrate_discrete,
     mm_residual,
     normalized_trajectory,
-    replicator_check,
 )
 
 
@@ -61,8 +63,9 @@ def _flow(cfg: RunConfig, u, kernel, fp, T: float) -> Trajectory:
 def simulate(cfg: RunConfig, out_dir) -> dict:
     """Run the configured flow; write trajectory, summary and metadata files.
 
-    When the Picard solver is selected, an RK4 reference at the same dt is
-    run alongside and the sup-TV cross distance recorded in the metadata.
+    When the Picard solver is selected, an RK4 run at the same dt is read
+    node by node against it and the sup-TV cross distance recorded in the
+    metadata.
     """
     space, kernel, fp, u = cfg.build()
     traj = _flow(cfg, u, kernel, fp, cfg.T)
@@ -77,8 +80,7 @@ def simulate(cfg: RunConfig, out_dir) -> dict:
         "trajectory_meta": traj.meta,
     }
     if cfg.solver == "picard":
-        reference = flow(u, kernel, fp, cfg.T, solver="rk4", dt=cfg.dt)
-        meta["rk4_cross_sup_tv"] = traj.sup_tv_distance(reference)
+        meta["rk4_cross_sup_tv"] = traj.sup_tv_distance(rk4_stream(u, kernel, fp, cfg.T, cfg.dt))
     if not fp.mean_fitness_mortality:
         m_f1 = float(np.max(fp.f1(0.0)))
         meta["M_f1"] = m_f1
@@ -103,6 +105,8 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     finite-difference consistency of the frequency dynamics.  The RK4-based
     checks follow one pair, truncated at the K~ of the RK4 reference, which
     carries that level to the restart, the dt/2 run and the class system.
+    The reference is the only trajectory held: the restart, the class-system
+    oracle and the dt/2 run are each read once, node by node.
     """
     space, kernel, fp, u = cfg.build()
     checks: dict[str, dict] = {}
@@ -170,14 +174,14 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     # semigroup axioms: identity at 0, composition at a grid-aligned split;
     # composition restarts the RK4 realization of the truncated pair from the
     # reference node at t1, so both sides follow one vector field; only the
-    # restart's end state outlives the statement
+    # restart's end state is kept
     ident = _flow(cfg, u, kernel, fp, 0.0)
     record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
     if cfg.T > 0:
         t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
         if t1 < cfg.T:
             try:
-                end = rk4_integrate(head(t1).final, kernel, fpt, cfg.T - t1, cfg.dt).final
+                end = rk4_stream(head(t1).final, kernel, fpt, cfg.T - t1, cfg.dt).run_to_end()
                 gap = end.add_scaled(-1.0, reference.final).tv_norm()
                 record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
             except NumericError as exc:
@@ -199,9 +203,9 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     if positive_mass and not fp.mean_fitness_mortality:
         try:
             coarse = head(min(cfg.T, 1.0))
-            rc, nc = _frequency_gaps(coarse, kernel, fp)
-            rf, nf = _frequency_gaps(rk4_integrate(u, kernel, fpt, coarse.times[-1], cfg.dt / 2.0),
-                                     kernel, fp)
+            rc, nc = frequency_gaps(coarse, kernel, fp)
+            rf, nf = frequency_gaps(rk4_stream(u, kernel, fpt, coarse.times[-1], cfg.dt / 2.0),
+                                    kernel, fp)
             if kernel.is_dirac:
                 tol = max(1e-12, rc / 2.8)
                 record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf, tolerance=tol,
@@ -229,18 +233,10 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
 
 def _class_system_gap(mtraj: Trajectory, kernel, fpt, u, dt: float) -> float:
     """Max TV gap between ``mtraj``'s nodes and direct RK4 of the finite
-    class system of (kernel, fpt) from u; the oracle's nodes are consumed."""
+    class system of (kernel, fpt) from u, read node by node."""
     sys = DiscreteSystem.from_measure_problem(kernel, fpt)
-    _, xs = integrate_discrete(sys, u.weights, mtraj.times[-1], dt)
-    return max_row_tv(np.subtract(mtraj.weights, xs, out=xs))
-
-
-def _frequency_gaps(traj: Trajectory, kernel, fp) -> tuple[float | None, float]:
-    """Finite-difference gaps of ``traj``'s frequency dynamics: against the
-    replicator equation (Dirac kernels only, else None) and against the
-    normalized dynamics; both normalize one node at a time."""
-    rep = replicator_check(traj, kernel, fp).max_discrepancy if kernel.is_dirac else None
-    return rep, mm_residual(traj, kernel, fp).max_discrepancy
+    _, oracle = discrete_nodes(sys, u.weights, mtraj.times[-1], dt)
+    return sup_tv(mtraj.weights, oracle)
 
 
 # ─── Dirac concentration ─────────────────────────────────────────────

@@ -13,6 +13,7 @@ can be verified against it:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +67,26 @@ def discrete_rhs(x: np.ndarray, sys: DiscreteSystem) -> np.ndarray:
     return sys.P @ (sys.fp.f1(X) * x) - sys.fp.f2(X) * x
 
 
-def integrate_discrete(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Plain RK4 on the class system; the oracle side of reduction checks."""
+def discrete_nodes(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Node times and the plain RK4 states of the class system, one per node
+    when read; the oracle side of reduction checks.  ``x0`` is checked here."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise ValueError(f"state must have {sys.n} entries, got shape {x0.shape}")
-    return _rk4(lambda x: discrete_rhs(x, sys), x0, T, dt)
-
-
-def _rk4(rhs, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for dx/dt = rhs(x) on the node grid of ``rk4_integrate``."""
-    x = np.asarray(x0, dtype=float).copy()
     times = time_grid(T, dt)
-    out = np.empty((len(times), len(x)))
-    out[0] = x
+    return times, _rk4_nodes(lambda x: discrete_rhs(x, sys), x0, times)
+
+
+def integrate_discrete(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The states of ``discrete_nodes`` collected, one row per node."""
+    times, nodes = discrete_nodes(sys, x0, T, dt)
+    return times, np.fromiter(nodes, dtype=(float, sys.n), count=len(times))
+
+
+def _rk4_nodes(rhs, x: np.ndarray, times: np.ndarray) -> Iterator[np.ndarray]:
+    """Classical RK4 for dx/dt = rhs(x) on ``times`` (the node grid of
+    ``rk4_integrate``), yielding the state at each node."""
+    yield x
     for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
         k1 = rhs(x)
@@ -87,8 +94,7 @@ def _rk4(rhs, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
         k3 = rhs(x + 0.5 * h * k2)
         k4 = rhs(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[k + 1] = x
-    return times, out
+        yield x
 
 
 # ─── replicator-mutator on the simplex ───────────────────────────────
@@ -112,7 +118,10 @@ def replicator_mutator_rhs(x: np.ndarray, f, Q: np.ndarray) -> np.ndarray:
 
 def integrate_replicator_mutator(x0, f, Q, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for the simplex dynamics; renormalization-free (mass is conserved)."""
-    return _rk4(lambda x: replicator_mutator_rhs(x, f, Q), x0, T, dt)
+    x0 = np.asarray(x0, dtype=float)
+    times = time_grid(T, dt)
+    nodes = _rk4_nodes(lambda x: replicator_mutator_rhs(x, f, Q), x0, times)
+    return times, np.fromiter(nodes, dtype=(float, len(x0)), count=len(times))
 
 
 # ─── normalized (frequency) dynamics ─────────────────────────────────
@@ -120,15 +129,11 @@ def integrate_replicator_mutator(x0, f, Q, T: float, dt: float) -> tuple[np.ndar
 
 def normalized_trajectory(traj: Trajectory) -> Trajectory:
     """Scale every node to unit mass: P(t) = mu(t) / mu(t)(Q)."""
-    weights = traj.weights / _positive_masses(traj)[:, None]
-    return Trajectory(traj.space, traj.times.copy(), weights, meta=dict(traj.meta))
-
-
-def _positive_masses(traj: Trajectory) -> np.ndarray:
     if np.any(traj.masses <= 0.0):
         k = int(np.argmin(traj.masses))
         raise ValueError(f"cannot normalize: mass {traj.masses[k]} at t={traj.times[k]}")
-    return traj.masses
+    weights = traj.weights / traj.masses[:, None]
+    return Trajectory(traj.space, traj.times.copy(), weights, meta=dict(traj.meta))
 
 
 def mm_rhs(p: np.ndarray, X: float, kernel: MutationKernel, fp: FitnessPair) -> np.ndarray:
@@ -156,13 +161,35 @@ class FdReport:
     n_nodes_checked: int
 
 
-def _frequency_gap(traj: Trajectory, rhs) -> FdReport:
-    """Central-difference check of P(t) = mu(t) / mu(t)(Q) against
-    ``rhs(p, X)``, with p = P(t_k) and X = mu(t_k)(Q).  Node k is normalized
-    where it is read, by the division of ``normalized_trajectory``."""
-    masses = _positive_masses(traj)
-    p = lambda k: traj.weights[k] / masses[k]
-    return FdReport(*_central_difference_gap(traj.times, p, lambda k: rhs(p(k), float(masses[k]))))
+def _frequency_gaps(run, rhs) -> tuple[list[float], int]:
+    """Central-difference gaps of P(t) = mu(t) / mu(t)(Q) against each
+    ``rhs[i](p, X)``, with p = P(t_k) and X = mu(t_k)(Q), in one pass over
+    the nodes of ``run`` (a ``Trajectory``, or a ``NodeStream`` read here).
+    Each node is normalized where it is read, by the division of
+    ``normalized_trajectory``; a nonpositive mass is refused."""
+
+    def frequencies():
+        for t, w in zip(run.times, run.weights):
+            X = float(w.sum())
+            if X <= 0.0:
+                raise ValueError(f"cannot normalize: mass {X} at t={t}")
+            yield w / X, X
+
+    return _central_difference_gap(run.times, frequencies(), rhs)
+
+
+def _mm_rhs(kernel: MutationKernel, fp: FitnessPair):
+    return lambda p, X: mm_rhs(p, X, kernel, fp)
+
+
+def _replicator_rhs(fp: FitnessPair):
+    """dP/dt = [f(X, q) - fbar] P with f = f1 - f2 and fbar = int_Q f dP."""
+
+    def rhs(p, X):
+        fvals = fp.f1(X) - fp.f2(X)
+        return (fvals - float(np.dot(fvals, p))) * p
+
+    return rhs
 
 
 def mm_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> FdReport:
@@ -171,7 +198,8 @@ def mm_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> Fd
     ``traj`` is the measure trajectory a solver returns, not its normalized
     copy: the frequency dynamics is driven by the unnormalized masses.
     """
-    return _frequency_gap(traj, lambda p, X: mm_rhs(p, X, kernel, fp))
+    (gap,), checked = _frequency_gaps(traj, [_mm_rhs(kernel, fp)])
+    return FdReport(gap, checked)
 
 
 def replicator_check(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> FdReport:
@@ -184,12 +212,16 @@ def replicator_check(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) 
     """
     if not kernel.is_dirac:
         raise ValueError("the replicator reduction is only defined for the Dirac kernel")
+    (gap,), checked = _frequency_gaps(traj, [_replicator_rhs(fp)])
+    return FdReport(gap, checked)
 
-    def rhs(p, X):
-        fvals = fp.f1(X) - fp.f2(X)
-        return (fvals - float(np.dot(fvals, p))) * p
 
-    return _frequency_gap(traj, rhs)
+def frequency_gaps(run, kernel: MutationKernel, fp: FitnessPair) -> tuple[float | None, float]:
+    """The gaps of ``replicator_check`` (Dirac kernels only, else None) and
+    of ``mm_residual``, from one pass over the nodes of ``run``."""
+    rhs = [_mm_rhs(kernel, fp), _replicator_rhs(fp)] if kernel.is_dirac else [_mm_rhs(kernel, fp)]
+    gaps, _ = _frequency_gaps(run, rhs)
+    return (gaps[1] if kernel.is_dirac else None), gaps[0]
 
 
 # ─── quasi-species run ───────────────────────────────────────────────

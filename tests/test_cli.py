@@ -322,12 +322,12 @@ def test_verify_planted_assumption_violation_fails(tmp_path):
 
 
 def test_verify_holds_each_trajectory_once():
-    # at 64 cells the RK4 reference is the largest array; the class-system
-    # oracle and the dt/2 run on [0, 1] are dropped with their checks, and
-    # the frequency checks normalize one node at a time into a running
-    # maximum: the traced peak is 2.2-2.5 references.  At T=2 the dt/2 run
-    # is as large as the reference, so a normalized copy of it (3.2) or a
-    # gap buffer (3.4) breaks the bound of 3
+    # at 64 cells the RK4 reference is the only trajectory held: the
+    # restart, the class-system oracle and the dt/2 run on [0, 1] are read
+    # node by node, and the frequency checks normalize one node at a time
+    # into a running maximum: the traced peak is 1.2-1.5 references.  A
+    # materialized class-system oracle, or a materialized dt/2 run at T=2
+    # (as large as the reference), breaks the bound of 2 (2.2-2.5)
     import tracemalloc
 
     from evomeasure.experiments import verify
@@ -342,7 +342,7 @@ def test_verify_holds_each_trajectory_once():
             tracemalloc.stop()
         assert report["passed"]
         reference_bytes = (round(T / 1e-3) + 1) * 64 * 8
-        assert peak <= 3.0 * reference_bytes, f"T={T}: traced peak {peak / reference_bytes:.2f} references"
+        assert peak <= 2.0 * reference_bytes, f"T={T}: traced peak {peak / reference_bytes:.2f} references"
 
 
 def test_verify_records_the_references_clips(tmp_path):

@@ -50,6 +50,7 @@ from evomeasure.dynamics import (
     _central_difference_gap,
     _cumulative_trapezoid,
     finite_difference_residual,
+    rk4_stream,
     time_grid,
 )
 
@@ -182,6 +183,34 @@ def test_rk4_aborts_when_mass_reaches_the_clamp():
     assert traj.masses.max() > 3.0
 
 
+def test_rk4_refuses_the_first_node_above_k_tilde_before_a_later_abort():
+    # births of class 2 raise the mass past K~ = 5 at step 17, while the
+    # mortality 5 X, 7.5 X of classes 0 and 1 (clamped at X = 5) is stiff at
+    # dt = 0.1: read to the end, the run would abort on negativity at step 26
+    sp = atoms([[0.0], [1.0], [2.0]])
+    kern = matrix_kernel(sp, [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    fp = custom_pair(sp, lambda X, points: np.array([1.0, 0.0, 2.0]),
+                     lambda X, points: np.array([5.0 * X, 7.5 * X, 0.0])).truncated(5.0)
+    u = MeasureVec(sp, np.array([1.0, 0.0, 0.2]))
+    with pytest.raises(NumericError, match=r"weight .* at step 26 \(t=2\.6\)"):
+        parent_rk4_weights(u, kern, fp, 3.0, 0.1)
+    run = rk4_stream(u, kern, fp, 3.0, 0.1)
+    nodes = parent_rk4_weights(u, kern, fp, run.times[17], 0.1)
+    masses = nodes.sum(axis=1)
+    assert np.all(masses[:17] <= 5.0) and masses[17] > 5.0
+    message = (f"mass {masses[17]} at step 17 (t={run.times[17]}) exceeds the truncation "
+               f"level K~=5.0; the clamped vector field is not the model's")
+    read = []
+    with pytest.raises(NumericError, match=re.escape(message)):
+        for w in run.weights:
+            read.append(w)
+    # the refused node and every node after it are never yielded
+    assert np.array_equal(read, nodes[:17])
+    assert next(run.weights, None) is None
+    with pytest.raises(NumericError, match=re.escape(message)):
+        rk4_integrate(u, kern, fp, 3.0, 0.1)
+
+
 def test_rk4_records_clips_that_do_not_abort():
     # w0' = (1 - eps - 26) w0, w1' = eps w0 - 18 w1 from w1 = 0: at h = 0.1
     # both h-scaled rates lie left of the minimum of the RK4 polynomial R, so
@@ -247,6 +276,11 @@ def test_trajectory_refuses_an_overflowing_row_sum():
     w = np.array([[1.0, 2.0], [1e308, 1e308], [1e308, 1e308]])
     with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"t=0\.5 .* overflows"):
         Trajectory(sp, np.array([0.0, 0.5, 1.0]), w)
+    # negatives inside a row whose |w| sum overflows cannot be judged
+    # against the round-off tolerance: refused, not passed as round-off
+    w = np.array([[1.0, 1.0, 1.0], [1e308, -1e308, 1e308]])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"t=1\.0 .* overflows"):
+        Trajectory(atoms([[0.0], [1.0], [2.0]]), [0.0, 1.0], w)
     # a sum at the top of the float range is still accepted
     ok = Trajectory(sp, np.array([0.0, 0.5]), np.array([[1.0, 2.0], [8e307, 8e307]]))
     assert ok.masses[1] == 1.6e308
@@ -335,9 +369,10 @@ def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inje
     rhs_rows = rng.normal(size=(n_nodes, n))
     rhs = lambda k: rhs_rows[k]
     skip = tuple(int(k) for k in rng.choice(n_nodes, size=rng.integers(0, n_nodes + 1), replace=False))
-    got = _central_difference_gap(traj.times, traj.weights.__getitem__, rhs, skip)
+    nodes = zip(traj.weights, range(n_nodes))
+    (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rhs(k)], skip)
     want_gap, want_count = parent_central_difference_gap(traj, rhs, skip)
-    assert got[0] == want_gap and got[1] == want_count
+    assert gap == want_gap and count == want_count
 
 
 def test_write_csv_matches_a_per_entry_loop(tmp_path):
@@ -882,7 +917,8 @@ def test_central_difference_gap_of_a_nan_rhs_is_nan():
         rows = np.zeros((8, 2))
         rows[bad] = [np.nan, 0.0]
         rows[4] = [1e6, 0.0]
-        gap, count = _central_difference_gap(traj.times, traj.weights.__getitem__, rows.__getitem__)
+        nodes = zip(traj.weights, range(8))
+        (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rows[k]])
         assert count == 6 and math.isnan(gap)
 
 
