@@ -107,7 +107,7 @@ class Trajectory:
 
     def summary_nodes(self, stride: int) -> list[int]:
         """Every ``stride``-th node index, then the last node."""
-        return [*range(0, self.n_nodes - 1, max(1, stride)), self.n_nodes - 1]
+        return summary_nodes(self.n_nodes, stride)
 
     def sup_tv_distance(self, other: "Trajectory | NodeStream") -> float:
         """Max over shared nodes of TV(self(t_k) - other(t_k)); a node
@@ -117,14 +117,8 @@ class Trajectory:
         return sup_tv(self.weights, other.weights)
 
     def mass_bound_excess(self, m_f1: float) -> float:
-        """Largest relative violation of mu(t)(Q) <= mu(0)(Q) e^(M_f1 t).
-
-        Nonpositive means the exponential a-priori mass bound holds along
-        the whole trajectory.
-        """
-        bound = self.masses[0] * np.exp(m_f1 * self.times)
-        scale = np.maximum(bound, 1e-300)
-        return float(np.max(self.masses / scale - 1.0))
+        """``mass_bound_excess`` of this trajectory's masses."""
+        return mass_bound_excess(self.times, self.masses, m_f1)
 
     def write_csv(self, path) -> None:
         """Long-form ``t,index,weight`` rows, 17 significant digits."""
@@ -143,6 +137,23 @@ class Trajectory:
         write_csv_rows(path, "t,total_mass,bl_to_final",
                        ((self.times[k], self.masses[k], bl_distance(self.state(k), final))
                         for k in self.summary_nodes(stride)))
+
+
+def summary_nodes(n_nodes: int, stride: int) -> list[int]:
+    """Every ``stride``-th index of ``n_nodes`` nodes, then the last one."""
+    return [*range(0, n_nodes - 1, max(1, stride)), n_nodes - 1]
+
+
+def mass_bound_excess(times: np.ndarray, masses: np.ndarray, m_f1: float) -> float:
+    """Largest relative violation of mu(t)(Q) <= mu(0)(Q) e^(M_f1 t) over
+    the node ``times`` and their ``masses``.
+
+    Nonpositive means the exponential a-priori mass bound holds along the
+    whole run.
+    """
+    bound = masses[0] * np.exp(m_f1 * times)
+    scale = np.maximum(bound, 1e-300)
+    return float(np.max(masses / scale - 1.0))
 
 
 def write_csv_rows(path, header: str, rows) -> None:
@@ -255,9 +266,12 @@ class NodeStream:
     meta: dict
 
     def run_to_end(self) -> MeasureVec:
-        """Read every node; the state at the last one."""
+        """Read every node left; the state at the last one."""
+        w = None
         for w in self.weights:
             pass
+        if w is None:
+            raise ValueError("the node stream has no node left to read")
         return MeasureVec(self.space, w)
 
 

@@ -9,6 +9,7 @@ files (wall times are printed, not stored).
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,12 @@ from .config import RunConfig
 # vector_field, integrate_discrete, mm_residual and normalized_trajectory are not
 # called here: perfbench/tracer.py looks the names up in this module to trace
 # their calls
-from .dynamics import (Trajectory, field_lipschitz_ratio, flow, rk4_stream, sup_tv, vector_field,
-                       write_csv_rows)
+from .dynamics import (NodeStream, Trajectory, field_lipschitz_ratio, flow, mass_bound_excess,
+                       rk4_stream, summary_nodes, vector_field, write_csv_rows)
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
 from .kernels import dirac_kernel, gaussian_kernel
-from .measures import bl_distance, unit_atom
+from .measures import MeasureVec, bl_distance, unit_atom
 from .reductions import (
     DiscreteSystem,
     discrete_nodes,
@@ -47,14 +48,23 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def _summary_stride(cfg: RunConfig, traj: Trajectory) -> int:
-    return cfg.summary_stride or max(1, traj.n_nodes // 200)
+def _summary_stride(cfg: RunConfig, n_nodes: int) -> int:
+    return cfg.summary_stride or max(1, n_nodes // 200)
 
 
 def _flow(cfg: RunConfig, u, kernel, fp, T: float) -> Trajectory:
     """``flow`` on [0, T] with the config's solver settings."""
     return flow(u, kernel, fp, T, solver=cfg.solver, dt=cfg.dt, tol=cfg.picard_tol,
                 max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
+
+
+def _nodes(cfg: RunConfig, u, kernel, fp) -> NodeStream | Trajectory:
+    """The configured run on [0, T] for a reader of each node once: an RK4
+    run is a node stream; a Picard run, or T = 0, is the ``_flow``
+    trajectory, which is read the same way (``times``, ``weights``)."""
+    if cfg.solver == "rk4" and cfg.T > 0:
+        return rk4_stream(u, kernel, fp, cfg.T, cfg.dt)
+    return _flow(cfg, u, kernel, fp, cfg.T)
 
 
 # ─── simulate ────────────────────────────────────────────────────────
@@ -88,7 +98,7 @@ def simulate(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out / "trajectory.csv")
-    traj.write_summary_csv(out / "summary.csv", stride=_summary_stride(cfg, traj))
+    traj.write_summary_csv(out / "summary.csv", stride=_summary_stride(cfg, traj.n_nodes))
     _write_json(out / "metadata.json", meta)
     return meta
 
@@ -105,8 +115,10 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     finite-difference consistency of the frequency dynamics.  The RK4-based
     checks follow one pair, truncated at the K~ of the RK4 reference, which
     carries that level to the restart, the dt/2 run and the class system.
-    The reference is the only trajectory held: the restart, the class-system
-    oracle and the dt/2 run are each read once, node by node.
+    No trajectory is held: the reference is read once, node by node, in one
+    pass that feeds every check reading it and keeps only its node masses
+    and its nodes at the split and at T; the class-system oracle runs
+    alongside, and the restart and the dt/2 run are read node by node after.
     """
     space, kernel, fp, u = cfg.build()
     checks: dict[str, dict] = {}
@@ -134,40 +146,77 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
                                       np.random.default_rng(cfg.seed))
         record("lipschitz_field", worst <= k_f, observed_ratio=worst, bound=k_f)
 
-    # one RK4 reference on [0, T]; every RK4-based check below reads its
-    # nodes or integrates ``fpt``, the pair truncated at its level K~
-    from .dynamics import rk4_integrate
+    # one pass over the RK4 reference on [0, T] feeds every RK4-based check
+    # below, and those integrate ``fpt``, the pair truncated at its level K~
+    # (fixed before the first node).  The pass keeps the node masses, the
+    # nodes at the split t1 and at T, the class-system gap on [0, min(T, 10)]
+    # and the coarse frequency gaps on [0, min(T, 1)]
+    reference = rk4_stream(u, kernel, fp, cfg.T, cfg.dt)
+    fpt = fp.truncated(reference.meta["k_tilde"])
+    times = reference.times
 
-    reference, fpt, rk4_witness = None, None, None
+    def nodes_upto(t: float) -> int:
+        """The number of reference nodes up to t (within round-off of the node times)."""
+        return int(np.searchsorted(times, t + 1e-9 * cfg.dt, side="right"))
+
+    t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
+    n_split, n_class, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 10.0)), nodes_upto(min(cfg.T, 1.0))
+    masses = np.empty(len(times))
+    oracle = None
+    if not fp.mean_fitness_mortality:
+        sys = DiscreteSystem.from_measure_problem(kernel, fpt)
+        _, oracle = discrete_nodes(sys, u.weights, times[n_class - 1], cfg.dt)
+    class_gap, at_split, last = 0.0, None, None
+
+    def read():
+        nonlocal class_gap, at_split, last
+        for k, w in enumerate(reference.weights):
+            masses[k] = w.sum()
+            if oracle is not None and k < n_class:
+                diff = w - next(oracle)
+                class_gap = np.maximum(class_gap, np.abs(diff, out=diff).sum())
+            if k == n_split - 1:
+                at_split = w
+            last = w
+            yield w
+
+    nodes = read()
+    coarse, rk4_witness = None, None
     try:
-        reference = rk4_integrate(u, kernel, fp, cfg.T, cfg.dt)
-        fpt = fp.truncated(reference.meta["k_tilde"])
+        if not fp.mean_fitness_mortality:
+            head = NodeStream(space, times[:n_coarse], islice(nodes, n_coarse), reference.meta)
+            try:
+                coarse = frequency_gaps(head, kernel, fp)
+            except ValueError as exc:  # a nonpositive mass, raised below if the gaps are checked
+                coarse = exc
+        for _ in nodes:
+            pass
     except NumericError as exc:
         rk4_witness = str(exc)
 
-    def head(t: float) -> Trajectory:
-        """The reference's nodes up to t (within round-off of the node times)."""
-        if reference is None:
+    def reference_passed() -> None:
+        """Raise the reference's refusal, if it had one."""
+        if rk4_witness is not None:
             raise NumericError(rk4_witness)
-        n = int(np.searchsorted(reference.times, t + 1e-9 * cfg.dt, side="right"))
-        return Trajectory(space, reference.times[:n], reference.weights[:n])
 
     # positivity and the mass bound along the configured run; an RK4 run
     # records the reference's clips.  Only the sign of its masses is kept.
     positive_mass = False
     try:
         if cfg.solver == "rk4":
-            traj = head(cfg.T)
+            reference_passed()
+            run_times, run_masses = times, masses
             record("positivity", True, clip_count=reference.meta["clip_count"],
                    clip_max=reference.meta["clip_max"])
         else:
             traj = _flow(cfg, u, kernel, fp, cfg.T)
+            run_times, run_masses = traj.times, traj.masses
+            del traj
             record("positivity", True)
         if constants is not None:
-            excess = traj.mass_bound_excess(constants.M_f1)
+            excess = mass_bound_excess(run_times, run_masses, constants.M_f1)
             record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
-        positive_mass = bool(np.all(traj.masses > 0))
-        del traj
+        positive_mass = bool(np.all(run_masses > 0))
     except NumericError as exc:
         record("positivity", False, witness=str(exc))
 
@@ -177,23 +226,22 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     # restart's end state is kept
     ident = _flow(cfg, u, kernel, fp, 0.0)
     record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
-    if cfg.T > 0:
-        t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
-        if t1 < cfg.T:
-            try:
-                end = rk4_stream(head(t1).final, kernel, fpt, cfg.T - t1, cfg.dt).run_to_end()
-                gap = end.add_scaled(-1.0, reference.final).tv_norm()
-                record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
-            except NumericError as exc:
-                record("semigroup_composition", False, witness=str(exc))
+    if cfg.T > 0 and t1 < cfg.T:
+        try:
+            reference_passed()
+            end = rk4_stream(MeasureVec(space, at_split), kernel, fpt, cfg.T - t1, cfg.dt).run_to_end()
+            gap = end.add_scaled(-1.0, MeasureVec(space, last)).tv_norm()
+            record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
+        except NumericError as exc:
+            record("semigroup_composition", False, witness=str(exc))
 
     # the finite class system is the same ODE: direct integration must agree
     if not fp.mean_fitness_mortality:
         try:
-            mtraj = head(min(cfg.T, 10.0))
-            gap = _class_system_gap(mtraj, kernel, fpt, u, cfg.dt)
+            reference_passed()
+            gap = float(class_gap)
             record("discrete_reduction", gap <= 1e-10, max_discrepancy=gap, tolerance=1e-10,
-                   T=mtraj.times[-1])
+                   T=times[n_class - 1])
         except NumericError as exc:
             record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-10,
                    witness=str(exc))
@@ -202,9 +250,11 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     # reference's head is the coarse run, only the dt/2 run is new
     if positive_mass and not fp.mean_fitness_mortality:
         try:
-            coarse = head(min(cfg.T, 1.0))
-            rc, nc = frequency_gaps(coarse, kernel, fp)
-            rf, nf = frequency_gaps(rk4_stream(u, kernel, fpt, coarse.times[-1], cfg.dt / 2.0),
+            reference_passed()
+            if isinstance(coarse, ValueError):
+                raise coarse
+            rc, nc = coarse
+            rf, nf = frequency_gaps(rk4_stream(u, kernel, fpt, times[n_coarse - 1], cfg.dt / 2.0),
                                     kernel, fp)
             if kernel.is_dirac:
                 tol = max(1e-12, rc / 2.8)
@@ -231,14 +281,6 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     return report
 
 
-def _class_system_gap(mtraj: Trajectory, kernel, fpt, u, dt: float) -> float:
-    """Max TV gap between ``mtraj``'s nodes and direct RK4 of the finite
-    class system of (kernel, fpt) from u, read node by node."""
-    sys = DiscreteSystem.from_measure_problem(kernel, fpt)
-    _, oracle = discrete_nodes(sys, u.weights, mtraj.times[-1], dt)
-    return sup_tv(mtraj.weights, oracle)
-
-
 # ─── Dirac concentration ─────────────────────────────────────────────
 
 
@@ -248,7 +290,8 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     Requires a Dirac kernel and a logistic-family fitness (birth a(q),
     mortality floor + b(q) X).  Emits a time series of the mass share in
     the fittest cell and the flat distance between the normalized state and
-    the unit atom there, plus trend summaries.
+    the unit atom there, plus trend summaries.  The run is read once, node
+    by node, and only the summary nodes' rows are kept.
     """
     space, kernel, fp, u = cfg.build()
     if not kernel.is_dirac:
@@ -266,14 +309,18 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     best = int(order[-1])
     tie = bool(len(order) > 1 and ratio_floored[order[-2]] >= ratio_floored[best] - 1e-12)
 
-    traj = _flow(cfg, u, kernel, fp, cfg.T)
+    run = _nodes(cfg, u, kernel, fp)
+    n_nodes = len(run.times)
+    keep = set(summary_nodes(n_nodes, _summary_stride(cfg, n_nodes)))
     target_atom = unit_atom(space, best)
     rows = []
-    for k in traj.summary_nodes(_summary_stride(cfg, traj)):
-        mass = traj.masses[k]
-        frac = traj.weights[k, best] / mass if mass > 0 else 0.0
-        dist = bl_distance(traj.state(k).normalized(), target_atom) if mass > 0 else float("nan")
-        rows.append((traj.times[k], frac, dist, mass))
+    for k, w in enumerate(run.weights):
+        if k in keep:
+            mass = w.sum()
+            frac = w[best] / mass if mass > 0 else 0.0
+            dist = bl_distance(MeasureVec(space, w).normalized(), target_atom) if mass > 0 else float("nan")
+            rows.append((run.times[k], frac, dist, mass))
+    # w is the last node, and rows[-1] its row
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out / "concentration.csv", "t,mass_fraction,bl_to_atom,total_mass", rows)
@@ -287,7 +334,7 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
         "fittest_index_unfloored": int(np.argmax(ratio_raw)),
         "fittest_point": space.points[best].tolist(),
         "target_mass": float(ratio_floored[best]),
-        "final_mass": traj.masses[-1],
+        "final_mass": rows[-1][3],
         "final_fraction": float(fracs[-1]),
         "final_bl_to_atom": float(dists[-1]),
         "t_fraction_reaches_095": reach,
@@ -295,7 +342,7 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
         "bl_trend_monotone": bool(np.all(np.diff(dists) <= 1e-9)),
     }
     if tie:
-        shares = (traj.weights[-1] / traj.masses[-1]).tolist()
+        shares = (w / rows[-1][3]).tolist()
         report["final_shares"] = shares
         write_csv_rows(out / "shares.csv", "index,share", enumerate(shares))
     _write_json(out / "dirac_limit.json", report)
@@ -311,21 +358,31 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
     For each sigma in the (decreasing) list, runs the config with a Gaussian
     kernel of that width and measures the flat distance to the Dirac-kernel
     run at sampled times; the report checks that the final-time distance is
-    nonincreasing along the list (5% slack).
+    nonincreasing along the list (5% slack).  Each run is read once, node by
+    node, one kernel at a time; only the baseline's summary rows are kept.
     """
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ConfigError("mutation-limit needs at least one sigma")
     space, _, fp, u = cfg.build()
 
-    base = _flow(cfg, u, dirac_kernel(space), fp, cfg.T)
-    runs = [_flow(cfg, u, gaussian_kernel(space, s), fp, cfg.T) for s in sigmas]
+    base = _nodes(cfg, u, dirac_kernel(space), fp)
+    n_nodes = len(base.times)
+    idx = summary_nodes(n_nodes, _summary_stride(cfg, n_nodes))
+    keep = set(idx)
 
-    idx = base.summary_nodes(_summary_stride(cfg, base))
+    def summary_rows(run):
+        """The weights of ``run`` at the summary nodes, read node by node."""
+        return (w for k, w in enumerate(run.weights) if k in keep)
+
+    # read to the end as well: a suspended stream would hold its run
+    base_rows = np.fromiter(summary_rows(base), dtype=(float, space.n))
     table = np.empty((len(idx), len(sigmas)))
-    for c, traj in enumerate(runs):
-        for r, k in enumerate(idx):
-            table[r, c] = bl_distance(traj.state(k), base.state(k))
+    for c, s in enumerate(sigmas):
+        # zip reads the rows to the end, which lets go of the run and its kernel
+        rows = summary_rows(_nodes(cfg, u, gaussian_kernel(space, s), fp))
+        table[:, c] = [bl_distance(MeasureVec(space, a), MeasureVec(space, b))
+                       for a, b in zip(rows, base_rows, strict=True)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out / "mutation_limit.csv", "t," + ",".join(f"sigma_{s:g}" for s in sigmas),

@@ -1,29 +1,32 @@
 """The node streams against the materialized runs they replace.
 
-``verify`` reads the semigroup restart, the class-system oracle and the
-dt/2 run node by node.  The oracle is the code that materialized each of
-them as a full array, kept here verbatim (only renamed): every streamed
-result must be bitwise equal to it, with the same node counts and the same
-refusals.
+``verify`` reads its RK4 reference, the semigroup restart, the
+class-system oracle and the dt/2 run node by node.  The oracle is the code
+that materialized the last three as full arrays, kept here verbatim (only
+renamed): every streamed result must be bitwise equal to it, with the same
+node counts and the same refusals.
 """
 
 import math
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_components
 from evomeasure import DiscreteSystem, MeasureVec, NumericError, constant_pair, matrix_kernel, zero_measure
 from evomeasure.dynamics import (
+    NodeStream,
     Trajectory,
     finite_difference_residual,
     rk4_integrate,
     rk4_stream,
+    sup_tv,
     time_grid,
 )
-from evomeasure.experiments import _class_system_gap
-from evomeasure.reductions import discrete_rhs, frequency_gaps, mm_residual, mm_rhs, replicator_check
+from evomeasure.reductions import discrete_nodes, discrete_rhs, frequency_gaps, mm_residual, mm_rhs, replicator_check
 from test_dynamics import random_pair, random_problem
 
 NEG_ABORT = 1e-8
@@ -249,7 +252,8 @@ def test_node_streams_are_the_materialized_runs_bitwise(
         return
 
     # the running class-system gap against the full arrays
-    assert _class_system_gap(ref, kernel, fpt, u, dt) == materialized_class_system_gap(ref, kernel, fpt, u, dt)
+    _, oracle = discrete_nodes(DiscreteSystem.from_measure_problem(kernel, fpt), u.weights, T, dt)
+    assert sup_tv(ref.weights, oracle) == materialized_class_system_gap(ref, kernel, fpt, u, dt)
 
     # the frequency gaps of the trajectory and of a stream (the dt/2 run of
     # verify), against the materialized checks of the collected runs
@@ -268,3 +272,13 @@ def test_node_streams_are_the_materialized_runs_bitwise(
             assert _outcome(lambda: astuple(replicator_check(read(), kernel, fpt))) == want_rep
         want = want_mm if _refused(want_mm) else (want_rep and want_rep[0], want_mm[0])
         assert _outcome(lambda: frequency_gaps(read(), kernel, fpt)) == want
+
+
+def test_a_stream_read_to_the_end_has_no_node_left():
+    sp, kernel, fp, u = reference_components(cells=8)
+    run = rk4_stream(u, kernel, fp, 0.1, 0.03)
+    assert np.array_equal(run.run_to_end().weights, rk4_integrate(u, kernel, fp, 0.1, 0.03).final.weights)
+    with pytest.raises(ValueError, match="no node left"):
+        run.run_to_end()
+    with pytest.raises(ValueError, match="no node left"):
+        NodeStream(sp, np.array([0.0]), iter(()), {}).run_to_end()
