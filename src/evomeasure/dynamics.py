@@ -305,28 +305,32 @@ def rk4_stream(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float,
 
 
 def _rk4_nodes(w: np.ndarray, field, times: np.ndarray, meta: dict) -> Iterator[np.ndarray]:
-    # a node's mass serves its K~ check and the first stage of the next step
+    # a node's mass serves its checks and the first stage of the next step;
+    # the reductions are called directly, not through the ndarray methods
     k_tilde = meta["k_tilde"]
-    times = times.tolist()
-    for k, t in enumerate(times):
+    add, minimum = np.add.reduce, np.minimum.reduce
+    mass = float(add(w))
+    for k in range(len(times)):
+        t = times.item(k)
         if k:
-            h = t - times[k - 1]
+            h = t - times.item(k - 1)
             k1 = field(w, mass)
             s = w + 0.5 * h * k1
-            k2 = field(s, float(s.sum()))
+            k2 = field(s, float(add(s)))
             s = w + 0.5 * h * k2
-            k3 = field(s, float(s.sum()))
+            k3 = field(s, float(add(s)))
             s = w + h * k3
-            k4 = field(s, float(s.sum()))
+            k4 = field(s, float(add(s)))
             w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             # the minimum is the witness: a node whose minimum is nonnegative
-            # and whose maximum is below +inf is finite and needs no clip
-            lowest = float(w.min())
-            if not (lowest >= 0.0 and w.max() < math.inf):
+            # and whose mass is finite is finite and needs no clip
+            lowest = float(minimum(w))
+            mass = float(add(w))
+            if not (lowest >= 0.0 and mass < math.inf):
                 w, clipped = _enforce_nonneg(w, lowest, k, t)
                 meta["clip_count"] += clipped
                 meta["clip_max"] = max(meta["clip_max"], -lowest)
-        mass = float(w.sum())
+                mass = float(add(w))
         if mass > k_tilde:
             raise _above_k_tilde(mass, f"step {k}", t, k_tilde)
         yield w

@@ -9,6 +9,8 @@ files (wall times are printed, not stored).
 from __future__ import annotations
 
 import json
+import os
+import pickle
 from itertools import islice
 from pathlib import Path
 
@@ -67,6 +69,87 @@ def _nodes(cfg: RunConfig, u, kernel, fp) -> NodeStream | Trajectory:
     return _flow(cfg, u, kernel, fp, cfg.T)
 
 
+class _Child:
+    """``fn()`` computed in the forked child process ``pid``, whose pickled
+    outcome arrives through the pipe read end ``fd``; with no child (``pid``
+    None), computed inline by ``result``."""
+
+    def __init__(self, fn, pid: int | None = None, fd: int | None = None):
+        self._fn, self._pid, self._fd = fn, pid, fd
+
+    def result(self):
+        """fn's value, or fn's exception raised here."""
+        if self._pid is None:
+            return self._fn()
+        fd, self._fd = self._fd, None
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if not data or status != 0:
+            raise RuntimeError(f"a forked child sent no outcome (exit status "
+                               f"{os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        raise value
+
+    def cancel(self) -> None:
+        """End and reap the child, unless ``result`` has read it."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self._pid is not None:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def _forked(fn) -> _Child:
+    """Start ``fn()`` in a forked child process; read it with ``result()``,
+    or end the child with ``cancel()``.
+
+    The child sends one pickled ``(ok, value)`` outcome through a pipe, an
+    exception that cannot be pickled as a ``RuntimeError`` naming it, and
+    leaves by ``os._exit``: none of the parent's ``finally`` blocks, exit
+    handlers or stdio buffers run in it.  Where ``os.fork`` is missing or
+    refused, ``result()`` computes ``fn()`` inline instead.
+    """
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return _Child(fn)
+    fd, wfd = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(fd)
+        os.close(wfd)
+        return _Child(fn)
+    if pid:
+        os.close(wfd)
+        return _Child(fn, pid, fd)
+    status = 1
+    try:
+        os.close(fd)
+        try:
+            outcome = (True, fn())
+        except Exception as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:
+            shown = outcome[1] if not outcome[0] else exc
+            data = pickle.dumps((False, RuntimeError(
+                f"a forked child's outcome cannot be pickled: {type(shown).__name__}: {shown}")))
+        with open(wfd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 # ─── simulate ────────────────────────────────────────────────────────
 
 
@@ -118,7 +201,15 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     No trajectory is held: the reference is read once, node by node, in one
     pass that feeds every check reading it and keeps only its node masses
     and its nodes at the split and at T; the class-system oracle runs
-    alongside, and the restart and the dt/2 run are read node by node after.
+    alongside.  The restart from the split and the dt/2 run are node streams
+    that each run in a forked child process (``_forked``) beside the pass,
+    started once their initial node is known; their outcomes are read where
+    the checks need them, and a child whose outcome is not needed is killed.
+    Where ``os.fork`` is missing or refused, and for the one-node dt/2 run
+    at T = 0, they run inline, with the same bytes.  A caller with threads
+    of its own should not rely on the fork; Python >= 3.12 warns when it
+    forks a process with threads (an OpenBLAS thread pool counts), and the
+    children's calls are invisible to an in-process tracer.
     """
     space, kernel, fp, u = cfg.build()
     checks: dict[str, dict] = {}
@@ -160,112 +251,131 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         return int(np.searchsorted(times, t + 1e-9 * cfg.dt, side="right"))
 
     t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
+    composes = cfg.T > 0 and t1 < cfg.T
     n_split, n_class, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 10.0)), nodes_upto(min(cfg.T, 1.0))
     masses = np.empty(len(times))
     oracle = None
     if not fp.mean_fitness_mortality:
         sys = DiscreteSystem.from_measure_problem(kernel, fpt)
         _, oracle = discrete_nodes(sys, u.weights, times[n_class - 1], cfg.dt)
-    class_gap, at_split, last = 0.0, None, None
+    class_gap, last, restart, fine = 0.0, None, None, None
+    # the restart from the split node and the dt/2 run need nothing more from
+    # the reference: each runs in a forked child beside the pass (a run of
+    # one node, at T = 0, is not worth a process), and the child whose result
+    # is not read is ended in the finally below
+    children: list[_Child] = []
+
+    def start(fn) -> _Child:
+        children.append(_forked(fn))
+        return children[-1]
 
     def read():
-        nonlocal class_gap, at_split, last
+        nonlocal class_gap, last, restart
         for k, w in enumerate(reference.weights):
             masses[k] = w.sum()
             if oracle is not None and k < n_class:
                 diff = w - next(oracle)
                 class_gap = np.maximum(class_gap, np.abs(diff, out=diff).sum())
-            if k == n_split - 1:
-                at_split = w
+            if k == n_split - 1 and composes:  # the default binds the split node
+                restart = start(lambda at_split=w: rk4_stream(MeasureVec(space, at_split), kernel, fpt,
+                                                              cfg.T - t1, cfg.dt).run_to_end().weights)
             last = w
             yield w
 
-    nodes = read()
-    coarse, rk4_witness = None, None
+    def fine_gaps():
+        return frequency_gaps(rk4_stream(u, kernel, fpt, times[n_coarse - 1], cfg.dt / 2.0), kernel, fp)
+
     try:
         if not fp.mean_fitness_mortality:
-            head = NodeStream(space, times[:n_coarse], islice(nodes, n_coarse), reference.meta)
+            fine = start(fine_gaps) if cfg.T > 0 else _Child(fine_gaps)
+        nodes = read()
+        coarse, rk4_witness = None, None
+        try:
+            if not fp.mean_fitness_mortality:
+                head = NodeStream(space, times[:n_coarse], islice(nodes, n_coarse), reference.meta)
+                try:
+                    coarse = frequency_gaps(head, kernel, fp)
+                except ValueError as exc:  # a nonpositive mass, raised below if the gaps are checked
+                    coarse = exc
+            for _ in nodes:
+                pass
+        except NumericError as exc:
+            rk4_witness = str(exc)
+
+        def reference_passed() -> None:
+            """Raise the reference's refusal, if it had one."""
+            if rk4_witness is not None:
+                raise NumericError(rk4_witness)
+
+        # positivity and the mass bound along the configured run; an RK4 run
+        # records the reference's clips.  Only the sign of its masses is kept.
+        positive_mass = False
+        try:
+            if cfg.solver == "rk4":
+                reference_passed()
+                run_times, run_masses = times, masses
+                record("positivity", True, clip_count=reference.meta["clip_count"],
+                       clip_max=reference.meta["clip_max"])
+            else:
+                traj = _flow(cfg, u, kernel, fp, cfg.T)
+                run_times, run_masses = traj.times, traj.masses
+                del traj
+                record("positivity", True)
+            if constants is not None:
+                excess = mass_bound_excess(run_times, run_masses, constants.M_f1)
+                record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
+            positive_mass = bool(np.all(run_masses > 0))
+        except NumericError as exc:
+            record("positivity", False, witness=str(exc))
+
+        # semigroup axioms: identity at 0, composition at a grid-aligned split;
+        # composition restarts the RK4 realization of the truncated pair from
+        # the reference node at t1, so both sides follow one vector field;
+        # only the restart's end state is kept
+        ident = _flow(cfg, u, kernel, fp, 0.0)
+        record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
+        if composes:
             try:
-                coarse = frequency_gaps(head, kernel, fp)
-            except ValueError as exc:  # a nonpositive mass, raised below if the gaps are checked
-                coarse = exc
-        for _ in nodes:
-            pass
-    except NumericError as exc:
-        rk4_witness = str(exc)
+                reference_passed()
+                end = MeasureVec(space, restart.result())
+                gap = end.add_scaled(-1.0, MeasureVec(space, last)).tv_norm()
+                record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
+            except NumericError as exc:
+                record("semigroup_composition", False, witness=str(exc))
 
-    def reference_passed() -> None:
-        """Raise the reference's refusal, if it had one."""
-        if rk4_witness is not None:
-            raise NumericError(rk4_witness)
+        # the finite class system is the same ODE: direct integration must agree
+        if not fp.mean_fitness_mortality:
+            try:
+                reference_passed()
+                gap = float(class_gap)
+                record("discrete_reduction", gap <= 1e-10, max_discrepancy=gap, tolerance=1e-10,
+                       T=times[n_class - 1])
+            except NumericError as exc:
+                record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-10,
+                       witness=str(exc))
 
-    # positivity and the mass bound along the configured run; an RK4 run
-    # records the reference's clips.  Only the sign of its masses is kept.
-    positive_mass = False
-    try:
-        if cfg.solver == "rk4":
-            reference_passed()
-            run_times, run_masses = times, masses
-            record("positivity", True, clip_count=reference.meta["clip_count"],
-                   clip_max=reference.meta["clip_max"])
-        else:
-            traj = _flow(cfg, u, kernel, fp, cfg.T)
-            run_times, run_masses = traj.times, traj.masses
-            del traj
-            record("positivity", True)
-        if constants is not None:
-            excess = mass_bound_excess(run_times, run_masses, constants.M_f1)
-            record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
-        positive_mass = bool(np.all(run_masses > 0))
-    except NumericError as exc:
-        record("positivity", False, witness=str(exc))
-
-    # semigroup axioms: identity at 0, composition at a grid-aligned split;
-    # composition restarts the RK4 realization of the truncated pair from the
-    # reference node at t1, so both sides follow one vector field; only the
-    # restart's end state is kept
-    ident = _flow(cfg, u, kernel, fp, 0.0)
-    record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
-    if cfg.T > 0 and t1 < cfg.T:
-        try:
-            reference_passed()
-            end = rk4_stream(MeasureVec(space, at_split), kernel, fpt, cfg.T - t1, cfg.dt).run_to_end()
-            gap = end.add_scaled(-1.0, MeasureVec(space, last)).tv_norm()
-            record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
-        except NumericError as exc:
-            record("semigroup_composition", False, witness=str(exc))
-
-    # the finite class system is the same ODE: direct integration must agree
-    if not fp.mean_fitness_mortality:
-        try:
-            reference_passed()
-            gap = float(class_gap)
-            record("discrete_reduction", gap <= 1e-10, max_discrepancy=gap, tolerance=1e-10,
-                   T=times[n_class - 1])
-        except NumericError as exc:
-            record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-10,
-                   witness=str(exc))
-
-    # frequency-dynamics consistency, at two resolutions (order check); the
-    # reference's head is the coarse run, only the dt/2 run is new
-    if positive_mass and not fp.mean_fitness_mortality:
-        try:
-            reference_passed()
-            if isinstance(coarse, ValueError):
-                raise coarse
-            rc, nc = coarse
-            rf, nf = frequency_gaps(rk4_stream(u, kernel, fpt, times[n_coarse - 1], cfg.dt / 2.0),
-                                    kernel, fp)
-            if kernel.is_dirac:
-                tol = max(1e-12, rc / 2.8)
-                record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf, tolerance=tol,
-                       coarse=rc)
-            tol = max(1e-12, nc / 2.8)
-            record("normalized_fd", nc <= 1e-10 or nf <= tol, max_discrepancy=nf, tolerance=tol,
-                   coarse=nc)
-        except NumericError as exc:
-            record("normalized_fd", False, max_discrepancy=float("nan"), tolerance=0.0,
-                   witness=str(exc))
+        # frequency-dynamics consistency, at two resolutions (order check); the
+        # reference's head is the coarse run, only the dt/2 run is new
+        if positive_mass and not fp.mean_fitness_mortality:
+            try:
+                reference_passed()
+                if isinstance(coarse, ValueError):
+                    raise coarse
+                rc, nc = coarse
+                rf, nf = fine.result()
+                if kernel.is_dirac:
+                    tol = max(1e-12, rc / 2.8)
+                    record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf,
+                           tolerance=tol, coarse=rc)
+                tol = max(1e-12, nc / 2.8)
+                record("normalized_fd", nc <= 1e-10 or nf <= tol, max_discrepancy=nf, tolerance=tol,
+                       coarse=nc)
+            except NumericError as exc:
+                record("normalized_fd", False, max_discrepancy=float("nan"), tolerance=0.0,
+                       witness=str(exc))
+    finally:
+        for child in children:
+            child.cancel()
 
     # the reduction equivalences are the checks with a tolerance, reported a
     # second time in the {case, max_discrepancy, tolerance, pass} schema

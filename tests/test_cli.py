@@ -321,30 +321,37 @@ def test_verify_planted_assumption_violation_fails(tmp_path):
     assert report["checks"]["assumptions"]["violations"]
 
 
-def test_verify_holds_each_trajectory_once():
+def test_verify_holds_each_trajectory_once(monkeypatch):
     # at 64 cells no trajectory is held: the RK4 reference is read once, node
     # by node, alongside the class-system oracle, and the restart and the
-    # dt/2 run on [0, 1] are read node by node after it; the traced peak is
-    # 0.2-0.45 references.  A collected reference peaks at 1.1-1.2, a
-    # materialized class-system oracle or dt/2 run higher still.  A warm-up
-    # call first takes the one-time allocations of a process (about 0.37
-    # reference) out of the measurement
+    # dt/2 run on [0, 1] are read node by node; the traced peak is 0.2-0.45
+    # references.  A collected reference peaks at 1.1-1.2, a materialized
+    # class-system oracle or dt/2 run higher still.  tracemalloc sees only
+    # this process, so the guard runs twice: with the restart and the dt/2
+    # run in forked children, and inline, where os.fork is missing.  A
+    # warm-up call first takes the one-time allocations of a process (about
+    # 0.37 reference) out of the measurement
+    import os
     import tracemalloc
 
     from evomeasure.experiments import verify
 
     verify(RunConfig.from_dict(reference_config_dict(cells=8, T=0.2, dt=0.01)))
-    for T in (4.0, 2.0):
-        cfg = RunConfig.from_dict(reference_config_dict(cells=64, T=T, dt=1e-3))
-        tracemalloc.start()
-        try:
-            report = verify(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report["passed"]
-        reference_bytes = (round(T / 1e-3) + 1) * 64 * 8
-        assert peak <= 0.75 * reference_bytes, f"T={T}: traced peak {peak / reference_bytes:.2f} references"
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        for T in (4.0, 2.0):
+            cfg = RunConfig.from_dict(reference_config_dict(cells=64, T=T, dt=1e-3))
+            tracemalloc.start()
+            try:
+                report = verify(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report["passed"]
+            reference_bytes = (round(T / 1e-3) + 1) * 64 * 8
+            assert peak <= 0.75 * reference_bytes, \
+                f"forked={forked}, T={T}: traced peak {peak / reference_bytes:.2f} references"
 
 
 def test_verify_records_the_references_clips(tmp_path):

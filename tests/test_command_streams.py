@@ -6,7 +6,9 @@ code that collected every run into a full trajectory first, kept here
 verbatim (only renamed, with the summary-node rule and the mass bound of the
 trajectory inlined): every report, CSV and JSON file must be byte-equal to
 it, with the same witnesses and the same refusals.  Traced-peak guards hold
-each command to a fraction of one trajectory.
+each command to a fraction of one trajectory.  ``verify`` runs its restart
+and its dt/2 run in forked children; without ``os.fork`` it computes them
+inline, and both paths are held to the same bytes.
 """
 
 import json
@@ -20,10 +22,10 @@ import numpy as np
 import pytest
 
 from conftest import concentration_config_dict, reference_config_dict
-from evomeasure import NumericError
+from evomeasure import NumericError, experiments
 from evomeasure.config import RunConfig
 from evomeasure.dynamics import Trajectory, field_lipschitz_ratio, rk4_integrate, rk4_stream, sup_tv, write_csv_rows
-from evomeasure.experiments import _flow, _write_json, dirac_limit, mutation_limit, verify
+from evomeasure.experiments import _flow, _forked, _write_json, dirac_limit, mutation_limit, verify
 from evomeasure.errors import ConfigError
 from evomeasure.fitness import estimate_constants, verify_assumptions
 from evomeasure.kernels import dirac_kernel, gaussian_kernel
@@ -392,10 +394,33 @@ def _assert_same(streamed, materialized, tmp_path):
     assert got == want
 
 
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left(fds_before):
+    """No child process is left unreaped, and no descriptor is left open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds_before
+
+
+def inline(monkeypatch, f):
+    """``f`` where ``os.fork`` is missing: ``verify`` runs no child."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return f()
+
+
 @pytest.mark.parametrize("case", VERIFY_CASES)
-def test_verify_is_the_materialized_verify_bytewise(case, tmp_path):
+def test_verify_is_the_materialized_verify_bytewise(case, tmp_path, monkeypatch):
+    # the forked path and the inline path alike
     cfg = RunConfig.from_dict(VERIFY_CASES[case])
+    fds = open_fds()
     _assert_same(lambda out: verify(cfg, out), lambda out: materialized_verify(cfg, out), tmp_path)
+    assert_no_child_left(fds)
+    _assert_same(lambda out: inline(monkeypatch, lambda: verify(cfg, out)),
+                 lambda out: materialized_verify(cfg, out), tmp_path / "inline")
 
 
 @pytest.mark.parametrize("case", DIRAC_LIMIT_CASES)
@@ -414,9 +439,14 @@ def test_mutation_limit_is_the_materialized_mutation_limit_bytewise(case, tmp_pa
 
 
 def test_the_failing_cases_fail_as_intended(tmp_path):
-    # the refusals the cases above compare are the ones their names promise
+    # the refusals the cases above compare are the ones their names promise,
+    # and verify reaps the child it does not read
+    fds = open_fds()
+
     def checks(d):
-        return verify(RunConfig.from_dict(d))["checks"]
+        report = verify(RunConfig.from_dict(d))
+        assert_no_child_left(fds)
+        return report["checks"]
 
     assert "below the negativity tolerance" in checks(VERIFY_CASES["negativity-abort"])["positivity"]["witness"]
     assert "exceeds the truncation level" in checks(VERIFY_CASES["k-tilde-refusal"])["positivity"]["witness"]
@@ -428,6 +458,82 @@ def test_the_failing_cases_fail_as_intended(tmp_path):
     d, sigmas = MUTATION_LIMIT_CASES["negativity-abort"]
     with pytest.raises(NumericError, match="negativity"):
         mutation_limit(RunConfig.from_dict(d), sigmas, tmp_path / "m")
+
+
+# ─── the forked children ─────────────────────────────────────────────
+
+
+def test_verify_forks_one_child_per_independent_run(monkeypatch):
+    # the dt/2 run (not under mean-fitness mortality) and the semigroup
+    # restart; a run of one node is computed inline
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    fds = open_fds()
+    for d, expected in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 2),
+                        (VERIFY_CASES["mean-fitness"], 1), (VERIFY_CASES["T-zero"], 0)):
+        forks.clear()
+        assert verify(RunConfig.from_dict(d))["passed"]
+        assert len(forks) == expected, d
+        assert_no_child_left(fds)
+
+
+@pytest.mark.parametrize("planted", [NumericError("planted refusal"), ValueError("planted value")])
+def test_an_exception_in_the_dt2_child_reaches_the_parent(planted, tmp_path, monkeypatch):
+    # a fork inherits the patched frequency_gaps: a NumericError of the dt/2
+    # run is the normalized_fd witness, a ValueError propagates unchanged;
+    # the forked and the inline path report alike
+    cfg = RunConfig.from_dict(VERIFY_CASES["grid1d-dirac-logistic"])
+    gaps = experiments.frequency_gaps
+
+    def planted_gaps(run, kernel, fp):
+        if run.meta["dt"] == cfg.dt / 2.0:
+            raise planted
+        return gaps(run, kernel, fp)
+
+    monkeypatch.setattr(experiments, "frequency_gaps", planted_gaps)
+    fds = open_fds()
+    forked = _outcome(lambda out: verify(cfg, out), tmp_path / "forked")
+    assert_no_child_left(fds)
+    assert forked == _outcome(lambda out: inline(monkeypatch, lambda: verify(cfg, out)),
+                              tmp_path / "inline")
+    if isinstance(planted, ValueError):
+        assert forked == (("refused", "ValueError", "planted value"), None)
+    else:
+        report = json.loads(forked[1]["verify.json"])
+        assert report["checks"]["normalized_fd"]["witness"] == "planted refusal"
+        assert not report["checks"]["normalized_fd"]["passed"]
+        assert "replicator_fd" not in report["checks"]
+
+
+def test_an_interrupt_in_the_parent_reaps_the_children(monkeypatch):
+    # both children are started when the mass bound is checked
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "mass_bound_excess", interrupted)
+    fds = open_fds()
+    with pytest.raises(KeyboardInterrupt):
+        verify(RunConfig.from_dict(VERIFY_CASES["grid1d-dirac-logistic"]))
+    assert_no_child_left(fds)
+
+
+def test_forked_outcomes_that_do_not_arrive_are_runtime_errors():
+    fds = open_fds()
+    assert _forked(lambda: (1.5, np.arange(3))).result()[0] == 1.5
+    with pytest.raises(RuntimeError, match="exit status 7"):
+        _forked(lambda: os._exit(7)).result()
+    with pytest.raises(RuntimeError, match="cannot be pickled: .*pickle"):
+        _forked(lambda: lambda: 0).result()
+    with pytest.raises(RuntimeError, match="cannot be pickled: KeyError: .*lambda"):
+        _forked(lambda: {}[lambda: 0]).result()
+    _forked(lambda: __import__("time").sleep(60)).cancel()
+    assert_no_child_left(fds)
 
 
 # ─── traced peaks ────────────────────────────────────────────────────

@@ -884,6 +884,42 @@ def test_continuous_dependence_on_initial_measure():
         assert gap <= np.exp(k_f * T) * delta * 1.1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 5),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearby_initial_measures_separate_at_most_exponentially(space_kind, n, kernel_kind, family,
+                                                                seed):
+    # continuous dependence on initial data: TV(mu(t) - nu(t)) <= e^(K_F t) TV(mu(0) - nu(0)),
+    # with K_F = B1 + B2 + (L1 + L2) C1 the Lipschitz bound of the truncated
+    # field on the TV ball of radius C1.  The ball radius is the a-priori mass
+    # bound at T, so the ball holds both flows.  An RK4 step on that ball is
+    # Lipschitz with at most e^(K_F h) and a clip with 1, so the bound holds
+    # at every node, up to the round-off of the TV sums
+    rng = np.random.default_rng(seed)
+    sp, kernel, _, u = random_problem(rng, space_kind, n, kernel_kind)
+    fp = random_pair(rng, sp, family)
+    T, dt = float(rng.uniform(0.1, 1.0)), 0.01
+    delta = 10.0 ** rng.uniform(-4.0, -1.0)
+    v = MeasureVec(sp, u.weights * rng.uniform(1.0 - delta, 1.0 + delta, sp.n))
+    mass = max(u.total_mass(), v.total_mass())
+    tc = estimate_constants(fp, mass, max(1.0, mass * math.exp(float(np.max(fp.f1(0.0))) * T)))
+    k_f = tc.B1 + tc.B2 + (tc.L1 + tc.L2) * tc.C1
+    fpt = fp.truncated(tc.k_tilde)
+    gap0 = u.add_scaled(-1.0, v).tv_norm()
+    mu, nu = rk4_stream(u, kernel, fpt, T, dt), rk4_stream(v, kernel, fpt, T, dt)
+    for k, (a, b) in enumerate(zip(mu.weights, nu.weights, strict=True)):
+        t = mu.times[k]
+        ratio = float(np.abs(a - b).sum()) / (math.exp(k_f * t) * gap0)
+        assert ratio <= 1.0 + 1e-9, (
+            f"pair {u.weights.tolist()} / {v.weights.tolist()}: node {k} (t={t}) separates "
+            f"{ratio} times the bound e^(K_F t) TV(mu(0) - nu(0)), K_F={k_f}")
+
+
 # ─── differential/integral consistency ───────────────────────────────
 
 
