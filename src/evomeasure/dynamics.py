@@ -21,9 +21,11 @@ vector.  Two independent solvers are provided:
     between s and t.  On a window b chosen from the truncation constants, S
     is a strict contraction and the iteration converges to the solution.
 
-``flow`` composes either solver into a global trajectory on [0, T]; the
-Picard route re-derives its window from the current mass before each window
-so the contraction estimate stays valid as the population grows.
+``flow_stream`` runs either solver on [0, T] as a ``NodeStream`` on the one
+node grid ``time_grid(T, dt)``, and ``flow`` collects it into a trajectory.
+The Picard route solves windows that are runs of whole steps of that grid,
+re-deriving each window's length from the mass at its start so the
+contraction estimate stays valid as the population grows.
 
 Time quadrature throughout is composite trapezoid on the node grid.
 """
@@ -105,14 +107,10 @@ class Trajectory:
     def final(self) -> MeasureVec:
         return self.state(self.n_nodes - 1)
 
-    def summary_nodes(self, stride: int) -> list[int]:
-        """Every ``stride``-th node index, then the last node."""
-        return summary_nodes(self.n_nodes, stride)
-
     def sup_tv_distance(self, other: "Trajectory | NodeStream") -> float:
         """Max over shared nodes of TV(self(t_k) - other(t_k)); a node
         stream is read here, one node at a time."""
-        if not np.allclose(self.times, other.times, atol=1e-12):
+        if len(self.times) != len(other.times) or not np.allclose(self.times, other.times, atol=1e-12):
             raise ValueError("trajectories live on different time grids")
         return sup_tv(self.weights, other.weights)
 
@@ -136,7 +134,7 @@ class Trajectory:
         final = self.final
         write_csv_rows(path, "t,total_mass,bl_to_final",
                        ((self.times[k], self.masses[k], bl_distance(self.state(k), final))
-                        for k in self.summary_nodes(stride)))
+                        for k in summary_nodes(self.n_nodes, stride)))
 
 
 def summary_nodes(n_nodes: int, stride: int) -> list[int]:
@@ -253,11 +251,12 @@ def time_grid(T: float, dt: float) -> np.ndarray:
 
 @dataclass
 class NodeStream:
-    """One RK4 run read node by node, for checks that read each node once.
+    """One run read node by node, for checks that read each node once.
 
+    ``times`` is the run's node grid, known before any node is read;
     ``weights`` yields each node's weight vector once, in time order, after
-    the node's checks; ``meta`` is the run record of ``rk4_integrate``, its
-    clip keys current with the nodes read so far.
+    the node's checks; ``meta`` is the run record, current with the nodes
+    read so far (RK4's clip keys, Picard's windows).
     """
 
     space: StrategySpace
@@ -273,6 +272,11 @@ class NodeStream:
         if w is None:
             raise ValueError("the node stream has no node left to read")
         return MeasureVec(self.space, w)
+
+    def collect(self) -> Trajectory:
+        """Read every node into a trajectory with the run's ``meta``."""
+        weights = np.fromiter(self.weights, dtype=(float, self.space.n), count=len(self.times))
+        return Trajectory(self.space, self.times, weights, meta=self.meta)
 
 
 def rk4_stream(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float, dt: float) -> NodeStream:
@@ -340,9 +344,7 @@ def rk4_integrate(
     u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float, dt: float
 ) -> Trajectory:
     """The nodes of ``rk4_stream`` collected into a trajectory with its ``meta``."""
-    run = rk4_stream(u, kernel, fp, T, dt)
-    weights = np.fromiter(run.weights, dtype=(float, u.space.n), count=len(run.times))
-    return Trajectory(u.space, run.times, weights, meta=run.meta)
+    return rk4_stream(u, kernel, fp, T, dt).collect()
 
 
 def _above_k_tilde(mass: float, node: str, t: float, k_tilde: float) -> NumericError:
@@ -425,7 +427,7 @@ def picard_solve(
     max_iter: int = 30,
     window: float | None = None,
 ) -> Trajectory:
-    """Iterate alpha <- S alpha from the constant guess until sup-TV change < tol.
+    """Iterate alpha <- S alpha on ``time_grid(b, dt)`` until sup-TV change < tol.
 
     ``constants`` supplies the contraction window b and the truncation level;
     ``window`` may shorten (never lengthen) the solved interval.  The
@@ -433,18 +435,28 @@ def picard_solve(
     ratios per iteration.  A converged node whose mass exceeds K~ raises
     ``NumericError`` naming it: there the clamp is active.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     b = constants.b if window is None else float(window)
     if b > constants.b * (1 + 1e-12):
         raise ValueError(f"window {b} exceeds the contraction window b={constants.b}")
     if b <= 0:
         raise ValueError("window must be positive")
-    times = time_grid(b, dt)
-    fpt = fp.truncated(constants.k_tilde)
+    alpha = _picard_fixed_point(u, kernel, fp, constants, time_grid(b, dt), tol, max_iter)
+    alpha.meta.update(window=b, dt=dt, tol=tol)
+    return alpha
 
+
+def _picard_fixed_point(
+    u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, constants: TruncationConstants,
+    times: np.ndarray, tol: float, max_iter: int,
+) -> Trajectory:
+    """The fixed point of S for ``fp`` truncated at ``constants.k_tilde`` on
+    the window's node ``times``, iterated from the constant guess u; its
+    ``meta`` records the iterations, residuals, ratios and constants."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    fpt = fp.truncated(constants.k_tilde)
     alpha = Trajectory(u.space, times, np.tile(u.weights, (len(times), 1)))
     residuals: list[float] = []
     ratios: list[float] = []
@@ -465,9 +477,6 @@ def picard_solve(
                 "residuals": residuals,
                 "contraction_ratios": ratios,
                 "constants": constants.to_dict(),
-                "window": b,
-                "dt": dt,
-                "tol": tol,
             }
             return alpha
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
@@ -481,6 +490,64 @@ def picard_solve(
     )
 
 
+def _picard_nodes(
+    u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, times: np.ndarray, tol: float,
+    max_iter: int, ball_radius: float | None, meta: dict,
+) -> Iterator[np.ndarray]:
+    # a window is m steps of the run's grid, from node k0 to k1, with m fixed
+    # by the constants estimated from the mass at k0
+    dt, last = meta["dt"], len(times) - 1
+    yield u.weights
+    k0, start = 0, u
+    while k0 < last:
+        mass = start.total_mass()
+        constants = estimate_constants(fp, mass, ball_radius if ball_radius is not None else max(1.0, mass))
+        m = int(math.floor(constants.b / dt + 1e-12))
+        if m < 1:
+            raise NumericError(f"dt={dt} exceeds the contraction window b={constants.b}; reduce dt")
+        k1 = min(k0 + m, last)
+        piece = _picard_fixed_point(start, kernel, fp, constants, times[k0:k1 + 1], tol, max_iter)
+        if k0:
+            meta["window_breaks"].append(k0)
+        del piece.meta["residuals"]
+        meta["windows"].append({"t_start": times.item(k0), "window": times.item(k1) - times.item(k0),
+                                **piece.meta})
+        yield from piece.weights[1:]
+        k0, start = k1, piece.final
+
+
+def flow_stream(
+    u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float, solver: str = "rk4",
+    dt: float | None = None, tol: float = 1e-10, max_iter: int = 30, ball_radius: float | None = None,
+) -> NodeStream:
+    """The global semiflow phi(t; u, gamma) on [0, T] as a node stream on
+    ``time_grid(T, dt)``.
+
+    ``rk4`` is ``rk4_stream``.  ``picard`` solves consecutive contraction
+    windows of whole grid steps, re-estimating the truncation constants from
+    the mass at each window start, and yields a window's nodes once they
+    converge; ``meta`` gains the window's record and its seam as it is read.
+    ``dt`` may be omitted only at T = 0, where the flow is the identity.
+    """
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    _check_shared_space(u.space, kernel, fp)
+    if T == 0.0:
+        return NodeStream(u.space, np.array([0.0]), iter([u.weights]), {})
+    if dt is None:
+        raise ValueError("dt is required when T > 0")
+    if solver == "rk4":
+        return rk4_stream(u, kernel, fp, T, dt)
+    if solver != "picard":
+        raise ValueError(f"unknown solver {solver!r}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    times = time_grid(T, dt)
+    meta = {"dt": dt, "tol": tol, "windows": [], "window_breaks": []}
+    return NodeStream(u.space, times, _picard_nodes(u, kernel, fp, times, tol, max_iter, ball_radius, meta),
+                      meta)
+
+
 def flow(
     u: MeasureVec,
     kernel: MutationKernel,
@@ -492,66 +559,8 @@ def flow(
     max_iter: int = 30,
     ball_radius: float | None = None,
 ) -> Trajectory:
-    """The global semiflow phi(t; u, gamma) on [0, T].
-
-    ``rk4`` integrates in one pass.  ``picard`` solves consecutive
-    contraction windows, re-estimating the truncation constants from the
-    mass at each window start, and concatenates the pieces.  Windows are
-    aligned to multiples of dt so both solvers share node times.  ``dt``
-    may be omitted only at T = 0, where the flow is the identity.
-    """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    _check_shared_space(u.space, kernel, fp)
-    if T == 0.0:
-        return Trajectory(u.space, np.array([0.0]), u.weights[None, :].copy())
-    if dt is None:
-        raise ValueError("dt is required when T > 0")
-
-    if solver == "rk4":
-        return rk4_integrate(u, kernel, fp, T, dt)
-    if solver != "picard":
-        raise ValueError(f"unknown solver {solver!r}")
-
-    times_acc = [np.array([0.0])]
-    weights_acc = [u.weights[None, :].copy()]
-    window_meta = []
-    breaks = []
-    current = u
-    t_done = 0.0
-    while t_done < T - 1e-12:
-        mass = current.total_mass()
-        a = ball_radius if ball_radius is not None else max(1.0, mass)
-        constants = estimate_constants(fp, mass, a)
-        m = int(math.floor(constants.b / dt + 1e-12))
-        if m < 1:
-            raise NumericError(
-                f"dt={dt} exceeds the contraction window b={constants.b}; reduce dt"
-            )
-        window = min(m * dt, T - t_done)
-        piece = picard_solve(
-            current, kernel, fp, constants, dt, tol=tol, max_iter=max_iter, window=window
-        )
-        times_acc.append(t_done + piece.times[1:])
-        weights_acc.append(piece.weights[1:])
-        window_meta.append(
-            {
-                "t_start": t_done,
-                "window": window,
-                "iterations": piece.meta["iterations"],
-                "contraction_ratios": piece.meta["contraction_ratios"],
-                "constants": piece.meta["constants"],
-            }
-        )
-        t_done += window
-        current = piece.final
-        breaks.append(sum(len(t) for t in times_acc) - 1)
-    return Trajectory(
-        u.space,
-        np.concatenate(times_acc),
-        np.vstack(weights_acc),
-        meta={"dt": dt, "tol": tol, "windows": window_meta, "window_breaks": breaks[:-1]},
-    )
+    """The nodes of ``flow_stream`` collected into a trajectory with its ``meta``."""
+    return flow_stream(u, kernel, fp, T, solver, dt, tol, max_iter, ball_radius).collect()
 
 
 # ─── consistency diagnostics ─────────────────────────────────────────

@@ -20,7 +20,7 @@ from .config import RunConfig
 # vector_field, integrate_discrete, mm_residual and normalized_trajectory are not
 # called here: perfbench/tracer.py looks the names up in this module to trace
 # their calls
-from .dynamics import (NodeStream, Trajectory, field_lipschitz_ratio, flow, mass_bound_excess,
+from .dynamics import (NodeStream, field_lipschitz_ratio, flow, flow_stream, mass_bound_excess,
                        rk4_stream, summary_nodes, vector_field, write_csv_rows)
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
@@ -54,19 +54,10 @@ def _summary_stride(cfg: RunConfig, n_nodes: int) -> int:
     return cfg.summary_stride or max(1, n_nodes // 200)
 
 
-def _flow(cfg: RunConfig, u, kernel, fp, T: float) -> Trajectory:
-    """``flow`` on [0, T] with the config's solver settings."""
-    return flow(u, kernel, fp, T, solver=cfg.solver, dt=cfg.dt, tol=cfg.picard_tol,
-                max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
-
-
-def _nodes(cfg: RunConfig, u, kernel, fp) -> NodeStream | Trajectory:
-    """The configured run on [0, T] for a reader of each node once: an RK4
-    run is a node stream; a Picard run, or T = 0, is the ``_flow``
-    trajectory, which is read the same way (``times``, ``weights``)."""
-    if cfg.solver == "rk4" and cfg.T > 0:
-        return rk4_stream(u, kernel, fp, cfg.T, cfg.dt)
-    return _flow(cfg, u, kernel, fp, cfg.T)
+def _run(cfg: RunConfig, u, kernel, fp) -> NodeStream:
+    """The configured run on [0, T] as a node stream, with either solver."""
+    return flow_stream(u, kernel, fp, cfg.T, solver=cfg.solver, dt=cfg.dt, tol=cfg.picard_tol,
+                       max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
 
 
 class _Child:
@@ -161,7 +152,7 @@ def simulate(cfg: RunConfig, out_dir) -> dict:
     metadata.
     """
     space, kernel, fp, u = cfg.build()
-    traj = _flow(cfg, u, kernel, fp, cfg.T)
+    traj = _run(cfg, u, kernel, fp).collect()
     meta = {
         "solver": cfg.solver,
         "T": cfg.T,
@@ -307,22 +298,22 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
             if rk4_witness is not None:
                 raise NumericError(rk4_witness)
 
-        # positivity and the mass bound along the configured run; an RK4 run
-        # records the reference's clips.  Only the sign of its masses is kept.
+        # positivity and the mass bound along the configured run, on the
+        # reference's node times; an RK4 run records the reference's clips, a
+        # Picard run is read for its masses.  Only the sign of the masses is kept.
         positive_mass = False
         try:
             if cfg.solver == "rk4":
                 reference_passed()
-                run_times, run_masses = times, masses
+                run_masses = masses
                 record("positivity", True, clip_count=reference.meta["clip_count"],
                        clip_max=reference.meta["clip_max"])
             else:
-                traj = _flow(cfg, u, kernel, fp, cfg.T)
-                run_times, run_masses = traj.times, traj.masses
-                del traj
+                run_masses = np.fromiter((w.sum() for w in _run(cfg, u, kernel, fp).weights), dtype=float,
+                                         count=len(times))
                 record("positivity", True)
             if constants is not None:
-                excess = mass_bound_excess(run_times, run_masses, constants.M_f1)
+                excess = mass_bound_excess(times, run_masses, constants.M_f1)
                 record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
             positive_mass = bool(np.all(run_masses > 0))
         except NumericError as exc:
@@ -332,7 +323,7 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         # composition restarts the RK4 realization of the truncated pair from
         # the reference node at t1, so both sides follow one vector field;
         # only the restart's end state is kept
-        ident = _flow(cfg, u, kernel, fp, 0.0)
+        ident = flow(u, kernel, fp, 0.0)
         record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
         if composes:
             try:
@@ -419,7 +410,7 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     best = int(order[-1])
     tie = bool(len(order) > 1 and ratio_floored[order[-2]] >= ratio_floored[best] - 1e-12)
 
-    run = _nodes(cfg, u, kernel, fp)
+    run = _run(cfg, u, kernel, fp)
     n_nodes = len(run.times)
     keep = set(summary_nodes(n_nodes, _summary_stride(cfg, n_nodes)))
     target_atom = unit_atom(space, best)
@@ -476,7 +467,7 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
         raise ConfigError("mutation-limit needs at least one sigma")
     space, _, fp, u = cfg.build()
 
-    base = _nodes(cfg, u, dirac_kernel(space), fp)
+    base = _run(cfg, u, dirac_kernel(space), fp)
     n_nodes = len(base.times)
     idx = summary_nodes(n_nodes, _summary_stride(cfg, n_nodes))
     keep = set(idx)
@@ -490,7 +481,7 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
     table = np.empty((len(idx), len(sigmas)))
     for c, s in enumerate(sigmas):
         # zip reads the rows to the end, which lets go of the run and its kernel
-        rows = summary_rows(_nodes(cfg, u, gaussian_kernel(space, s), fp))
+        rows = summary_rows(_run(cfg, u, gaussian_kernel(space, s), fp))
         table[:, c] = [bl_distance(MeasureVec(space, a), MeasureVec(space, b))
                        for a, b in zip(rows, base_rows, strict=True)]
     out = Path(out_dir)

@@ -187,6 +187,25 @@ def test_simulate_picard_records_cross_distance(tmp_path):
     assert meta["trajectory_meta"]["windows"]
 
 
+def test_simulate_picard_long_run_has_the_rk4_node_count(tmp_path):
+    # zero net growth on two atoms, 1858 steps: seams summed as floats once
+    # drifted into a 1e-12 extra window, and the RK4 cross-check then met a
+    # node more than it had
+    cfg = {
+        "space": {"kind": "atoms", "points": [[0.0], [1.0]]},
+        "kernel": {"variant": "dirac"},
+        "fitness": {"family": "constant", "a": [1.0, 1.0], "b": [1.0, 1.0]},
+        "initial": {"kind": "weights", "weights": [0.5, 0.5]},
+        "solver": "picard",
+        "T": 92.9,
+        "dt": 0.05,
+    }
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "metadata.json").read_text())["n_nodes"] == 1859
+
+
 def test_simulate_picard_horizon_off_the_step_grid_passes(tmp_path):
     # T / dt = 39.5: the last Picard window must end with the same shortened
     # step as the RK4 cross-check, so both runs share node times

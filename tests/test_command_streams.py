@@ -1,10 +1,11 @@
 """The commands that read a run once, against their materialized versions.
 
-``verify``, ``dirac-limit`` and ``mutation-limit`` read each RK4 run node by
-node and keep only what their checks and summaries need.  The oracle is the
-code that collected every run into a full trajectory first, kept here
-verbatim (only renamed, with the summary-node rule and the mass bound of the
-trajectory inlined): every report, CSV and JSON file must be byte-equal to
+``verify``, ``dirac-limit`` and ``mutation-limit`` read each run, RK4 or
+Picard, node by node and keep only what their checks and summaries need.
+The oracle is the code that collected every run into a full trajectory
+first, kept here verbatim (only renamed, with the summary-node rule, the
+mass bound of the trajectory and the ``_flow`` wrapper of the configured
+run inlined): every report, CSV and JSON file must be byte-equal to
 it, with the same witnesses and the same refusals.  Traced-peak guards hold
 each command to a fraction of one trajectory.  ``verify`` runs its restart
 and its dt/2 run in forked children; without ``os.fork`` it computes them
@@ -21,11 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import concentration_config_dict, reference_config_dict
+from conftest import concentration_config_dict, reference_components, reference_config_dict
 from evomeasure import NumericError, experiments
 from evomeasure.config import RunConfig
-from evomeasure.dynamics import Trajectory, field_lipschitz_ratio, rk4_integrate, rk4_stream, sup_tv, write_csv_rows
-from evomeasure.experiments import _flow, _forked, _write_json, dirac_limit, mutation_limit, verify
+from evomeasure.dynamics import (Trajectory, field_lipschitz_ratio, flow, rk4_integrate, rk4_stream, sup_tv,
+                                 write_csv_rows)
+from evomeasure.experiments import _forked, _write_json, dirac_limit, mutation_limit, verify
 from evomeasure.errors import ConfigError
 from evomeasure.fitness import estimate_constants, verify_assumptions
 from evomeasure.kernels import dirac_kernel, gaussian_kernel
@@ -36,6 +38,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # ─── the materialized commands, verbatim ─────────────────────────────
+
+
+def _flow(cfg, u, kernel, fp, T):
+    """``flow`` on [0, T] with the config's solver settings."""
+    return flow(u, kernel, fp, T, solver=cfg.solver, dt=cfg.dt, tol=cfg.picard_tol,
+                max_iter=cfg.picard_max_iter, ball_radius=cfg.ball_radius)
 
 
 def materialized_summary_stride(cfg, traj):
@@ -566,6 +574,25 @@ def test_mutation_limit_keeps_only_the_baselines_summary_rows(tmp_path):
     peak = _traced_peak(lambda: mutation_limit(cfg, [0.4, 0.1], tmp_path))
     trajectory_bytes = 4001 * 64 * 8
     assert peak <= 0.25 * trajectory_bytes, f"traced peak {peak / trajectory_bytes:.2f} trajectories"
+
+
+def test_dirac_limit_reads_a_picard_run_window_by_window(tmp_path):
+    # 5001 nodes at 64 cells: each converged window's nodes are read and let
+    # go; a collected Picard run peaks above 2 trajectories
+    cfg = RunConfig.from_dict(concentration_config_dict(cells=64, T=5.0, dt=1e-3) | {"solver": "picard"})
+    peak = _traced_peak(lambda: dirac_limit(cfg, tmp_path))
+    trajectory_bytes = 5001 * 64 * 8
+    assert peak <= 0.75 * trajectory_bytes, f"traced peak {peak / trajectory_bytes:.2f} trajectories"
+
+
+def test_picard_flow_holds_one_trajectory():
+    # the windows are written into the one collected array; the remainder
+    # is the sampling lattice of estimate_constants and one window's arrays.
+    # Windows kept apart and stacked at the end peak above 2 trajectories
+    sp, kernel, fp, u = reference_components(cells=64)
+    peak = _traced_peak(lambda: flow(u, kernel, fp, 4.0, solver="picard", dt=1e-3))
+    trajectory_bytes = 4001 * 64 * 8
+    assert peak <= 1.5 * trajectory_bytes, f"traced peak {peak / trajectory_bytes:.2f} trajectories"
 
 
 # ─── imports ─────────────────────────────────────────────────────────

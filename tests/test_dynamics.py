@@ -842,6 +842,27 @@ def test_flow_rejects_mean_fitness_picard():
         flow(u, dirac_kernel(sp), fp, 1.0, solver="picard", dt=1e-3)
 
 
+def test_flow_picard_nodes_are_the_rk4_grid_bitwise():
+    # T / dt = 39.5: windows are runs of whole steps of time_grid(T, dt), so
+    # no seam is a float sum and the last window ends with the grid's
+    # shortened step
+    sp, kernel, fp, u = reference_components(cells=16)
+    traj = flow(u, kernel, fp, 0.395, solver="picard", dt=0.01)
+    assert np.array_equal(traj.times, time_grid(0.395, 0.01))
+    assert len(traj.meta["windows"]) >= 2
+    assert traj.meta["window_breaks"] == [
+        int(np.searchsorted(traj.times, w["t_start"])) for w in traj.meta["windows"][1:]]
+
+
+def test_sup_tv_distance_refuses_different_node_counts():
+    sp = grid_1d(0.0, 1.0, 2)
+    two = Trajectory(sp, np.array([0.0, 0.1]), np.ones((2, 2)))
+    three = Trajectory(sp, np.array([0.0, 0.1, 0.2]), np.ones((3, 2)))
+    for a, b in ((two, three), (three, two)):
+        with pytest.raises(ValueError, match="different time grids"):
+            a.sup_tv_distance(b)
+
+
 def test_flow_picard_rejects_oversized_dt():
     sp, kernel, fp, u = reference_components(cells=8)
     with pytest.raises(NumericError, match="dt"):
