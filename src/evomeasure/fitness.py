@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _integer
+from .errors import NumericError, _integer
 from .space import StrategySpace
 
 
@@ -59,10 +59,10 @@ def _coef(space: StrategySpace, spec, name: str) -> np.ndarray:
 class FitnessPair:
     """Vectorized rate pair bound to a strategy space.
 
-    ``birth`` and ``death`` map a scalar X to the (n,) vector of rates at
-    the support points.  When ``k_tilde`` is set, X is clamped to
-    [0, k_tilde] before evaluation (the truncated extension); the resulting
-    functions are globally bounded and globally Lipschitz in X.
+    ``birth`` and ``death`` map a float X to the (n,) rates at the support
+    points, and an (m, 1) column of X to rates broadcasting to (m, n).  When
+    ``k_tilde`` is set, X is clamped to [0, k_tilde] before evaluation (the
+    truncated extension), which makes the rates globally bounded and Lipschitz.
 
     ``death`` is None for the quasi-species variant, in which the mortality
     is the population's average birth rate (``mean_fitness_mortality``);
@@ -81,15 +81,19 @@ class FitnessPair:
     def mean_fitness_mortality(self) -> bool:
         return self.death is None
 
-    def _clamp(self, X: float) -> float:
+    def _clamp(self, X):
         if self.k_tilde is None:
             return X
+        if isinstance(X, np.ndarray):
+            return X.clip(0.0, self.k_tilde)
         return min(max(X, 0.0), self.k_tilde)
 
-    def f1(self, X: float) -> np.ndarray:
+    def f1(self, X):
+        """Birth rates at a float X, (n,), or at an (m, 1) column, broadcasting to (m, n)."""
         return self.birth(self._clamp(X))
 
-    def f2(self, X: float) -> np.ndarray:
+    def f2(self, X):
+        """Mortality rates at X, shaped as ``f1``'s."""
         if self.mean_fitness_mortality:
             raise ValueError(
                 "mean-fitness mortality has no pointwise f2 and is outside the "
@@ -97,9 +101,14 @@ class FitnessPair:
             )
         return self.death(self._clamp(X))
 
+    def tables(self, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, n) tables of f1 and f2 at the m ``masses``, one call per rate."""
+        shape, X = (len(masses), self.space.n), masses[:, None]
+        return np.broadcast_to(self.f1(X), shape), np.broadcast_to(self.f2(X), shape)
+
     def truncated(self, k_tilde: float) -> "FitnessPair":
         """Clamp X to [0, k_tilde] before evaluation; idempotent."""
-        if k_tilde <= 0:
+        if not k_tilde > 0:
             raise ValueError("k_tilde must be positive")
         return FitnessPair(
             space=self.space,
@@ -164,7 +173,7 @@ def ricker_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> FitnessPa
 
 
 def custom_pair(space: StrategySpace, f1, f2) -> FitnessPair:
-    """Arbitrary callables (X, points) -> (n,) rates."""
+    """Arbitrary callables (X, points) -> rates, X and rates as in ``FitnessPair.f1``."""
     return FitnessPair(
         space,
         "custom",
@@ -176,10 +185,10 @@ def custom_pair(space: StrategySpace, f1, f2) -> FitnessPair:
 def mean_fitness_pair(space: StrategySpace, f1) -> FitnessPair:
     """Quasi-species variant: mortality is the average birth rate.
 
-    ``f1`` is a coefficient spec (constant in X) or a callable
-    (X, points) -> (n,).  The pair is quarantined: assumption verification
-    reports "not applicable", and ``f2`` raises, so the truncation
-    constants and the Picard solver refuse it.
+    ``f1`` is a coefficient spec (constant in X) or a callable (X, points)
+    -> rates, on ``custom_pair``'s terms.  The pair is quarantined: assumption
+    verification reports "not applicable", and ``f2`` raises, so the
+    truncation constants and the Picard solver refuse it.
     """
     if callable(f1):
         birth = lambda X: np.asarray(f1(X, space.points), dtype=float)
@@ -238,8 +247,7 @@ def verify_assumptions(fp: FitnessPair, k_tilde: float = 10.0, n_x: int = 101) -
     if fp.mean_fitness_mortality:
         return AssumptionReport(applicable=False, passed=True, varpi=float("nan"), n_x=0)
     xs = np.linspace(0.0, k_tilde, n_x)
-    f1_tab = np.stack([fp.f1(x) for x in xs])
-    f2_tab = np.stack([fp.f2(x) for x in xs])
+    f1_tab, f2_tab = fp.tables(xs)
     violations = []
 
     def witness(kind, k, i, value, x2=None):
@@ -307,8 +315,7 @@ class TruncationConstants:
 def _lattice_bounds(fp: FitnessPair, k_tilde: float, n_x: int):
     """Sup bounds and max divided differences of the truncated pair."""
     xs = np.linspace(0.0, k_tilde, n_x)
-    f1_tab = np.stack([fp.f1(x) for x in xs])
-    f2_tab = np.stack([fp.f2(x) for x in xs])
+    f1_tab, f2_tab = fp.tables(xs)
     dx = xs[1] - xs[0]
     b1 = float(np.max(f1_tab))
     b2 = float(np.max(f2_tab))
@@ -375,7 +382,7 @@ def estimate_constants(
             break
         b = b_new
     if not (b > 0 and np.isfinite(b)):
-        raise RuntimeError(
+        raise NumericError(
             f"no positive window satisfies the contraction conditions "
             f"(bound from growth: {b1_star}, bound from Lipschitz terms: {bound2})"
         )
@@ -385,7 +392,7 @@ def estimate_constants(
     # both inequalities must hold with the 10% construction margin
     if not (g(b) < a and b < min(1.0, bound2) and b <= 0.9 * min(1.0, b1_star, bound2) * (1 + 1e-9)):
         binding = "growth" if b1_star <= bound2 else "Lipschitz"
-        raise RuntimeError(f"window selection failed; binding constraint: {binding}")
+        raise NumericError(f"window selection failed; binding constraint: {binding}")
     kappa = 2.0 * b * (L2 * C1 + B1 + C1 * C2)
     f1_zero = fpt.f1(0.0)
     f2_zero = fpt.f2(0.0)

@@ -68,11 +68,11 @@ class MutationKernel:
     def push_births(self, v: np.ndarray) -> np.ndarray:
         """Redistribute per-source birth output v_j onto targets.
 
-        Returns sum_j v[j] * row_j, the birth part of the vector field.
+        Returns sum_j v[j] * row_j, the birth part of the vector field, row by row if v is (m, n).
         """
         if self.is_dirac:
             return v
-        return self.rows.T @ v
+        return v @ self.rows
 
     def continuity_modulus(self) -> float:
         """Discrete Lipschitz estimate of q_hat -> gamma(q_hat) in the flat metric.

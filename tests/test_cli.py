@@ -280,6 +280,18 @@ def test_simulate_numeric_failure_exit_3(tmp_path):
     assert code == 3
 
 
+def test_constants_without_a_window_exit_3(tmp_path, capsys):
+    # exp(400 X) overflows the rate tables, so no contraction window exists
+    cfg = small_reference(T=0.01, fitness={"family": "ricker", "a": 1.0, "c": -400.0,
+                                           "b": 0.5, "floor": 0.2})
+    path = write_config(tmp_path, cfg)
+    for args in (["verify"], ["simulate", "--solver", "picard"]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([*args, "--config", str(path), "--out", str(tmp_path / args[0])])
+        assert code == 3
+        assert "numeric failure: no positive window" in capsys.readouterr().err
+
+
 def test_simulate_two_trait_logistic_mass_reaches_equilibrium(tmp_path):
     # pure-selection logistic classes in int(R^2_+): the mass column
     # approaches (q1 - floor)/q2 of the surviving class

@@ -683,6 +683,48 @@ def test_picard_operator_requires_truncation_and_matching_start():
         picard_operator(alpha, other, kernel, fp.truncated(3.0))
 
 
+def test_picard_start_check_is_absolute():
+    # a candidate 5e-4 off a start of weight 100 is not the initial measure
+    sp, kernel, fp, _ = reference_components(cells=8)
+    u = MeasureVec(sp, np.full(sp.n, 100.0))
+    weights = np.tile(u.weights, (3, 1))
+    weights[0, 0] += 5e-4
+    alpha = Trajectory(sp, np.array([0.0, 0.01, 0.02]), weights)
+    with pytest.raises(ValueError, match="initial"):
+        picard_operator(alpha, u, kernel, fp.truncated(300.0))
+
+
+def parent_picard_operator(alpha, u, kernel, fp):
+    """The integral operator with its rates and pushes taken node by node."""
+    times = alpha.times
+    f2_tab = np.stack([fp.f2(x) for x in alpha.masses])
+    cumint = _cumulative_trapezoid(f2_tab, times)
+    births = np.stack(
+        [kernel.push_births(fp.f1(x) * w) for x, w in zip(alpha.masses, alpha.weights)]
+    )
+    out = np.exp(-cumint) * (u.weights[None, :] + _cumulative_trapezoid(np.exp(cumint) * births, times))
+    out[0] = u.weights
+    return Trajectory(alpha.space, times.copy(), out)
+
+
+def test_picard_flow_on_a_2d_grid_is_the_per_node_operators(monkeypatch):
+    # the whole-window rate tables and block push change only the order of
+    # the sums: same windows and iterations, weights equal to round-off
+    sp = grid_2d([[0.0, 1.0], [0.0, 1.0]], (5, 4))
+    kernel = gaussian_kernel(sp, 0.3)
+    fp = ricker_pair(sp, a={"trait": 0}, c=0.6, b=0.5, floor=0.5)
+    u = MeasureVec(sp, np.exp(-np.sum((sp.points - 0.4) ** 2, axis=1)) / sp.n)
+    got = flow(u, kernel, fp, 0.3, solver="picard", dt=0.005)
+    monkeypatch.setattr("evomeasure.dynamics.picard_operator", parent_picard_operator)
+    want = flow(u, kernel, fp, 0.3, solver="picard", dt=0.005)
+    assert len(got.meta["windows"]) >= 2
+    assert got.meta["window_breaks"] == want.meta["window_breaks"]
+    for g, w in zip(got.meta["windows"], want.meta["windows"], strict=True):
+        assert (g["t_start"], g["window"], g["iterations"]) == (w["t_start"], w["window"], w["iterations"])
+    assert np.array_equal(got.times, want.times)
+    assert np.all(np.abs(got.weights - want.weights) <= 1e-13 * np.abs(want.weights))
+
+
 def test_picard_single_application_contracts_toward_solution():
     sp, kernel, fp, u = reference_components()
     tc = estimate_constants(fp, u.total_mass(), 1.0)
@@ -861,6 +903,14 @@ def test_sup_tv_distance_refuses_different_node_counts():
     for a, b in ((two, three), (three, two)):
         with pytest.raises(ValueError, match="different time grids"):
             a.sup_tv_distance(b)
+
+
+def test_sup_tv_distance_refuses_a_time_mismatch_at_late_times():
+    sp = grid_1d(0.0, 1.0, 2)
+    a = Trajectory(sp, np.array([0.0, 200.0]), np.ones((2, 2)))
+    b = Trajectory(sp, np.array([0.0, 200.002]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="different time grids"):
+        a.sup_tv_distance(b)
 
 
 def test_flow_picard_rejects_oversized_dt():

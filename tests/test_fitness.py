@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evomeasure import (
+    NumericError,
     atoms,
     beverton_holt_pair,
     constant_pair,
@@ -24,6 +25,7 @@ from evomeasure import (
     verify_assumptions,
 )
 from evomeasure.fitness import _lattice_bounds, fitness_from_config
+from test_dynamics import random_pair, random_problem
 
 
 def window_oracle(B1, B2, L1, L2, u_mass, a, n_iter=60):
@@ -103,6 +105,14 @@ def test_truncation_identity_inside_range():
         assert np.array_equal(fp.f2(X), raw.f2(X))
 
 
+def test_truncation_refuses_a_nan_level():
+    # a NaN level would turn every clamped table to NaN
+    fp = ricker_pair(grid_1d(0.0, 1.0, 5), a=2.0, c=1.0, b=0.5)
+    for bad in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="k_tilde must be positive"):
+            fp.truncated(bad)
+
+
 def test_truncation_idempotent():
     sp = grid_1d(0.0, 1.0, 5)
     fp1 = ricker_pair(sp, a=2.0, c=1.0, b=0.5).truncated(3.0)
@@ -110,6 +120,55 @@ def test_truncation_idempotent():
     for X in (-2.0, 0.0, 1.7, 3.0, 9.0):
         assert np.array_equal(fp1.f1(X), fp2.f1(X))
         assert np.array_equal(fp1.f2(X), fp2.f2(X))
+
+
+# ─── rate tables over a column of masses ─────────────────────────────
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 6),
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant", "mean_fitness"]),
+    truncate=st.booleans(),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tables_are_the_stacked_per_mass_rates_bitwise(space_kind, n, family, truncate, m, seed):
+    # masses below 0, inside [0, K~], at both ends and above K~
+    rng = np.random.default_rng(seed)
+    sp = random_problem(rng, space_kind, n, "dirac")[0]
+    fp = random_pair(rng, sp, family)
+    k_tilde = float(rng.uniform(0.5, 4.0))
+    if truncate:
+        fp = fp.truncated(k_tilde)
+    masses = np.concatenate([[0.0, k_tilde], rng.uniform(-1.0, 2.0 * k_tilde, m)])
+    f1_want = np.stack([fp.f1(x) for x in masses])
+    assert np.broadcast_to(fp.f1(masses[:, None]), f1_want.shape).tobytes() == f1_want.tobytes()
+    if family == "mean_fitness":
+        with pytest.raises(ValueError, match="use RK4"):
+            fp.tables(masses)
+        return
+    f1_tab, f2_tab = fp.tables(masses)
+    f2_want = np.stack([fp.f2(x) for x in masses])
+    assert f1_tab.shape == f2_tab.shape == (len(masses), sp.n)
+    assert f1_tab.tobytes() == f1_want.tobytes()
+    assert f2_tab.tobytes() == f2_want.tobytes()
+
+
+def test_custom_pair_callables_broadcast_over_a_column():
+    sp = grid_2d([[0.0, 1.0], [0.0, 2.0]], (3, 2))
+    q = sp.points
+    fp = custom_pair(sp, lambda X, pts: 2.0 * np.exp(-X * pts[:, 0]),
+                     lambda X, pts: 0.1 + X * pts[:, 1] ** 2).truncated(3.0)
+    masses = np.array([-0.5, 0.0, 0.7, 3.0, 4.2])
+    f1_tab, f2_tab = fp.tables(masses)
+    clamped = np.clip(masses, 0.0, 3.0)
+    for k, X in enumerate(clamped):
+        assert np.array_equal(f1_tab[k], 2.0 * np.exp(-X * q[:, 0]))
+        assert np.array_equal(f2_tab[k], 0.1 + X * q[:, 1] ** 2)
+    assert verify_assumptions(fp, k_tilde=3.0).passed
+    assert estimate_constants(fp, 1.0, 1.0).b > 0
 
 
 # ─── assumption verification ─────────────────────────────────────────
@@ -250,6 +309,14 @@ def test_constants_lipschitz_self_consistent():
         x1, x2 = rng.choice(xs, 2)
         assert np.all(np.abs(fpt.f1(x1) - fpt.f1(x2)) <= tc.L1 * abs(x1 - x2) + 1e-9)
         assert np.all(np.abs(fpt.f2(x1) - fpt.f2(x2)) <= tc.L2 * abs(x1 - x2) + 1e-9)
+
+
+def test_constants_without_a_window_raise_a_numeric_error():
+    # exp(400 X) overflows the birth table: no positive window exists
+    fp = ricker_pair(grid_1d(0.0, 2.0, 8), a=1.0, c=-400.0, b=0.5, floor=0.2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="no positive window"):
+            estimate_constants(fp, 1.0, 1.0)
 
 
 def test_constants_reject_mean_fitness_and_bad_inputs():

@@ -220,6 +220,33 @@ def test_broadcast_tables_equal_the_scalar_density_path(kind, n, sigma, seed):
     assert np.array_equal(uniform_kernel(sp).rows, expected)
 
 
+# ─── pushing births ──────────────────────────────────────────────────
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 24),
+    m=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_push_births_of_a_block_is_the_row_by_row_push(kind, n, m, seed):
+    rng = np.random.default_rng(seed)
+    sp = random_space(kind, n, seed)
+    rows = rng.uniform(0.0, 1.0, (sp.n, sp.n))
+    block = rng.uniform(0.0, 1.0, (m, sp.n)) * 10.0 ** rng.uniform(-5.0, 5.0, (m, 1))
+    for kernel in (matrix_kernel(sp, rows / rows.sum(axis=1, keepdims=True)),
+                   gaussian_kernel(sp, float(rng.uniform(0.05, 2.0)))):
+        # a vector is pushed bitwise as rows^T v
+        for v in block:
+            assert kernel.push_births(v).tobytes() == (kernel.rows.T @ v).tobytes()
+        row_by_row = np.stack([kernel.push_births(v) for v in block])
+        pushed = kernel.push_births(block)
+        assert pushed.shape == block.shape
+        assert np.all(np.abs(pushed - row_by_row) <= 1e-14 * np.abs(row_by_row))
+    assert dirac_kernel(sp).push_births(block) is block
+
+
 # ─── continuity modulus ──────────────────────────────────────────────
 
 

@@ -277,10 +277,14 @@ def test_frequency_checks_normalize_the_parents_copy_bitwise(
     kernel = dirac_kernel(sp) if dirac else gaussian_kernel(sp, float(rng.uniform(0.05, 0.5)))
     coef = lambda lo, hi: rng.uniform(lo, hi, sp.n)
     fp = ricker_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=0.2)
-    fpt = fp.truncated(float(rng.uniform(2.0, 4.0)))
+    k_tilde = float(rng.uniform(2.0, 4.0))
     u = zero_measure(sp) if vanishing else MeasureVec(sp, rng.uniform(0.0, 1.0, sp.n) / sp.n)
     dt = float(rng.uniform(0.005, 0.05))
-    traj = rk4_integrate(u, kernel, fpt, (n_steps - 1 + last_step) * dt, dt)
+    T = (n_steps - 1 + last_step) * dt
+    # K~ at least the mass bound u(Q) e^(M_f1 T): rk4_integrate refuses a
+    # mass above K~, and the checks compared here need a trajectory
+    fpt = fp.truncated(max(k_tilde, 1.01 * u.total_mass() * np.exp(float(np.max(fp.f1(0.0))) * T)))
+    traj = rk4_integrate(u, kernel, fpt, T, dt)
 
     want = _outcome(lambda: parent_mm_residual(parent_normalized_trajectory(traj), kernel, fpt))
     assert _outcome(lambda: astuple(mm_residual(traj, kernel, fpt))) == want
