@@ -498,8 +498,7 @@ def _picard_nodes(
     yield u.weights
     k0, start = 0, u
     while k0 < last:
-        mass = start.total_mass()
-        constants = estimate_constants(fp, mass, ball_radius if ball_radius is not None else max(1.0, mass))
+        constants = estimate_constants(fp, start.total_mass(), ball_radius)
         m = int(math.floor(constants.b / dt + 1e-12))
         if m < 1:
             raise NumericError(f"dt={dt} exceeds the contraction window b={constants.b}; reduce dt")

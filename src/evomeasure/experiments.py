@@ -209,14 +209,13 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         checks[name] = {"passed": bool(passed), **info}
 
     u_mass = u.total_mass()
-    ball = cfg.ball_radius if cfg.ball_radius is not None else max(1.0, u_mass)
 
     # rate assumptions on a sampling lattice
     constants = None
     if fp.mean_fitness_mortality:
         record("assumptions", True, applicable=False)
     else:
-        constants = estimate_constants(fp, u_mass, ball)
+        constants = estimate_constants(fp, u_mass, cfg.ball_radius)
         report = verify_assumptions(fp, k_tilde=constants.k_tilde)
         info = {k: v for k, v in report.to_dict().items() if k != "passed"}
         record("assumptions", report.passed, **info)

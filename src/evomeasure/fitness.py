@@ -18,8 +18,10 @@ for the Picard solver:
     (1 - e^(-B2 b)) u(Q) + 2 B1 C1 b < a,
     b < min{1, 1 / (2 L2 C1 + 2 B1 + 2 C2 C1)},
 
-with C1 = u(Q) + 2a and C2 = L1 + 2 b L2 B1 (solved by fixed-point iteration
-since C2 depends on b).  The chosen b sits at 0.9x the binding bound.
+with C1 = u(Q) + 2a and C2 = L1 + 2 b L2 B1.  Substituting C2 turns the second
+inequality into the quadratic A b + K b^2 < 1, A = 2 (L2 C1 + B1 + L1 C1),
+K = 4 L2 B1 C1, so b is min(0.9 min(1, b1*), 1.8 / (A + sqrt(A^2 + 3.6 K))):
+0.9x the growth bound b1* or the positive root of A b + K b^2 = 0.9.
 """
 
 from __future__ import annotations
@@ -262,17 +264,18 @@ def verify_assumptions(fp: FitnessPair, k_tilde: float = 10.0, n_x: int = 101) -
             }
         )
 
+    # nan-aware witnesses: an overflowed table's inf - inf differences are NaN
     for tab, name in ((f1_tab, "f1_negative"), (f2_tab, "f2_negative")):
         if np.any(tab < 0):
-            k, i = np.unravel_index(int(np.argmin(tab)), tab.shape)
+            k, i = np.unravel_index(int(np.nanargmin(tab)), tab.shape)
             witness(name, k, i, tab[k, i])
     d1 = np.diff(f1_tab, axis=0)
     if np.any(d1 > 1e-12):
-        k, i = np.unravel_index(int(np.argmax(d1)), d1.shape)
+        k, i = np.unravel_index(int(np.nanargmax(d1)), d1.shape)
         witness("f1_not_nonincreasing", k, i, d1[k, i], x2=xs[k + 1])
     d2 = np.diff(f2_tab, axis=0)
     if np.any(d2 < -1e-12):
-        k, i = np.unravel_index(int(np.argmin(d2)), d2.shape)
+        k, i = np.unravel_index(int(np.nanargmin(d2)), d2.shape)
         witness("f2_not_nondecreasing", k, i, d2[k, i], x2=xs[k + 1])
     varpi = float(np.min(f2_tab[0]))
     if varpi <= 0:
@@ -327,21 +330,25 @@ def _lattice_bounds(fp: FitnessPair, k_tilde: float, n_x: int):
 def estimate_constants(
     fp: FitnessPair,
     u_mass: float,
-    a: float,
+    a: float | None = None,
     k_tilde: float | None = None,
     n_x: int = 101,
 ) -> TruncationConstants:
     """Measure B1, B2, L1, L2 on a lattice and pick the contraction window b.
 
-    ``u_mass`` is u(Q), ``a`` the ball radius, and K~ defaults to
-    1.1 (u(Q) + 2a).  The rates are tabulated at the support points of
-    ``fp.space`` on the ``n_x``-point lattice on [0, K~] refined once by its
-    midpoints (2 n_x - 1 points).  The refinement holds every coarse node,
-    and each coarse divided difference is the mean of two refined ones, so
-    the coarse lattice alone never gives a larger estimate.  b is set to
-    0.9x the binding bound, iterating because C2 depends on b; both window
-    inequalities are re-asserted at the result.
+    ``u_mass`` is u(Q), ``a`` the ball radius (default max(1, u(Q))), and K~
+    defaults to 1.1 (u(Q) + 2a).  The rates are tabulated at the support
+    points of ``fp.space`` on the ``n_x``-point lattice on [0, K~] refined
+    once by its midpoints (2 n_x - 1 points).  The refinement holds every
+    coarse node, and each coarse divided difference is the mean of two
+    refined ones, so the coarse lattice alone never gives a larger estimate.
+    b has the closed form of the module docstring, and both window
+    inequalities are re-asserted at it.  A refusal for want of a positive
+    window names the first assumption the truncated pair breaks on the
+    ``n_x``-point lattice.
     """
+    if a is None:
+        a = max(1.0, u_mass)
     if a <= 0:
         raise ValueError("ball radius a must be positive")
     if u_mass < 0:
@@ -370,30 +377,23 @@ def estimate_constants(
                 hi = mid
         b1_star = lo
 
-    # window condition 2 couples to C2 = L1 + 2 b L2 B1: iterate to a fixed point
-    b = 0.9 * min(1.0, b1_star)
-    for _ in range(20):
-        C2 = L1 + 2.0 * b * L2 * B1
-        denom = 2.0 * L2 * C1 + 2.0 * B1 + 2.0 * C2 * C1
-        bound2 = np.inf if denom == 0 else 1.0 / denom
-        b_new = 0.9 * min(1.0, b1_star, bound2)
-        if abs(b_new - b) < 1e-12:
-            b = b_new
-            break
-        b = b_new
+    # window condition 2 is A b + K b^2 < 1; this form of the root of = 0.9 cancels nothing
+    A = 2.0 * (L2 * C1 + B1 + L1 * C1)
+    K = 4.0 * L2 * B1 * C1
+    root = np.inf if A == 0 else 1.8 / (A + np.sqrt(A * A + 3.6 * K))
+    b = float(np.minimum(0.9 * np.minimum(1.0, b1_star), root))
     if not (b > 0 and np.isfinite(b)):
+        broken = verify_assumptions(fpt, k_tilde, n_x).violations[:1]
         raise NumericError(
             f"no positive window satisfies the contraction conditions "
-            f"(bound from growth: {b1_star}, bound from Lipschitz terms: {bound2})"
+            f"(bound from growth: {b1_star}, bound from Lipschitz terms: {root})"
+            + "".join(f"; {v['kind']} at X={v['X']}, q={v['q']}" for v in broken)
         )
     C2 = L1 + 2.0 * b * L2 * B1
-    denom = 2.0 * L2 * C1 + 2.0 * B1 + 2.0 * C2 * C1
-    bound2 = np.inf if denom == 0 else 1.0 / denom
-    # both inequalities must hold with the 10% construction margin
-    if not (g(b) < a and b < min(1.0, bound2) and b <= 0.9 * min(1.0, b1_star, bound2) * (1 + 1e-9)):
-        binding = "growth" if b1_star <= bound2 else "Lipschitz"
-        raise NumericError(f"window selection failed; binding constraint: {binding}")
     kappa = 2.0 * b * (L2 * C1 + B1 + C1 * C2)
+    # both window inequalities at the result; kappa = b (A + K b) < 1 is condition 2
+    if not (g(b) < a and b < 1.0 and kappa < 1.0):
+        raise NumericError(f"window selection failed at b={b}")
     f1_zero = fpt.f1(0.0)
     f2_zero = fpt.f2(0.0)
     return TruncationConstants(

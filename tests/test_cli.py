@@ -292,6 +292,16 @@ def test_constants_without_a_window_exit_3(tmp_path, capsys):
         assert "numeric failure: no positive window" in capsys.readouterr().err
 
 
+def test_no_window_exit_names_the_broken_assumption(tmp_path, capsys):
+    cfg = small_reference(T=0.01, fitness={"family": "ricker", "a": 1.0, "c": -400.0,
+                                           "b": 0.5, "floor": 0.2})
+    path = write_config(tmp_path, cfg)
+    for args in (["verify"], ["simulate", "--solver", "picard"]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([*args, "--config", str(path), "--out", str(tmp_path / args[0])]) == 3
+        assert "f1_not_nonincreasing at X=" in capsys.readouterr().err
+
+
 def test_simulate_two_trait_logistic_mass_reaches_equilibrium(tmp_path):
     # pure-selection logistic classes in int(R^2_+): the mass column
     # approaches (q1 - floor)/q2 of the surviving class

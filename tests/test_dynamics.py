@@ -991,6 +991,28 @@ def test_nearby_initial_measures_separate_at_most_exponentially(space_kind, n, k
             f"{ratio} times the bound e^(K_F t) TV(mu(0) - nu(0)), K_F={k_f}")
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 5),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_picard_and_rk4_agree_at_order_two(space_kind, n, kernel_kind, seed):
+    # the Picard flow over its contraction windows (default ball) converges to
+    # the same solution as RK4: halving dt divides the sup-TV gap by about 4.
+    # The pair is untruncated, so each solver truncates at its own level
+    rng = np.random.default_rng(seed)
+    sp, kernel, fp, u = random_problem(rng, space_kind, n, kernel_kind)
+    fp = replace(fp, k_tilde=None)
+    gaps = []
+    for dt in (0.02, 0.01):
+        picard = flow(u, kernel, fp, 0.3, solver="picard", dt=dt, tol=1e-13)
+        gaps.append(picard.sup_tv_distance(flow(u, kernel, fp, 0.3, dt=dt)))
+    if gaps[0] > 1e-10:
+        assert gaps[0] / gaps[1] >= 3.5, f"gaps {gaps} at dt = 0.02, 0.01"
+
+
 # ─── differential/integral consistency ───────────────────────────────
 
 

@@ -1,8 +1,9 @@
 """Fitness pairs: families, truncation, assumptions, window constants.
 
 The contraction-window oracle below re-derives b by hand from both window
-inequalities (a tiny bisection plus the closed-form Lipschitz bound), so the
-package's fixed-point iteration is checked against an independent route.
+inequalities (a tiny bisection plus plain fixed-point iterations on the
+Lipschitz bound), so the package's closed-form root is checked against an
+independent route.
 """
 
 import numpy as np
@@ -28,21 +29,26 @@ from evomeasure.fitness import _lattice_bounds, fitness_from_config
 from test_dynamics import random_pair, random_problem
 
 
-def window_oracle(B1, B2, L1, L2, u_mass, a, n_iter=60):
-    """Hand evaluation of the two window inequalities with the 0.9 factor."""
+def growth_bound(B1, B2, u_mass, a):
+    """Supremum b1* of the windows that satisfy the mass-growth inequality."""
     C1 = u_mass + 2 * a
 
     def g(b):
         return (1 - np.exp(-B2 * b)) * u_mass + 2 * B1 * C1 * b
 
     if g(1.0) < a:
-        b1 = np.inf
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if g(mid) < a else (lo, mid)
-        b1 = lo
+        return np.inf
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) < a else (lo, mid)
+    return lo
+
+
+def window_oracle(B1, B2, L1, L2, u_mass, a, n_iter=60):
+    """Hand evaluation of the two window inequalities with the 0.9 factor."""
+    C1 = u_mass + 2 * a
+    b1 = growth_bound(B1, B2, u_mass, a)
     b = 0.9 * min(1.0, b1)
     for _ in range(n_iter):
         C2 = L1 + 2 * b * L2 * B1
@@ -312,11 +318,63 @@ def test_constants_lipschitz_self_consistent():
 
 
 def test_constants_without_a_window_raise_a_numeric_error():
-    # exp(400 X) overflows the birth table: no positive window exists
+    # exp(400 X) overflows the birth table: no positive window exists, and the
+    # refusal names where the truncated birth rate increases in X
     fp = ricker_pair(grid_1d(0.0, 2.0, 8), a=1.0, c=-400.0, b=0.5, floor=0.2)
     with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"no positive window .*; "
+                           r"f1_not_nonincreasing at X=1\.749, q=\[0\.125\]$"):
+            estimate_constants(fp, 1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant"]),
+    n=st.integers(1, 6),
+    u_mass=st.floats(0.0, 5.0),
+    a=st.one_of(st.none(), st.floats(0.05, 5.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_is_the_closed_form_root(family, n, u_mass, a, seed):
+    # b is the oracle's limit to round-off; where the Lipschitz bound binds it
+    # solves A b + K b^2 = 0.9, condition 2 with its 0.9 margin
+    fp = random_pair(np.random.default_rng(seed), grid_1d(0.0, 1.0, n), family)
+    tc = estimate_constants(fp, u_mass, a)
+    ball = max(1.0, u_mass) if a is None else a
+    assert tc.a == ball
+    expected = window_oracle(tc.B1, tc.B2, tc.L1, tc.L2, u_mass, ball)
+    assert abs(tc.b - expected) <= 1e-14 * expected
+    A = 2 * (tc.L2 * tc.C1 + tc.B1 + tc.L1 * tc.C1)
+    K = 4 * tc.L2 * tc.B1 * tc.C1
+    if tc.b < 0.9 * min(1.0, growth_bound(tc.B1, tc.B2, u_mass, ball)):
+        assert abs(A * tc.b + K * tc.b**2 - 0.9) <= 1e-14
+    if a is None:
+        assert tc == estimate_constants(fp, u_mass, max(1.0, u_mass))
+
+
+@pytest.mark.parametrize("rate", ["f1", "f2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constants_refuse_nonfinite_rate_tables(rate, bad):
+    # one nonfinite entry above X = 1 in either table leaves no positive window
+    sp = grid_1d(0.0, 1.0, 4)
+    spoiled = lambda X, pts: np.where(X > 1.0, bad, 1.0) * np.ones(len(pts))
+    plain = lambda X, pts: np.ones(len(pts))
+    fp = custom_pair(sp, spoiled, plain) if rate == "f1" else custom_pair(sp, plain, spoiled)
+    with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="no positive window"):
             estimate_constants(fp, 1.0, 1.0)
+
+
+def test_assumption_witnesses_skip_nan_differences():
+    # exp(400 X) overflows to inf, so inf - inf differences are NaN; the
+    # witness is the largest non-NaN increase, an inf one
+    fp = ricker_pair(grid_1d(0.0, 2.0, 8), a=1.0, c=-400.0, b=0.5, floor=0.2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_assumptions(fp, k_tilde=3.3)
+    (witness,) = [v for v in report.violations if v["kind"] == "f1_not_nonincreasing"]
+    assert witness["value"] == np.inf
+    assert witness["X"] == pytest.approx(1.749)
+    assert not any(np.isnan(v["value"]) for v in report.violations)
 
 
 def test_constants_reject_mean_fitness_and_bad_inputs():
