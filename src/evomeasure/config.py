@@ -34,10 +34,9 @@ def space_from_config(cfg: dict) -> StrategySpace:
     kind = cfg.get("kind")
     if kind == "grid1d":
         lo, hi = cfg["bounds"]
-        return grid_1d(float(lo), float(hi), _integer(cfg.get("cells", 128), "space.cells"))
+        return grid_1d(float(lo), float(hi), cfg.get("cells", 128))
     if kind == "grid2d":
-        cells = [_integer(c, "space.cells") for c in cfg.get("cells", (32, 32))]
-        return grid_2d(cfg["bounds"], cells)
+        return grid_2d(cfg["bounds"], cfg.get("cells", (32, 32)))
     if kind == "atoms":
         return atoms(cfg["points"])
     raise ConfigError(f"unknown space kind {kind!r}")

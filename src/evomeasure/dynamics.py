@@ -238,6 +238,12 @@ def _check_shared_space(space: StrategySpace, kernel: MutationKernel, fp: Fitnes
         raise ValueError("measure, kernel and fitness must share one strategy space")
 
 
+def _check_start(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair) -> None:
+    _check_shared_space(u.space, kernel, fp)
+    if not u.is_nonnegative():
+        raise ValueError("initial measure must be nonnegative")
+
+
 # ─── RK4 ─────────────────────────────────────────────────────────────
 
 
@@ -296,9 +302,7 @@ def rk4_stream(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float,
         raise ValueError("dt must be positive")
     if T < 0:
         raise ValueError("T must be nonnegative")
-    _check_shared_space(u.space, kernel, fp)
-    if not u.is_nonnegative():
-        raise ValueError("initial measure must be nonnegative")
+    _check_start(u, kernel, fp)
 
     m_f1 = float(np.max(fp.f1(0.0)))
     if fp.k_tilde is None:
@@ -438,6 +442,8 @@ def picard_solve(
         raise ValueError(f"window {b} exceeds the contraction window b={constants.b}")
     if b <= 0:
         raise ValueError("window must be positive")
+    _check_start(u, kernel, fp)
+    _check_picard_settings(fp, tol, max_iter)
     alpha = _picard_fixed_point(u, kernel, fp, constants, time_grid(b, dt), tol, max_iter)
     alpha.meta.update(window=b, dt=dt, tol=tol)
     return alpha
@@ -450,10 +456,6 @@ def _picard_fixed_point(
     """The fixed point of S for ``fp`` truncated at ``constants.k_tilde`` on
     the window's node ``times``, iterated from the constant guess u; its
     ``meta`` records the iterations, residuals, ratios and constants."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     fpt = fp.truncated(constants.k_tilde)
     alpha = Trajectory(u.space, times, np.tile(u.weights, (len(times), 1)))
     residuals: list[float] = []
@@ -486,6 +488,14 @@ def _picard_fixed_point(
         f"Picard iteration did not reach tol={tol} in {max_iter} iterations "
         f"(last residual {residuals[-1]})"
     )
+
+
+def _check_picard_settings(fp: FitnessPair, tol: float, max_iter: int) -> None:
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    fp.f2(0.0)  # a mean-fitness pair refuses here, naming RK4
 
 
 def _picard_nodes(
@@ -524,11 +534,12 @@ def flow_stream(
     windows of whole grid steps, re-estimating the truncation constants from
     the mass at each window start, and yields a window's nodes once they
     converge; ``meta`` gains the window's record and its seam as it is read.
-    ``dt`` may be omitted only at T = 0, where the flow is the identity.
+    ``dt`` may be omitted only at T = 0, where the flow is the identity.  The
+    arguments are checked here, before any node is read.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    _check_shared_space(u.space, kernel, fp)
+    _check_start(u, kernel, fp)
     if T == 0.0:
         return NodeStream(u.space, np.array([0.0]), iter([u.weights]), {})
     if dt is None:
@@ -539,6 +550,7 @@ def flow_stream(
         raise ValueError(f"unknown solver {solver!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    _check_picard_settings(fp, tol, max_iter)
     times = time_grid(T, dt)
     meta = {"dt": dt, "tol": tol, "windows": [], "window_breaks": []}
     return NodeStream(u.space, times, _picard_nodes(u, kernel, fp, times, tol, max_iter, ball_radius, meta),

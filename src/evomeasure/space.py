@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _integer
+
 
 @dataclass(frozen=True)
 class StrategySpace:
@@ -87,6 +89,7 @@ def grid_1d(lo: float, hi: float, cells: int) -> StrategySpace:
     """Uniform 1-D grid over [lo, hi]; points are cell centers."""
     if not hi > lo:
         raise ValueError("need hi > lo")
+    cells = _integer(cells, "space.cells")
     if cells < 1:
         raise ValueError("need at least one cell")
     h = (hi - lo) / cells
@@ -105,7 +108,7 @@ def grid_2d(bounds, cells) -> StrategySpace:
     is the center of cell (i, j), so y varies fastest.
     """
     bounds = np.asarray(bounds, dtype=float).reshape(2, 2)
-    nx, ny = int(cells[0]), int(cells[1])
+    nx, ny = _integer(cells[0], "space.cells"), _integer(cells[1], "space.cells")
     if nx < 1 or ny < 1:
         raise ValueError("need at least one cell per axis")
     hx = (bounds[0, 1] - bounds[0, 0]) / nx

@@ -25,14 +25,14 @@ import pytest
 from conftest import concentration_config_dict, reference_components, reference_config_dict
 from evomeasure import NumericError, experiments
 from evomeasure.config import RunConfig
-from evomeasure.dynamics import (Trajectory, field_lipschitz_ratio, flow, rk4_integrate, rk4_stream, sup_tv,
-                                 write_csv_rows)
+from evomeasure.dynamics import Trajectory, field_lipschitz_ratio, flow, rk4_integrate, rk4_stream, write_csv_rows
 from evomeasure.experiments import _forked, _write_json, dirac_limit, mutation_limit, verify
 from evomeasure.errors import ConfigError
 from evomeasure.fitness import estimate_constants, verify_assumptions
 from evomeasure.kernels import dirac_kernel, gaussian_kernel
 from evomeasure.measures import bl_distance, unit_atom
-from evomeasure.reductions import DiscreteSystem, discrete_nodes, frequency_gaps
+from evomeasure.reductions import frequency_gaps
+from oracles import class_system_gap
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -130,7 +130,7 @@ def materialized_verify(cfg, out_dir=None):
     if not fp.mean_fitness_mortality:
         try:
             mtraj = head(min(cfg.T, 10.0))
-            gap = materialized_class_system_gap(mtraj, kernel, fpt, u, cfg.dt)
+            gap = class_system_gap(mtraj, kernel, fpt, u, cfg.dt)
             record("discrete_reduction", gap <= 1e-10, max_discrepancy=gap, tolerance=1e-10,
                    T=mtraj.times[-1])
         except NumericError as exc:
@@ -164,12 +164,6 @@ def materialized_verify(cfg, out_dir=None):
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "verify.json", report)
     return report
-
-
-def materialized_class_system_gap(mtraj, kernel, fpt, u, dt):
-    sys = DiscreteSystem.from_measure_problem(kernel, fpt)
-    _, oracle = discrete_nodes(sys, u.weights, mtraj.times[-1], dt)
-    return sup_tv(mtraj.weights, oracle)
 
 
 def materialized_dirac_limit(cfg, out_dir):
@@ -466,6 +460,24 @@ def test_the_failing_cases_fail_as_intended(tmp_path):
     d, sigmas = MUTATION_LIMIT_CASES["negativity-abort"]
     with pytest.raises(NumericError, match="negativity"):
         mutation_limit(RunConfig.from_dict(d), sigmas, tmp_path / "m")
+
+
+@pytest.mark.parametrize("case", ["grid1d-gaussian-T-off-grid", "atoms-matrix-T-above-10"])
+def test_discrete_reduction_compares_every_node_up_to_ten(case, monkeypatch):
+    # the oracle's node at min(T, 10), the last one the check compares, moved
+    # by 1e-6 in one entry: the gap reads 1e-6, so no node is left out
+    cfg = RunConfig.from_dict(VERIFY_CASES[case])
+    nodes = experiments.discrete_nodes
+
+    def shifted_last(sys, x0, T, dt):
+        times, states = nodes(sys, x0, T, dt)
+        assert T == min(cfg.T, 10.0)
+        return times, (x + (k == len(times) - 1) * 1e-6 * np.eye(len(x))[0] for k, x in enumerate(states))
+
+    monkeypatch.setattr(experiments, "discrete_nodes", shifted_last)
+    check = verify(cfg)["checks"]["discrete_reduction"]
+    assert not check["passed"]
+    assert check["max_discrepancy"] == pytest.approx(1e-6, rel=1e-6)
 
 
 # ─── the forked children ─────────────────────────────────────────────

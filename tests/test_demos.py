@@ -17,6 +17,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # demo -> (pattern of one printed number, upper bound), in print order
 PRINTED_BOUNDS = {
+    "03_picard_vs_rk4": [
+        (r"sup-TV distance between the two trajectories: (\S+)", 1e-7),
+        (r"halving dt shrinks the gap to (\S+)", 2.5e-8),
+    ],
     "04_reductions": [
         (r"3-class system.*\n  sup-TV gap over \[0, 10\]: (\S+)", 1e-12),
         (r"max finite-difference discrepancy: (\S+)", 1e-6),

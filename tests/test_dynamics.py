@@ -1,7 +1,7 @@
 """Solvers: the vector field, RK4, the discounted kernel and Picard.
 
-Independent oracles: hand algebra for the field, a test-local scalar RK4
-for mass dynamics, the paper's discounted kernel gamma_bar written out
+Independent oracles: hand algebra for the field, the RK4 loop of
+``oracles`` for mass dynamics, the paper's discounted kernel gamma_bar written out
 term by term as the oracle for the integral operator, closed-form
 survival factors, and cross-solver comparisons at matching grids.
 """
@@ -21,7 +21,6 @@ from evomeasure import (
     MeasureVec,
     NumericError,
     atoms,
-    beverton_holt_pair,
     constant_pair,
     custom_pair,
     dirac_kernel,
@@ -39,7 +38,6 @@ from evomeasure import (
     picard_solve,
     ricker_pair,
     rk4_integrate,
-    unit_atom,
     uniform_kernel,
     vector_field,
     zero_measure,
@@ -50,28 +48,13 @@ from evomeasure.dynamics import (
     _central_difference_gap,
     _cumulative_trapezoid,
     finite_difference_residual,
+    flow_stream,
     rk4_stream,
     time_grid,
 )
+from oracles import central_difference_gap, class_rhs, max_row_tv, outcome, random_pair, random_problem, rk4, rk4_run
 
 RNG = np.random.default_rng(3)
-
-
-def rk4_oracle(rhs, y0, T, dt):
-    """Test-local fixed-step RK4 on a vector state; the oracle side."""
-    y = np.asarray(y0, dtype=float).copy()
-    n = max(1, int(round(T / dt)))
-    ts = np.linspace(0.0, T, n + 1)
-    out = [y.copy()]
-    for k in range(n):
-        h = ts[k + 1] - ts[k]
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out.append(y.copy())
-    return ts, np.array(out)
 
 
 # ─── vector field ────────────────────────────────────────────────────
@@ -129,7 +112,7 @@ def test_rk4_logistic_atom_matches_scalar_oracle():
     u = MeasureVec(sp, np.array([0.5]))
     dt = 0.01
     traj = rk4_integrate(u, dirac_kernel(sp), fp, T=30.0, dt=dt)
-    _, xs = rk4_oracle(lambda y: y * (0.9 - y), [0.5], 30.0, dt / 10.0)
+    _, xs = rk4(lambda y: y * (0.9 - y), [0.5], 30.0, dt / 10.0)
     assert traj.masses[-1] == pytest.approx(xs[-1, 0], abs=1e-9)
     assert traj.masses[-1] == pytest.approx(0.9, abs=1e-6)
     # a few interior nodes against the dense oracle
@@ -193,10 +176,10 @@ def test_rk4_refuses_the_first_node_above_k_tilde_before_a_later_abort():
                      lambda X, points: np.array([5.0 * X, 7.5 * X, 0.0])).truncated(5.0)
     u = MeasureVec(sp, np.array([1.0, 0.0, 0.2]))
     with pytest.raises(NumericError, match=r"weight .* at step 26 \(t=2\.6\)"):
-        parent_rk4_weights(u, kern, fp, 3.0, 0.1)
+        rk4_run(u, kern, fp, 3.0, 0.1)
     run = rk4_stream(u, kern, fp, 3.0, 0.1)
-    nodes = parent_rk4_weights(u, kern, fp, run.times[17], 0.1)
-    masses = nodes.sum(axis=1)
+    nodes = rk4_run(u, kern, fp, run.times[17], 0.1)
+    masses = nodes.masses
     assert np.all(masses[:17] <= 5.0) and masses[17] > 5.0
     message = (f"mass {masses[17]} at step 17 (t={run.times[17]}) exceeds the truncation "
                f"level K~=5.0; the clamped vector field is not the model's")
@@ -205,7 +188,7 @@ def test_rk4_refuses_the_first_node_above_k_tilde_before_a_later_abort():
         for w in run.weights:
             read.append(w)
     # the refused node and every node after it are never yielded
-    assert np.array_equal(read, nodes[:17])
+    assert np.array_equal(read, nodes.weights[:17])
     assert next(run.weights, None) is None
     with pytest.raises(NumericError, match=re.escape(message)):
         rk4_integrate(u, kern, fp, 3.0, 0.1)
@@ -301,30 +284,6 @@ def parent_validate(t, w):
         )
 
 
-def parent_sup_tv_distance(a, b):
-    return float(np.max(np.abs(a.weights - b.weights).sum(axis=1)))
-
-
-def parent_central_difference_gap(traj, rhs, skip=()):
-    t, w = traj.times, traj.weights
-    h = np.diff(t)
-    even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
-    ks = np.setdiff1d(np.flatnonzero(even) + 1, skip)
-    if len(ks) == 0:
-        return 0.0, 0
-    deriv = (w[ks + 1] - w[ks - 1]) / (t[ks + 1] - t[ks - 1])[:, None]
-    gaps = np.abs(deriv - np.stack([rhs(k) for k in ks])).sum(axis=1)
-    return float(gaps.max()), len(ks)
-
-
-def _raised(f):
-    try:
-        f()
-    except NumericError as exc:
-        return str(exc)
-    return None
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     n_nodes=st.integers(1, 12),
@@ -336,7 +295,7 @@ def _raised(f):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inject, seed):
-    # the parent's full-pass validation, sup_tv_distance and central
+    # the parent's full-pass validation, the max row TV and the central
     # difference gap are the oracle: same accept/reject with the same
     # message, bitwise-equal gaps and the same number of nodes checked
     rng = np.random.default_rng(seed)
@@ -352,26 +311,27 @@ def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inje
         tol = 1e-12 * max(1.0, float(np.abs(w[k]).sum()))
         w[k, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "huge": 1e308,
                    "neg_inside": -0.5 * tol, "neg_outside": -2.0 * tol}[kind]
-    want = _raised(lambda: parent_validate(times, w))
+    want = outcome(lambda: parent_validate(times, w))
     with np.errstate(over="ignore"):
         sums = w.sum(axis=1)
     if want is None and not np.all(np.isfinite(sums)):
         # the parent accepted finite weights whose row sum overflows; they are
         # refused, naming the first such row
         k = int(np.flatnonzero(~np.isfinite(sums))[0])
-        want = f"trajectory state at t={times[k]} has finite weights whose sum overflows"
-    assert _raised(lambda: Trajectory(sp, times, w)) == want
+        want = ("refused", "NumericError",
+                f"trajectory state at t={times[k]} has finite weights whose sum overflows")
+    traj = outcome(lambda: Trajectory(sp, times, w))
     if want is not None:
+        assert traj == want
         return
-    traj = Trajectory(sp, times, w)
     other = Trajectory(sp, times, rng.uniform(0.0, 1.0, (n_nodes, n)))
-    assert traj.sup_tv_distance(other) == parent_sup_tv_distance(traj, other)
+    assert traj.sup_tv_distance(other) == max_row_tv(traj.weights, other.weights)
     rhs_rows = rng.normal(size=(n_nodes, n))
     rhs = lambda k: rhs_rows[k]
     skip = tuple(int(k) for k in rng.choice(n_nodes, size=rng.integers(0, n_nodes + 1), replace=False))
     nodes = zip(traj.weights, range(n_nodes))
     (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rhs(k)], skip)
-    want_gap, want_count = parent_central_difference_gap(traj, rhs, skip)
+    want_gap, want_count = central_difference_gap(traj.times, traj.weights.__getitem__, rhs, skip)
     assert gap == want_gap and count == want_count
 
 
@@ -454,42 +414,6 @@ def test_gamma_bar_oracle_cases():
     assert np.allclose(gd, expected, rtol=1e-12)
 
 
-def random_pair(rng, sp, family):
-    """An untruncated rate pair of ``family`` with random coefficients."""
-    coef = lambda lo, hi: rng.uniform(lo, hi, sp.n)
-    floor = float(rng.uniform(0.05, 0.5))
-    if family == "logistic":
-        return logistic_pair(sp, a=coef(0.2, 2.0), b=coef(0.1, 1.0), floor=floor)
-    if family == "beverton_holt":
-        return beverton_holt_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=floor)
-    if family == "ricker":
-        return ricker_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=floor)
-    if family == "constant":
-        return constant_pair(sp, a=coef(0.0, 2.0), b=coef(0.0, 2.0))
-    a, c = coef(0.2, 2.0), coef(0.1, 1.0)
-    return mean_fitness_pair(sp, lambda X, points: a * np.exp(-c * X))
-
-
-def random_problem(rng, space_kind, n, kernel_kind):
-    """A random space, kernel and truncated rate pair, and an initial measure."""
-    if space_kind == "grid1d":
-        sp = grid_1d(0.0, float(rng.uniform(0.5, 2.0)), n)
-    elif space_kind == "grid2d":
-        sp = grid_2d([[0.0, 1.0], [0.0, float(rng.uniform(0.5, 2.0))]], (n, int(rng.integers(1, 4))))
-    else:
-        sp = atoms(rng.uniform(0.0, 1.0, (n, int(rng.integers(1, 3)))))
-    if kernel_kind == "dirac":
-        kernel = dirac_kernel(sp)
-    elif kernel_kind == "gaussian":
-        kernel = gaussian_kernel(sp, float(rng.uniform(0.05, 0.5)))
-    else:
-        rows = rng.uniform(0.0, 1.0, (sp.n, sp.n))
-        kernel = matrix_kernel(sp, rows / rows.sum(axis=1, keepdims=True))
-    fp = random_pair(rng, sp, "ricker" if rng.random() < 0.5 else "logistic")
-    u = MeasureVec(sp, rng.uniform(0.0, 1.0, sp.n) / sp.n)
-    return sp, kernel, fp.truncated(float(rng.uniform(1.0, 4.0))), u
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
@@ -508,7 +432,7 @@ def test_picard_operator_equals_the_gamma_bar_oracle(space_kind, n, kernel_kind,
     alpha = Trajectory(sp, times, weights)
     out = picard_operator(alpha, u, kernel, fp)
     expected = picard_oracle(alpha, u, kernel, fp)
-    assert np.abs(out.weights - expected).sum(axis=1).max() <= 1e-12
+    assert max_row_tv(out.weights, expected) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -534,80 +458,6 @@ def test_rk4_of_the_pair_truncated_at_the_references_level(space_kind, n, kernel
     assert second.final.add_scaled(-1.0, ref.final).tv_norm() <= 1e-6
 
 
-# the RK4 loops as they stood before the node bookkeeping was trimmed,
-# verbatim: the oracles for bitwise equality
-
-
-def parent_field_weights(w, kernel, fp):
-    X = float(np.sum(w))
-    births = kernel.push_births(fp.f1(X) * w)
-    if fp.mean_fitness_mortality:
-        fbar = float(np.dot(fp.f1(X), w)) / X if X != 0.0 else 0.0
-        deaths = fbar * w
-    else:
-        deaths = fp.f2(X) * w
-    return births - deaths
-
-
-def parent_enforce_nonneg(w, step, t):
-    lowest = float(w.min())
-    if lowest >= 0.0:
-        return w
-    tv = float(np.abs(w).sum())
-    if lowest < -NEG_ABORT * max(1.0, tv):
-        raise NumericError(
-            f"weight {lowest} at step {step} (t={t}) is below the negativity "
-            f"tolerance; the step size is too large"
-        )
-    return np.maximum(w, 0.0)
-
-
-def parent_rk4_weights(u, kernel, fp, T, dt):
-    m_f1 = float(np.max(fp.f1(0.0)))
-    if fp.k_tilde is None:
-        fp = fp.truncated(max(1.0, u.total_mass()) * math.exp(min(m_f1 * T, 60.0)) * 1.1 + 1.0)
-    times = time_grid(T, dt)
-    out = np.empty((len(times), u.space.n))
-    out[0] = u.weights
-    w = u.weights.copy()
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        k1 = parent_field_weights(w, kernel, fp)
-        k2 = parent_field_weights(w + 0.5 * h * k1, kernel, fp)
-        k3 = parent_field_weights(w + 0.5 * h * k2, kernel, fp)
-        k4 = parent_field_weights(w + h * k3, kernel, fp)
-        w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(w)):
-            raise NumericError(f"RK4 produced non-finite weights at step {k + 1} (t={times[k + 1]})")
-        w = parent_enforce_nonneg(w, k + 1, times[k + 1])
-        out[k + 1] = w
-    return out
-
-
-def parent_discrete_rhs(x, sys):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise ValueError(f"state must have {sys.n} entries")
-    X = float(np.sum(x))
-    return sys.P @ (sys.fp.f1(X) * x) - sys.fp.f2(X) * x
-
-
-def parent_rk4(rhs, x0, T, dt):
-    x = np.asarray(x0, dtype=float).copy()
-    times = time_grid(T, dt)
-    out = np.empty((len(times), len(x)))
-    out[0] = x
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[k + 1] = x
-    return times, out
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
@@ -617,12 +467,13 @@ def parent_rk4(rhs, x0, T, dt):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rk4_nodes_are_the_parent_loops_bitwise(space_kind, n, kernel_kind, family, seed):
+    # test_streams holds the nodes to the oracle's RK4 run; here the cached
+    # masses, the Ricker rates and the class system's RK4, all bitwise
     rng = np.random.default_rng(seed)
     sp, kernel, _, u = random_problem(rng, space_kind, n, kernel_kind)
     fp = random_pair(rng, sp, family)
     T, dt = float(rng.uniform(0.1, 1.0)), 0.05
     traj = rk4_integrate(u, kernel, fp, T, dt)
-    assert traj.weights.tobytes() == parent_rk4_weights(u, kernel, fp, T, dt).tobytes()
     for k in range(traj.n_nodes):
         assert traj.masses[k] == traj.state(k).total_mass()
     if family == "ricker":
@@ -633,7 +484,7 @@ def test_rk4_nodes_are_the_parent_loops_bitwise(space_kind, n, kernel_kind, fami
         return
     sys = DiscreteSystem.from_measure_problem(kernel, fp.truncated(traj.meta["k_tilde"]))
     times, xs = integrate_discrete(sys, u.weights, T, dt)
-    want_times, want = parent_rk4(lambda x: parent_discrete_rhs(x, sys), u.weights, T, dt)
+    want_times, want = rk4(lambda x: class_rhs(x, sys), u.weights, T, dt)
     assert times.tobytes() == want_times.tobytes()
     assert xs.tobytes() == want.tobytes()
     for wrong in (sp.n + 1, sp.n - 1):
@@ -751,17 +602,6 @@ def test_picard_zero_rates_converges_immediately():
     assert np.array_equal(traj.weights[-1], u.weights)
 
 
-def test_picard_observed_ratios_below_kappa():
-    sp, kernel, fp, u = reference_components()
-    tc = estimate_constants(fp, u.total_mass(), 1.0)
-    assert tc.kappa < 1.0
-    traj = picard_solve(u, kernel, fp, tc, dt=1e-3, tol=1e-10)
-    ratios = traj.meta["contraction_ratios"]
-    assert ratios, "expected a multi-iteration solve"
-    assert all(r <= tc.kappa for r in ratios)
-    assert traj.meta["iterations"] <= 30
-
-
 def test_picard_fixed_point_residual_below_tolerance():
     sp, kernel, fp, u = reference_components()
     tc = estimate_constants(fp, u.total_mass(), 1.0)
@@ -809,15 +649,29 @@ def test_picard_refuses_a_converged_node_above_k_tilde():
 
 
 def test_picard_rejects_bad_settings_and_mean_fitness():
+    # at the call, as RK4 does, before any node of a stream is read; the
+    # mean-fitness refusal comes from the pair's f2, the one place that states it
     sp, kernel, fp, u = reference_components(cells=8)
     tc = estimate_constants(fp, u.total_mass(), 1.0)
-    with pytest.raises(ValueError, match="max_iter"):
-        picard_solve(u, kernel, fp, tc, dt=1e-3, max_iter=0)
-    with pytest.raises(ValueError, match="tol"):
-        picard_solve(u, kernel, fp, tc, dt=1e-3, tol=-1.0)
-    # the refusal comes from the pair's f2, the one place that states it
-    with pytest.raises(ValueError, match="contraction theory; use RK4"):
-        picard_solve(u, kernel, mean_fitness_pair(sp, 1.0), tc, dt=1e-3)
+    for settings_, pair, message in ((dict(max_iter=0), fp, "max_iter"), (dict(tol=-1.0), fp, "tol"),
+                                     ({}, mean_fitness_pair(sp, 1.0), "contraction theory; use RK4")):
+        with pytest.raises(ValueError, match=message):
+            picard_solve(u, kernel, pair, tc, dt=1e-3, **settings_)
+        with pytest.raises(ValueError, match=message):
+            flow_stream(u, kernel, pair, 1.0, solver="picard", dt=1e-3, **settings_)
+
+
+def test_every_run_refuses_a_negative_initial_measure_at_the_call():
+    sp, kernel, fp, u = reference_components(cells=8)
+    bad = MeasureVec(sp, np.concatenate([[-0.1], u.weights[1:]]))
+    tc = estimate_constants(fp, u.total_mass(), 1.0)
+    for run in (lambda: flow_stream(bad, kernel, fp, 1.0, solver="picard", dt=1e-3),
+                lambda: flow_stream(bad, kernel, fp, 0.0, solver="picard"),
+                lambda: flow_stream(bad, kernel, fp, 0.0),
+                lambda: flow_stream(bad, kernel, fp, 1.0, dt=1e-3),
+                lambda: picard_solve(bad, kernel, fp, tc, dt=1e-3)):
+        with pytest.raises(ValueError, match="initial measure must be nonnegative"):
+            run()
 
 
 def test_picard_reports_last_residual_when_out_of_iterations():
@@ -845,16 +699,6 @@ def test_flow_needs_dt_after_time_zero():
             flow(u, kernel, fp, 0.5, solver=solver)
 
 
-def test_flow_semigroup_property():
-    sp, kernel, fp, u = reference_components(cells=32)
-    dt = 1e-3
-    whole = flow(u, kernel, fp, 1.0, solver="rk4", dt=dt)
-    first = flow(u, kernel, fp, 0.4, solver="rk4", dt=dt)
-    second = flow(first.final, kernel, fp, 0.6, solver="rk4", dt=dt)
-    gap = second.final.add_scaled(-1.0, whole.final).tv_norm()
-    assert gap <= 1e-6
-
-
 def test_flow_picard_windows_recompute_constants():
     sp, kernel, fp, u = reference_components(cells=16)
     traj = flow(u, kernel, fp, 0.5, solver="picard", dt=1e-3)
@@ -866,14 +710,6 @@ def test_flow_picard_windows_recompute_constants():
     assert masses[-1] > masses[0]
     for w in windows:
         assert all(r < 1.0 for r in w["contraction_ratios"])
-
-
-def test_flow_picard_agrees_with_rk4_globally():
-    sp, kernel, fp, u = reference_components()
-    fl_p = flow(u, kernel, fp, 1.0, solver="picard", dt=1e-3)
-    fl_r = flow(u, kernel, fp, 1.0, solver="rk4", dt=1e-3)
-    assert np.allclose(fl_p.times, fl_r.times)
-    assert fl_p.sup_tv_distance(fl_r) <= 1e-4
 
 
 def test_flow_rejects_mean_fitness_picard():
@@ -920,14 +756,6 @@ def test_flow_picard_rejects_oversized_dt():
 
 
 # ─── field Lipschitz bound and continuous dependence ─────────────────
-
-
-def test_field_lipschitz_inequality_on_tv_ball():
-    sp, kernel, fp, u = reference_components()
-    tc = estimate_constants(fp, u.total_mass(), 1.0)
-    k_f = tc.B1 + tc.B2 + (tc.L1 + tc.L2) * tc.C1
-    worst = field_lipschitz_ratio(kernel, fp.truncated(tc.k_tilde), tc.C1, np.random.default_rng(11))
-    assert 0.0 < worst <= k_f
 
 
 def test_field_lipschitz_ratio_of_a_linear_field():
@@ -1051,19 +879,6 @@ def test_central_difference_gap_of_a_nan_rhs_is_nan():
         assert count == 6 and math.isnan(gap)
 
 
-def test_picard_trajectory_solves_the_ode_at_order_two():
-    sp, kernel, fp, u = reference_components()
-    tc = estimate_constants(fp, u.total_mass(), 1.0)
-    fpt = fp.truncated(tc.k_tilde)
-    window = np.floor(tc.b / 1e-3) * 1e-3
-    res = []
-    for dt in (1e-3, 5e-4):
-        traj = picard_solve(u, kernel, fp, tc, dt=dt, tol=1e-12, window=window)
-        res.append(finite_difference_residual(traj, kernel, fpt))
-    order = np.log2(res[0] / res[1])
-    assert order >= 1.8, f"observed order {order} (residuals {res})"
-
-
 def test_pure_selection_equivalence_with_decoupled_ode():
     # Dirac kernel: the measure model is n decoupled weight ODEs coupled
     # only through X; integrate them with the test-local RK4 at the same dt
@@ -1076,9 +891,8 @@ def test_pure_selection_equivalence_with_decoupled_ode():
         X = float(np.sum(w))
         return (fpt.f1(X) - fpt.f2(X)) * w
 
-    _, ws = rk4_oracle(rhs, u.weights, 1.0, dt)
-    gap = float(np.max(np.abs(traj.weights - ws).sum(axis=1)))
-    assert gap <= 1e-8
+    _, ws = rk4(rhs, u.weights, 1.0, dt)
+    assert max_row_tv(traj.weights, ws) <= 1e-8
 
 
 # ─── positivity and mass bound over random problems ──────────────────
@@ -1102,27 +916,25 @@ def test_two_trait_grid_logistic_run():
     assert traj2.mass_bound_excess(float(np.max(fp.f1(0.0)))) <= 1e-6
 
 
-def test_positivity_and_gronwall_on_random_problems():
-    rng = np.random.default_rng(5)
-    for trial in range(20):
-        n = int(rng.integers(4, 16))
-        sp = grid_1d(0.0, float(rng.uniform(0.5, 2.0)), n)
-        from evomeasure import ricker_pair, logistic_pair, gaussian_kernel
-
-        if rng.random() < 0.5:
-            fp = ricker_pair(sp, a=rng.uniform(0.2, 2.0, n), c=float(rng.uniform(0.1, 1.0)),
-                             b=rng.uniform(0.1, 1.0, n), floor=float(rng.uniform(0.05, 0.5)))
-        else:
-            fp = logistic_pair(sp, a=rng.uniform(0.2, 2.0, n),
-                               b=rng.uniform(0.1, 1.0, n), floor=float(rng.uniform(0.05, 0.5)))
-        kind = rng.integers(0, 3)
-        kernel = (dirac_kernel(sp) if kind == 0 else
-                  uniform_kernel(sp) if kind == 1 else
-                  gaussian_kernel(sp, float(rng.uniform(0.05, 0.5))))
-        u = MeasureVec(sp, rng.uniform(0.0, 1.0, n) * sp.cell_volumes)
-        T = float(rng.uniform(0.5, 2.0))
-        traj = rk4_integrate(u, kernel, fp, T, dt=0.01)
-        m_f1 = float(np.max(fp.f1(0.0)))
-        assert traj.mass_bound_excess(m_f1) <= 1e-6, f"trial {trial}"
-        tol = 1e-12 * max(1.0, float(np.abs(traj.weights).sum(axis=1).max()))
-        assert traj.weights.min() >= -tol, f"trial {trial}"
+@settings(max_examples=60, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 5),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_positivity_mass_bound_and_class_exactness_on_random_problems(space_kind, n, kernel_kind,
+                                                                     family, seed):
+    # criteria 06 and 07 on 2-D grids and atom sets too: nonnegative to
+    # round-off, below u(Q) e^(M_f1 t), and the class system's RK4 to 1e-10
+    rng = np.random.default_rng(seed)
+    sp, kernel, _, u = random_problem(rng, space_kind, n, kernel_kind)
+    fp = random_pair(rng, sp, family)
+    T = float(rng.uniform(0.5, 2.0))
+    traj = rk4_integrate(u, kernel, fp, T, dt=0.01)
+    tv = float(np.abs(traj.weights).sum(axis=1).max())
+    assert traj.weights.min() >= -1e-12 * max(1.0, tv)
+    assert traj.mass_bound_excess(float(np.max(fp.f1(0.0)))) <= 1e-6
+    sys = DiscreteSystem.from_measure_problem(kernel, fp.truncated(traj.meta["k_tilde"]))
+    assert max_row_tv(traj.weights, integrate_discrete(sys, u.weights, T, 0.01)[1]) <= 1e-10

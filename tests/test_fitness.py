@@ -26,7 +26,7 @@ from evomeasure import (
     verify_assumptions,
 )
 from evomeasure.fitness import _lattice_bounds, fitness_from_config
-from test_dynamics import random_pair, random_problem
+from oracles import random_pair, random_problem
 
 
 def growth_bound(B1, B2, u_mass, a):
