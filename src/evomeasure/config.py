@@ -97,9 +97,11 @@ class RunConfig:
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         try:
-            for key in ("space", "kernel", "fitness", "initial"):
-                if key not in d:
+            for key in ("space", "kernel", "fitness", "initial", "picard"):  # picard is optional
+                if key not in d and key != "picard":
                     raise ConfigError(f"config is missing the {key!r} section")
+                if not isinstance(d.get(key, {}), dict):
+                    raise ConfigError(f"config section {key!r} is not a JSON object")
             solver = d.get("solver", "rk4")
             if solver not in ("rk4", "picard"):
                 raise ConfigError(f"solver must be 'rk4' or 'picard', got {solver!r}")

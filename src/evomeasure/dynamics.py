@@ -127,19 +127,13 @@ class Trajectory:
             for t, row in zip(self.times.tolist(), self.weights.tolist()):
                 fh.write(template.replace("\0", format(t, ".17g")) % tuple(row))
 
-    def write_summary_csv(self, path, stride: int = 1) -> None:
-        """``t,total_mass,bl_to_final`` rows (flat distance to the end state)."""
+    def write_summary_csv(self, path, nodes) -> None:
+        """``t,total_mass,bl_to_final`` rows (flat distance to the end state) at the indices ``nodes``."""
         from .measures import bl_distance
 
         final = self.final
         write_csv_rows(path, "t,total_mass,bl_to_final",
-                       ((self.times[k], self.masses[k], bl_distance(self.state(k), final))
-                        for k in summary_nodes(self.n_nodes, stride)))
-
-
-def summary_nodes(n_nodes: int, stride: int) -> list[int]:
-    """Every ``stride``-th index of ``n_nodes`` nodes, then the last one."""
-    return [*range(0, n_nodes - 1, max(1, stride)), n_nodes - 1]
+                       ((self.times[k], self.masses[k], bl_distance(self.state(k), final)) for k in nodes))
 
 
 def mass_bound_excess(times: np.ndarray, masses: np.ndarray, m_f1: float) -> float:

@@ -21,11 +21,11 @@ from .config import RunConfig
 # called here: perfbench/tracer.py looks the names up in this module to trace
 # their calls
 from .dynamics import (NodeStream, field_lipschitz_ratio, flow, flow_stream, mass_bound_excess,
-                       rk4_stream, summary_nodes, vector_field, write_csv_rows)
+                       rk4_stream, vector_field, write_csv_rows)
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
 from .kernels import dirac_kernel, gaussian_kernel
-from .measures import MeasureVec, bl_distance, unit_atom
+from .measures import MeasureVec, bl_distance
 from .reductions import (
     DiscreteSystem,
     discrete_nodes,
@@ -50,8 +50,9 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def _summary_stride(cfg: RunConfig, n_nodes: int) -> int:
-    return cfg.summary_stride or max(1, n_nodes // 200)
+def _summary_nodes(cfg: RunConfig, n_nodes: int) -> list[int]:
+    """Every ``summary_stride``-th node index (about 200 in all by default), then the last."""
+    return [*range(0, n_nodes - 1, cfg.summary_stride or max(1, n_nodes // 200)), n_nodes - 1]
 
 
 def _run(cfg: RunConfig, u, kernel, fp) -> NodeStream:
@@ -172,7 +173,7 @@ def simulate(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out / "trajectory.csv")
-    traj.write_summary_csv(out / "summary.csv", stride=_summary_stride(cfg, traj.n_nodes))
+    traj.write_summary_csv(out / "summary.csv", _summary_nodes(cfg, traj.n_nodes))
     _write_json(out / "metadata.json", meta)
     return meta
 
@@ -409,16 +410,17 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     best = int(order[-1])
     tie = bool(len(order) > 1 and ratio_floored[order[-2]] >= ratio_floored[best] - 1e-12)
 
+    # the flat distance from p >= 0 of unit mass to the atom at q* is sum_i p_i min(2, |q_i - q*|): no
+    # admissible f has f(q_i) - f(q*) above min(2, |q_i - q*|), and f = min(1, |q - q*| - 1) attains it
+    to_atom = np.minimum(2.0, np.linalg.norm(space.points - space.points[best], axis=1))
     run = _run(cfg, u, kernel, fp)
-    n_nodes = len(run.times)
-    keep = set(summary_nodes(n_nodes, _summary_stride(cfg, n_nodes)))
-    target_atom = unit_atom(space, best)
+    keep = set(_summary_nodes(cfg, len(run.times)))
     rows = []
     for k, w in enumerate(run.weights):
         if k in keep:
             mass = w.sum()
             frac = w[best] / mass if mass > 0 else 0.0
-            dist = bl_distance(MeasureVec(space, w).normalized(), target_atom) if mass > 0 else float("nan")
+            dist = float(w @ to_atom) / mass if mass > 0 else float("nan")
             rows.append((run.times[k], frac, dist, mass))
     # w is the last node, and rows[-1] its row
     out = Path(out_dir)
@@ -467,8 +469,7 @@ def mutation_limit(cfg: RunConfig, sigmas, out_dir) -> dict:
     space, _, fp, u = cfg.build()
 
     base = _run(cfg, u, dirac_kernel(space), fp)
-    n_nodes = len(base.times)
-    idx = summary_nodes(n_nodes, _summary_stride(cfg, n_nodes))
+    idx = _summary_nodes(cfg, len(base.times))
     keep = set(idx)
 
     def summary_rows(run):

@@ -107,6 +107,20 @@ def test_bad_summary_stride_exits_2_before_running(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, value", [("space", 5), ("kernel", []), ("fitness", "x"),
+                                            ("initial", None), ("picard", 5)])
+def test_a_section_that_is_not_an_object_exits_2(section, value, tmp_path, capsys):
+    from evomeasure import ConfigError
+
+    cfg = small_reference(**{section: value})
+    with pytest.raises(ConfigError, match=f"config section '{section}' is not a JSON object"):
+        RunConfig.from_dict(cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert f"'{section}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_mean_fitness_with_picard_is_config_error(tmp_path):
     cfg = small_reference(
         fitness={"family": "mean_fitness", "a": 1.0},

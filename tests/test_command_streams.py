@@ -5,8 +5,10 @@ Picard, node by node and keep only what their checks and summaries need.
 The oracle is the code that collected every run into a full trajectory
 first, kept here verbatim (only renamed, with the summary-node rule, the
 mass bound of the trajectory and the ``_flow`` wrapper of the configured
-run inlined): every report, CSV and JSON file must be byte-equal to
-it, with the same witnesses and the same refusals.  Traced-peak guards hold
+run inlined, and with ``dirac-limit``'s flat distance to the fittest atom
+in its closed form, which ``test_measures`` holds against ``bl_distance``):
+every report, CSV and JSON file must be byte-equal to it, with the same
+witnesses and the same refusals.  Traced-peak guards hold
 each command to a fraction of one trajectory.  ``verify`` runs its restart
 and its dt/2 run in forked children; without ``os.fork`` it computes them
 inline, and both paths are held to the same bytes.
@@ -30,7 +32,7 @@ from evomeasure.experiments import _forked, _write_json, dirac_limit, mutation_l
 from evomeasure.errors import ConfigError
 from evomeasure.fitness import estimate_constants, verify_assumptions
 from evomeasure.kernels import dirac_kernel, gaussian_kernel
-from evomeasure.measures import bl_distance, unit_atom
+from evomeasure.measures import bl_distance
 from evomeasure.reductions import frequency_gaps
 from oracles import class_system_gap
 
@@ -184,12 +186,12 @@ def materialized_dirac_limit(cfg, out_dir):
     tie = bool(len(order) > 1 and ratio_floored[order[-2]] >= ratio_floored[best] - 1e-12)
 
     traj = _flow(cfg, u, kernel, fp, cfg.T)
-    target_atom = unit_atom(space, best)
+    to_atom = np.minimum(2.0, np.linalg.norm(space.points - space.points[best], axis=1))
     rows = []
     for k in materialized_summary_nodes(traj, materialized_summary_stride(cfg, traj)):
         mass = traj.masses[k]
         frac = traj.weights[k, best] / mass if mass > 0 else 0.0
-        dist = bl_distance(traj.state(k).normalized(), target_atom) if mass > 0 else float("nan")
+        dist = float(traj.weights[k] @ to_atom) / mass if mass > 0 else float("nan")
         rows.append((traj.times[k], frac, dist, mass))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -608,6 +610,25 @@ def test_picard_flow_holds_one_trajectory():
 
 
 # ─── imports ─────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("solver", ["rk4", "picard"])
+def test_a_2d_dirac_limit_loads_no_scipy(solver, tmp_path):
+    # the distance to the fittest atom is a closed form: no 2-D flat-metric LP
+    cfg = DIRAC_LIMIT_CASES["grid2d-T-below-1"] | {"solver": solver}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    script = (
+        "import sys\n"
+        "import evomeasure.cli\n"
+        "assert evomeasure.cli.main(['dirac-limit', '--config', 'cfg.json', '--out', 'out']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    assert len((tmp_path / "out" / "concentration.csv").read_text().splitlines()) > 2
 
 
 def test_cli_and_a_1d_dirac_limit_load_no_numpy_random(tmp_path):

@@ -3,14 +3,19 @@
 Oracles used here:
   * brute-force sup over sign patterns for the TV norm,
   * closed-form integrals for pairings on grids,
-  * closed-form flat distances between atoms,
+  * closed-form flat distances between atoms, and from a probability
+    measure to an atom,
   * the all-pairs flat-metric LP at tight HiGHS tolerances for the exact
-    1-D chain program.
+    1-D chain program and for the closed forms,
+  * an exact rational chain program on random 1-D supports, where weights
+    of mixed scale are beyond the LP's accuracy.
 """
 
 import os
 import subprocess
 import sys
+from bisect import bisect_right
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +79,42 @@ def flat_lp(points, d):
                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(-res.fun)
+
+
+def chain_flat_exact(points, d):
+    """sup <d, f> over |f| <= 1 and |f(p) - f(q)| <= |p - q| for points on a
+    line, in exact rationals (of the floats' own values).
+
+    On sorted points only neighbours constrain f.  W(x), the best partial sum
+    with the last value x, is concave and piecewise linear on [-1, 1], kept
+    as its values at its breakpoints.  Across a gap g the best predecessor of
+    y is W's argmax m clamped to [y - g, y + g], so the next W has its
+    breakpoints among {p - g : p <= m}, {p + g : p >= m} and {-1, 1}.
+    """
+    order = np.argsort(points, kind="stable")
+    q = [Fraction(float(points[i])) for i in order]
+    d = [Fraction(d[i]) for i in order]
+    xs, ws = [Fraction(-1), Fraction(1)], [-d[0], d[0]]
+    for k in range(1, len(q)):
+        g = q[k] - q[k - 1]
+        m = xs[ws.index(max(ws))]
+
+        def w_at(x):
+            i = min(bisect_right(xs, x), len(xs) - 1)
+            x0, x1, w0, w1 = xs[i - 1], xs[i], ws[i - 1], ws[i]
+            return w0 + (w1 - w0) * (x - x0) / (x1 - x0)
+
+        cands = sorted({c for c in [*(p - g for p in xs if p <= m), *(p + g for p in xs if p >= m), -1, 1]
+                        if -1 <= c <= 1})
+        xs, ws = cands, [w_at(min(max(m, c - g), c + g)) + d[k] * c for c in cands]
+    return max(ws)
+
+
+def flat_to_atom(space, p, k):
+    """The flat distance from p >= 0 of unit mass to the unit atom at point k,
+    sum_i p_i min(2, |q_i - q_k|): no admissible f has f(q_i) - f(q_k) above
+    min(2, |q_i - q_k|), and f = min(1, |q - q_k| - 1) attains it."""
+    return float(p @ np.minimum(2.0, np.linalg.norm(space.points - space.points[k], axis=1)))
 
 
 def assert_flat_matches_lp(m1, m2):
@@ -289,7 +330,8 @@ def test_bl_neighbour_lp_matches_all_pairs_on_tiny_supports(points):
 
 
 def test_bl_chain_matches_all_pairs_lp_near_a_dirac():
-    # what dirac-limit measures: a concentrating state against a unit atom
+    # a concentrating state against a unit atom, the distance dirac-limit
+    # reports (in the closed form of test_flat_distance_to_an_atom_...)
     sp = grid_1d(0.0, 2.0, 64)
     for _ in range(10):
         k = int(RNG.integers(sp.n))
@@ -308,9 +350,44 @@ def test_bl_chain_matches_all_pairs_lp_on_random_supports(ticks, step, data):
     # atoms on a random lattice: uneven gaps, some beyond 2, any order
     sp = atoms(np.array(ticks, dtype=float) * step)
     weights = st.lists(st.floats(-2.0, 2.0), min_size=sp.n, max_size=sp.n)
-    m1 = MeasureVec(sp, np.array(data.draw(weights)))
-    m2 = MeasureVec(sp, np.array(data.draw(weights)))
-    assert_flat_matches_lp(m1, m2)
+    w1, w2 = np.array(data.draw(weights)), np.array(data.draw(weights))
+    exact = chain_flat_exact(sp.points[:, 0], [Fraction(a) - Fraction(b) for a, b in zip(w1, w2)])
+    d = bl_distance(MeasureVec(sp, w1), MeasureVec(sp, w2))
+    assert d == pytest.approx(float(exact), abs=1e-12 * max(1.0, np.abs(w1 - w2).sum()))
+
+
+@pytest.mark.parametrize("d, exact", [([1.0, -1e-12], 1.000000000000002), ([0.0, -1e-12], 1e-12)])
+def test_bl_chain_is_exact_on_weights_of_mixed_scale(d, exact):
+    # the tight LP misses both by about 1e-12; the first is 1 + 1e-12 * 0.00195, rounded
+    sp = atoms([0.0, 1.00195])
+    assert float(chain_flat_exact(sp.points[:, 0], d)) == exact
+    assert bl_distance(MeasureVec(sp, np.array(d)), zero_measure(sp)) == pytest.approx(exact, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["grid1d", "atoms1d", "grid2d", "atoms2d"]), seed=st.integers(0, 2**32 - 1))
+def test_flat_distance_to_an_atom_is_the_closed_form(kind, seed):
+    # what dirac-limit reports: a state of unit mass, often near the atom,
+    # on supports wide enough that some distances saturate at 2
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25))
+    if kind == "grid1d":
+        sp = grid_1d(0.0, rng.uniform(0.5, 6.0), n)
+    elif kind == "atoms1d":
+        sp = atoms(rng.uniform(-3.0, 3.0, n))
+    elif kind == "grid2d":
+        sp = grid_2d([[0.0, rng.uniform(0.5, 3.0)], [0.0, rng.uniform(0.5, 3.0)]], rng.integers(1, 6, 2))
+    else:
+        sp = atoms(rng.uniform(-1.5, 1.5, (n, 2)))
+    k = int(rng.integers(sp.n))
+    w = rng.uniform(0.0, 1.0, sp.n) * 10.0 ** rng.uniform(-8.0, 0.0)
+    w[k] = rng.uniform(0.0, 1.0)
+    p = w / w.sum()
+    closed = flat_to_atom(sp, p, k)
+    if sp.dim == 1:
+        assert closed == pytest.approx(bl_distance(MeasureVec(sp, p), unit_atom(sp, k)), abs=1e-13)
+    else:
+        assert closed == pytest.approx(flat_lp(sp.points, p - unit_atom(sp, k).weights), abs=1e-12)
 
 
 def test_one_dimensional_runs_import_no_scipy():
