@@ -596,7 +596,8 @@ def _central_difference_gap(times: np.ndarray, nodes, rhs, skip=()) -> tuple[lis
     h = np.diff(times)
     even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
     checked = np.zeros(len(times), dtype=bool)
-    checked[np.setdiff1d(np.flatnonzero(even) + 1, skip)] = True
+    checked[1:-1] = even
+    checked[list(skip)] = False
     worst = [0.0] * len(rhs)
     before = here = None
     for k, node in enumerate(nodes):

@@ -62,20 +62,46 @@ def _run(cfg: RunConfig, u, kernel, fp) -> NodeStream:
 
 
 class _Child:
-    """``fn()`` computed in the forked child process ``pid``, whose pickled
-    outcome arrives through the pipe read end ``fd``; with no child (``pid``
-    None), computed inline by ``result``."""
+    """``fn()`` computed in the forked child process ``pid``, which sends it
+    through the pipe whose read end is ``fd``; with no child (``pid`` None),
+    computed inline by ``result`` or ``nodes``.
+
+    The child sends each node of a stream as the tag byte ``b"n"`` and the
+    node's float64 bytes, then ``b"o"`` and its pickled ``(ok, value)``
+    outcome.
+    """
 
     def __init__(self, fn, pid: int | None = None, fd: int | None = None):
-        self._fn, self._pid, self._fd = fn, pid, fd
+        self._fn, self._pid = fn, pid
+        self._pipe = None if fd is None else open(fd, "rb")
 
     def result(self):
         """fn's value, or fn's exception raised here."""
         if self._pid is None:
             return self._fn()
-        fd, self._fd = self._fd, None
-        with open(fd, "rb") as pipe:
-            data = pipe.read()
+        return self._outcome(self._pipe.read(1))
+
+    def nodes(self, n: int):
+        """The nodes of the stream ``fn()``, each read into a fresh (n,)
+        array, then fn's exception, if it had one, raised here."""
+        if self._pid is None:
+            yield from self._fn()
+            return
+        tag = self._pipe.read(1)
+        while tag == b"n":
+            node = np.empty(n)
+            if self._pipe.readinto(node) < node.nbytes:  # the child died writing it
+                break
+            yield node
+            tag = self._pipe.read(1)
+        self._outcome(tag)
+
+    def _outcome(self, tag: bytes):
+        """Reap the child after the tag byte ``tag``: the value of its
+        outcome, or its exception raised here."""
+        pipe, self._pipe = self._pipe, None
+        with pipe:
+            data = pipe.read() if tag == b"o" else b""
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         if not data or status != 0:
@@ -87,10 +113,10 @@ class _Child:
         raise value
 
     def cancel(self) -> None:
-        """End and reap the child, unless ``result`` has read it."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        """End and reap the child, unless its outcome has been read."""
+        if self._pipe is not None:
+            self._pipe.close()
+            self._pipe = None
         if self._pid is not None:
             import signal
 
@@ -99,15 +125,18 @@ class _Child:
             self._pid = None
 
 
-def _forked(fn) -> _Child:
+def _forked(fn, stream: bool = False) -> _Child:
     """Start ``fn()`` in a forked child process; read it with ``result()``,
-    or end the child with ``cancel()``.
+    or, for a ``stream`` of float64 nodes, with ``nodes(n)``; end the child
+    with ``cancel()``.
 
-    The child sends one pickled ``(ok, value)`` outcome through a pipe, an
-    exception that cannot be pickled as a ``RuntimeError`` naming it, and
-    leaves by ``os._exit``: none of the parent's ``finally`` blocks, exit
-    handlers or stdio buffers run in it.  Where ``os.fork`` is missing or
-    refused, ``result()`` computes ``fn()`` inline instead.
+    The child writes each node of a stream to a pipe as it is computed (the
+    pipe's buffer bounds how far it runs ahead of the reader), then one
+    pickled ``(ok, value)`` outcome, an exception that cannot be pickled as
+    a ``RuntimeError`` naming it, and leaves by ``os._exit``: none of the
+    parent's ``finally`` blocks, exit handlers or stdio buffers run in it.
+    Where ``os.fork`` is missing or refused, ``result()`` and ``nodes(n)``
+    compute ``fn()`` inline instead.
     """
     fork = getattr(os, "fork", None)
     if fork is None:
@@ -125,18 +154,24 @@ def _forked(fn) -> _Child:
     status = 1
     try:
         os.close(fd)
-        try:
-            outcome = (True, fn())
-        except Exception as exc:
-            outcome = (False, exc)
-        try:
-            data = pickle.dumps(outcome)
-        except Exception as exc:
-            shown = outcome[1] if not outcome[0] else exc
-            data = pickle.dumps((False, RuntimeError(
-                f"a forked child's outcome cannot be pickled: {type(shown).__name__}: {shown}")))
         with open(wfd, "wb") as pipe:
-            pipe.write(data)
+            try:
+                if stream:
+                    for node in fn():
+                        pipe.write(b"n")
+                        pipe.write(node)
+                    outcome = (True, None)
+                else:
+                    outcome = (True, fn())
+            except Exception as exc:
+                outcome = (False, exc)
+            try:
+                data = pickle.dumps(outcome)
+            except Exception as exc:
+                shown = outcome[1] if not outcome[0] else exc
+                data = pickle.dumps((False, RuntimeError(
+                    f"a forked child's outcome cannot be pickled: {type(shown).__name__}: {shown}")))
+            pipe.write(b"o" + data)
         status = 0
     finally:
         os._exit(status)
@@ -192,13 +227,15 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     carries that level to the restart, the dt/2 run and the class system.
     No trajectory is held: the reference is read once, node by node, in one
     pass that feeds every check reading it and keeps only its node masses
-    and its nodes at the split and at T; the class-system oracle runs
-    alongside.  The restart from the split and the dt/2 run are node streams
-    that each run in a forked child process (``_forked``) beside the pass,
-    started once their initial node is known; their outcomes are read where
-    the checks need them, and a child whose outcome is not needed is killed.
-    Where ``os.fork`` is missing or refused, and for the one-node dt/2 run
-    at T = 0, they run inline, with the same bytes.  A caller with threads
+    and its nodes at the split and at T.  The class-system oracle, the
+    restart from the split and the dt/2 run each run in a forked child
+    process (``_forked``) beside the pass, started once their initial node
+    is known.  The oracle's child streams its nodes through a pipe, which
+    the pass reads one per reference node (the pipe's buffer holds the child
+    a few nodes ahead); the other two outcomes are read where the checks
+    need them, and a child whose outcome is not needed is killed.  Where
+    ``os.fork`` is missing or refused, and for the one-node runs at T = 0,
+    they run inline, with the same bytes.  A caller with threads
     of its own should not rely on the fork; Python >= 3.12 warns when it
     forks a process with threads (an OpenBLAS thread pool counts), and the
     children's calls are invisible to an in-process tracer.
@@ -245,19 +282,16 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     composes = cfg.T > 0 and t1 < cfg.T
     n_split, n_class, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 10.0)), nodes_upto(min(cfg.T, 1.0))
     masses = np.empty(len(times))
-    oracle = None
-    if not fp.mean_fitness_mortality:
-        sys = DiscreteSystem.from_measure_problem(kernel, fpt)
-        _, oracle = discrete_nodes(sys, u.weights, times[n_class - 1], cfg.dt)
-    class_gap, last, restart, fine = 0.0, None, None, None
-    # the restart from the split node and the dt/2 run need nothing more from
-    # the reference: each runs in a forked child beside the pass (a run of
-    # one node, at T = 0, is not worth a process), and the child whose result
-    # is not read is ended in the finally below
+    class_gap, last, restart, fine, oracle = 0.0, None, None, None, None
+    # the class-system oracle, the restart from the split node and the dt/2
+    # run need nothing more from the reference: each runs in a forked child
+    # beside the pass (a run of one node, at T = 0, is not worth a process),
+    # the oracle sending its nodes through a pipe as the pass reads them, and
+    # the child whose result is not read is ended in the finally below
     children: list[_Child] = []
 
-    def start(fn) -> _Child:
-        children.append(_forked(fn))
+    def start(fn, stream: bool = False) -> _Child:
+        children.append(_forked(fn, stream) if cfg.T > 0 else _Child(fn))
         return children[-1]
 
     def read():
@@ -278,7 +312,10 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
 
     try:
         if not fp.mean_fitness_mortality:
-            fine = start(fine_gaps) if cfg.T > 0 else _Child(fine_gaps)
+            sys = DiscreteSystem.from_measure_problem(kernel, fpt)
+            _, states = discrete_nodes(sys, u.weights, times[n_class - 1], cfg.dt)
+            oracle = start(lambda: states, stream=True).nodes(space.n)
+            fine = start(fine_gaps)
         nodes = read()
         coarse, rk4_witness = None, None
         try:

@@ -35,11 +35,12 @@ from .errors import NumericError, _integer
 from .space import StrategySpace
 
 
-def _coef(space: StrategySpace, spec, name: str) -> np.ndarray:
+def _coef(space: StrategySpace, spec, name: str) -> float | np.ndarray:
     """Tabulate a coefficient over the support points.
 
-    Accepts a scalar, an (n,) array, {"trait": i} (use coordinate i of each
-    point), or a callable on points.
+    Accepts a scalar, kept as a float that broadcasts against the points, an
+    (n,) array, {"trait": i} (use coordinate i of each point), or a callable
+    on points.
     """
     n = space.n
     if isinstance(spec, dict):
@@ -51,18 +52,27 @@ def _coef(space: StrategySpace, spec, name: str) -> np.ndarray:
         return np.array([float(spec(q)) for q in space.points])
     arr = np.asarray(spec, dtype=float)
     if arr.ndim == 0:
-        return np.full(n, float(arr))
+        return float(arr)
     if arr.shape != (n,):
         raise ValueError(f"coefficient {name} has {arr.shape[0]} entries, space has {n} points")
     return arr.copy()
+
+
+def _birth_coef(space: StrategySpace, spec) -> np.ndarray:
+    """The coefficient a of a birth rate, always (n,): the birth rates are a vector."""
+    a = _coef(space, spec, "a")
+    return np.full(space.n, a) if isinstance(a, float) else a
 
 
 @dataclass(frozen=True)
 class FitnessPair:
     """Vectorized rate pair bound to a strategy space.
 
-    ``birth`` and ``death`` map a float X to the (n,) rates at the support
-    points, and an (m, 1) column of X to rates broadcasting to (m, n).  When
+    ``birth`` and ``death`` map a float X to the rates at the support
+    points, and an (m, 1) column of X to rates broadcasting to (m, n); a
+    rate that does not vary over the points may be a float (at a float X)
+    or an (m, 1) column, which broadcasts against the weights.  ``f1`` and
+    ``f2`` return the (n,) vector at a float X all the same.  When
     ``k_tilde`` is set, X is clamped to [0, k_tilde] before evaluation (the
     truncated extension), which makes the rates globally bounded and Lipschitz.
 
@@ -75,7 +85,7 @@ class FitnessPair:
     space: StrategySpace
     family: str
     birth: Callable[[float], np.ndarray]
-    death: Callable[[float], np.ndarray] | None
+    death: Callable[[float], float | np.ndarray] | None
     params: dict = field(default_factory=dict)
     k_tilde: float | None = None
 
@@ -90,9 +100,13 @@ class FitnessPair:
             return X.clip(0.0, self.k_tilde)
         return min(max(X, 0.0), self.k_tilde)
 
+    def _at_points(self, rate):
+        """A rate at a float X as the (n,) vector, also where it does not vary over the points."""
+        return np.full(self.space.n, rate) if np.ndim(rate) == 0 else rate
+
     def f1(self, X):
         """Birth rates at a float X, (n,), or at an (m, 1) column, broadcasting to (m, n)."""
-        return self.birth(self._clamp(X))
+        return self._at_points(self.birth(self._clamp(X)))
 
     def f2(self, X):
         """Mortality rates at X, shaped as ``f1``'s."""
@@ -101,7 +115,7 @@ class FitnessPair:
                 "mean-fitness mortality has no pointwise f2 and is outside the "
                 "contraction theory; use RK4"
             )
-        return self.death(self._clamp(X))
+        return self._at_points(self.death(self._clamp(X)))
 
     def tables(self, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (m, n) tables of f1 and f2 at the m ``masses``, one call per rate."""
@@ -127,14 +141,14 @@ class FitnessPair:
 
 def constant_pair(space: StrategySpace, a, b) -> FitnessPair:
     """f1 = a(q), f2 = b(q), both independent of X."""
-    av = _coef(space, a, "a")
+    av = _birth_coef(space, a)
     bv = _coef(space, b, "b")
     return FitnessPair(space, "constant", lambda X: av, lambda X: bv, params={"a": av, "b": bv})
 
 
 def logistic_pair(space: StrategySpace, a, b, floor: float = 1e-3) -> FitnessPair:
     """f1 = a(q), f2 = floor + b(q) X (generalized logistic with mortality floor)."""
-    av = _coef(space, a, "a")
+    av = _birth_coef(space, a)
     bv = _coef(space, b, "b")
     return FitnessPair(
         space,
@@ -147,7 +161,7 @@ def logistic_pair(space: StrategySpace, a, b, floor: float = 1e-3) -> FitnessPai
 
 def beverton_holt_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> FitnessPair:
     """f1 = a(q) / (1 + c(q) X), f2 = floor + b(q) X."""
-    av = _coef(space, a, "a")
+    av = _birth_coef(space, a)
     cv = _coef(space, c, "c")
     bv = _coef(space, b, "b")
     return FitnessPair(
@@ -161,7 +175,7 @@ def beverton_holt_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> Fi
 
 def ricker_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> FitnessPair:
     """f1 = a(q) exp(-c(q) X), f2 = floor + b(q) X."""
-    av = _coef(space, a, "a")
+    av = _birth_coef(space, a)
     cv = _coef(space, c, "c")
     bv = _coef(space, b, "b")
     neg_cv = -cv
@@ -195,7 +209,7 @@ def mean_fitness_pair(space: StrategySpace, f1) -> FitnessPair:
     if callable(f1):
         birth = lambda X: np.asarray(f1(X, space.points), dtype=float)
     else:
-        av = _coef(space, f1, "a")
+        av = _birth_coef(space, f1)
         birth = lambda X: av
     return FitnessPair(space, "mean_fitness", birth, None)
 

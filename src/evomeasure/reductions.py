@@ -63,8 +63,24 @@ def discrete_rhs(x: np.ndarray, sys: DiscreteSystem) -> np.ndarray:
     ``x`` is a float array of ``sys.n`` entries; ``integrate_discrete``
     checks its initial state once, not every stage.
     """
-    X = float(x.sum())
-    return sys.P @ (sys.fp.f1(X) * x) - sys.fp.f2(X) * x
+    return _class_field(sys)(x)
+
+
+def _class_field(sys: DiscreteSystem):
+    """``discrete_rhs`` of ``sys`` as a function of x, with P, the rates and
+    the K~ clamp of ``FitnessPair._clamp`` bound once, as ``dynamics._field``
+    binds them."""
+    fp = sys.fp
+    fp.f2(0.0)  # a mean-fitness pair, which has no pointwise f2, refuses here
+    P, birth, death, k_tilde = sys.P, fp.birth, fp.death, fp.k_tilde
+
+    def rhs(x: np.ndarray) -> np.ndarray:
+        X = float(x.sum())
+        if k_tilde is not None:
+            X = min(max(X, 0.0), k_tilde)
+        return P @ (birth(X) * x) - death(X) * x
+
+    return rhs
 
 
 def discrete_nodes(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, Iterator[np.ndarray]]:
@@ -74,7 +90,7 @@ def discrete_nodes(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.nda
     if x0.shape != (sys.n,):
         raise ValueError(f"state must have {sys.n} entries, got shape {x0.shape}")
     times = time_grid(T, dt)
-    return times, _rk4_nodes(lambda x: discrete_rhs(x, sys), x0, times)
+    return times, _rk4_nodes(_class_field(sys), x0, times)
 
 
 def integrate_discrete(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -43,13 +43,19 @@ class StrategySpace:
             raise ValueError(f"only 1-D and 2-D strategy spaces supported, got dim={pts.shape[1]}")
         if vols.shape != (pts.shape[0],):
             raise ValueError("cell_volumes must have one entry per point")
+        for name, arr in (("point", pts), ("bound", bounds), ("cell volume", vols)):
+            bad = np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))
+            if bad.size:
+                raise ValueError(f"strategy space {name} {bad[0]} is not finite: {arr[bad[0]].tolist()}")
         if np.any(vols <= 0):
             raise ValueError("cell volumes must be positive")
         lo, hi = bounds[:, 0], bounds[:, 1]
         if np.any(pts < lo - 1e-12) or np.any(pts > hi + 1e-12):
             raise ValueError("all points must lie within bounds")
-        # pairwise distinct points
-        if len(np.unique(pts.round(decimals=12), axis=0)) != pts.shape[0]:
+        # pairwise distinct points: no two neighbours are equal once the rounded rows are sorted
+        rows = pts.round(decimals=12)
+        rows = rows[np.lexsort(rows.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("support points must be pairwise distinct")
         object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "cell_volumes", _frozen(vols))

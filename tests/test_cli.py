@@ -121,6 +121,22 @@ def test_a_section_that_is_not_an_object_exits_2(section, value, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("space, bad", [
+    ({"kind": "atoms", "points": [0.0, 0.5, float("nan")]}, "point 2 is not finite: [nan]"),
+    ({"kind": "atoms", "points": [0.0, 0.5, float("inf")]}, "point 2 is not finite: [inf]"),
+    ({"kind": "grid2d", "bounds": [[0.0, 1.0], [0.0, float("nan")]], "cells": [2, 2]},
+     "point 0 is not finite: [0.25, nan]"),
+])
+def test_a_space_with_a_non_finite_entry_exits_2(space, bad, tmp_path, capsys):
+    n = 3 if space["kind"] == "atoms" else 4
+    cfg = small_reference(space=space, kernel={"variant": "dirac"},
+                          initial={"kind": "weights", "weights": [1.0 / n] * n})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_mean_fitness_with_picard_is_config_error(tmp_path):
     cfg = small_reference(
         fitness={"family": "mean_fitness", "a": 1.0},

@@ -486,8 +486,8 @@ def test_discrete_reduction_compares_every_node_up_to_ten(case, monkeypatch):
 
 
 def test_verify_forks_one_child_per_independent_run(monkeypatch):
-    # the dt/2 run (not under mean-fitness mortality) and the semigroup
-    # restart; a run of one node is computed inline
+    # the class-system oracle and the dt/2 run (not under mean-fitness
+    # mortality) and the semigroup restart; a run of one node is computed inline
     forks = []
     fork = os.fork
 
@@ -497,7 +497,7 @@ def test_verify_forks_one_child_per_independent_run(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     fds = open_fds()
-    for d, expected in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 2),
+    for d, expected in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 3),
                         (VERIFY_CASES["mean-fitness"], 1), (VERIFY_CASES["T-zero"], 0)):
         forks.clear()
         assert verify(RunConfig.from_dict(d))["passed"]
@@ -533,8 +533,46 @@ def test_an_exception_in_the_dt2_child_reaches_the_parent(planted, tmp_path, mon
         assert "replicator_fd" not in report["checks"]
 
 
+@pytest.mark.parametrize("planted, at", [(NumericError("planted refusal"), 2),
+                                         (NumericError("planted refusal"), 20),
+                                         (ValueError("planted value"), 20)])
+def test_an_exception_in_the_oracle_stream_reaches_the_parent(planted, at, tmp_path, monkeypatch):
+    # a fork inherits the patched discrete_nodes: the oracle's exception
+    # at node ``at`` is raised where the pass reads that node, inside the
+    # reference's first unit of time (node 2) or past it (node 20); a
+    # NumericError is every RK4-based check's witness, a ValueError
+    # propagates unchanged; the forked and the inline path report alike
+    cfg = RunConfig.from_dict(VERIFY_CASES["atoms-matrix-T-above-10"])
+    nodes = experiments.discrete_nodes
+
+    def planted_nodes(sys, x0, T, dt):
+        times, states = nodes(sys, x0, T, dt)
+
+        def raising():
+            for k, x in enumerate(states):
+                if k == at:
+                    raise planted
+                yield x
+
+        return times, raising()
+
+    monkeypatch.setattr(experiments, "discrete_nodes", planted_nodes)
+    fds = open_fds()
+    forked = _outcome(lambda out: verify(cfg, out), tmp_path / "forked")
+    assert_no_child_left(fds)
+    assert forked == _outcome(lambda out: inline(monkeypatch, lambda: verify(cfg, out)),
+                              tmp_path / "inline")
+    if isinstance(planted, ValueError):
+        assert forked == (("refused", "ValueError", "planted value"), None)
+    else:
+        checks = json.loads(forked[1]["verify.json"])["checks"]
+        assert checks["positivity"]["witness"] == "planted refusal"
+        assert checks["discrete_reduction"]["witness"] == "planted refusal"
+        assert not checks["discrete_reduction"]["passed"]
+
+
 def test_an_interrupt_in_the_parent_reaps_the_children(monkeypatch):
-    # both children are started when the mass bound is checked
+    # the three children are started when the mass bound is checked
     def interrupted(*args):
         raise KeyboardInterrupt
 
@@ -555,6 +593,28 @@ def test_forked_outcomes_that_do_not_arrive_are_runtime_errors():
     with pytest.raises(RuntimeError, match="cannot be pickled: KeyError: .*lambda"):
         _forked(lambda: {}[lambda: 0]).result()
     _forked(lambda: __import__("time").sleep(60)).cancel()
+    assert_no_child_left(fds)
+
+
+def test_a_forked_stream_arrives_node_by_node_with_its_outcome():
+    def stream(n_nodes, end):
+        yield from (np.full(3, k, dtype=float) for k in range(n_nodes))
+        end()
+
+    fds = open_fds()
+    nodes = _forked(lambda: stream(2, lambda: None), stream=True).nodes(3)
+    assert [x.tolist() for x in nodes] == [[0.0] * 3, [1.0] * 3]
+    # the generator's exception after its nodes, and a child that dies early
+    nodes = _forked(lambda: stream(1, lambda: {}["planted"]), stream=True).nodes(3)
+    assert next(nodes).tolist() == [0.0] * 3
+    with pytest.raises(KeyError, match="planted"):
+        next(nodes)
+    with pytest.raises(RuntimeError, match="exit status 7"):
+        list(_forked(lambda: stream(1, lambda: os._exit(7)), stream=True).nodes(3))
+    # a child blocked on a full pipe is ended by cancel
+    child = _forked(lambda: stream(10**6, lambda: None), stream=True)
+    assert next(child.nodes(3)).tolist() == [0.0] * 3
+    child.cancel()
     assert_no_child_left(fds)
 
 
@@ -629,6 +689,32 @@ def test_a_2d_dirac_limit_loads_no_scipy(solver, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
     assert len((tmp_path / "out" / "concentration.csv").read_text().splitlines()) > 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("verify", reference_config_dict(cells=16, T=1.5, dt=0.01)),
+    ("dirac-limit", concentration_config_dict(cells=16, T=1.0, dt=0.05)),
+])
+def test_1d_runs_load_no_numpy_ma(command, cfg, tmp_path):
+    # distinct points and the nodes a central difference checks are found
+    # without np.unique or np.setdiff1d, which import numpy.ma in NumPy 2.4
+    # (NumPy 1.x imports it with numpy itself)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    script = (
+        "import sys\n"
+        "import evomeasure.cli\n"
+        "print('numpy.ma' in sys.modules)\n"
+        f"assert evomeasure.cli.main(['{command}', '--config', 'cfg.json', '--out', 'out']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == lines[0], proc.stdout
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert lines[-1] == "False", proc.stdout
 
 
 def test_cli_and_a_1d_dirac_limit_load_no_numpy_random(tmp_path):

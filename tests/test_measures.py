@@ -26,6 +26,7 @@ from scipy.optimize import linprog
 
 from evomeasure import (
     MeasureVec,
+    StrategySpace,
     atoms,
     bl_distance,
     from_density,
@@ -143,6 +144,21 @@ def test_grids_refuse_a_fractional_cell_count():
     with pytest.raises(ValueError, match="space.cells must be a whole number, got 2.5"):
         grid_2d([[0.0, 1.0], [0.0, 1.0]], (2.5, 3))
     assert (grid_1d(0.0, 1.0, 4.0).n, grid_2d([[0.0, 1.0], [0.0, 1.0]], (2.0, 3)).n) == (4, 6)
+
+
+def test_a_space_refuses_repeated_and_non_finite_entries():
+    # rows equal after rounding to 12 decimals repeat a point; 0.0 and -0.0 are one coordinate
+    for pts in ([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]], [[0.5], [0.2], [0.5 + 1e-14]]):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            atoms(pts)
+    assert atoms([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]).n == 3
+    # the first non-finite point, bound row or cell volume is named
+    with pytest.raises(ValueError, match=r"point 1 is not finite: \[0.5, nan\]"):
+        StrategySpace([[0.5, 0.5], [0.5, np.nan], [np.inf, 0.0]], [1.0] * 3, [[0.0, 1.0]] * 2)
+    with pytest.raises(ValueError, match=r"bound 1 is not finite: \[0.0, inf\]"):
+        StrategySpace([[0.5, 0.5]], [1.0], [[0.0, 1.0], [0.0, np.inf]])
+    with pytest.raises(ValueError, match=r"cell volume 2 is not finite: inf"):
+        StrategySpace([[0.1], [0.2], [0.3]], [1.0, 1.0, np.inf], [[0.0, 1.0]])
 
 
 # ─── total mass and TV norm ──────────────────────────────────────────
