@@ -183,17 +183,16 @@ def _field(kernel: MutationKernel, fp: FitnessPair):
     """The field of (kernel, fp) as a function of the weight vector w and
     its mass X = float(w.sum()), which a solver has at hand.
 
-    The kernel table, the rates and the K~ clamp of ``FitnessPair._clamp``
+    The kernel's push, the rates and the K~ clamp of ``FitnessPair._clamp``
     are bound once, so a solver pays per evaluation only for the arithmetic.
     Under mean-fitness mortality the deaths are the mean birth rate times w.
     """
-    rows_t = None if kernel.is_dirac else kernel.rows.T
-    birth, death, k_tilde = fp.birth, fp.death, fp.k_tilde
+    push, birth, death, k_tilde = kernel.push_births, fp.birth, fp.death, fp.k_tilde
 
     def field(w: np.ndarray, X: float) -> np.ndarray:
         x = X if k_tilde is None else min(max(X, 0.0), k_tilde)
         f1 = birth(x)
-        births = f1 * w if rows_t is None else rows_t @ (f1 * w)
+        births = push(f1 * w)
         if death is None:
             return births - (float(np.dot(f1, w)) / X if X != 0.0 else 0.0) * w
         return births - death(x) * w

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -224,21 +223,24 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     with direct integration of the finite class system, and (where defined)
     finite-difference consistency of the frequency dynamics.  The RK4-based
     checks follow one pair, truncated at the K~ of the RK4 reference, which
-    carries that level to the restart, the dt/2 run and the class system.
-    No trajectory is held: the reference is read once, node by node, in one
-    pass that feeds every check reading it and keeps only its node masses
-    and its nodes at the split and at T.  The class-system oracle, the
-    restart from the split and the dt/2 run each run in a forked child
-    process (``_forked``) beside the pass, started once their initial node
-    is known.  The oracle's child streams its nodes through a pipe, which
-    the pass reads one per reference node (the pipe's buffer holds the child
-    a few nodes ahead); the other two outcomes are read where the checks
-    need them, and a child whose outcome is not needed is killed.  Where
-    ``os.fork`` is missing or refused, and for the one-node runs at T = 0,
-    they run inline, with the same bytes.  A caller with threads
-    of its own should not rely on the fork; Python >= 3.12 warns when it
-    forks a process with threads (an OpenBLAS thread pool counts), and the
-    children's calls are invisible to an in-process tracer.
+    carries that level to the restart, the frequency-gap runs and the class
+    system.  No trajectory is held: the reference is read once, node by
+    node, in one loop that keeps its node masses, its class-system gap and
+    its nodes at the split and at T.  The class-system oracle, the restart
+    from the split and the frequency gaps (of the reference's head on
+    [0, min(T, 1)], integrated again, and of the dt/2 run there) each run in
+    a forked child process (``_forked``) beside the loop, started once their
+    initial node is known.  The oracle's child streams its nodes through a
+    pipe, which the loop reads one per reference node (the pipe's buffer
+    holds the child a few nodes ahead); the other two outcomes are read
+    where the checks need them, and a child whose outcome is not needed is
+    killed.  An exception other than a ``NumericError`` propagates
+    unchanged, from the loop or from a child.  Where ``os.fork`` is missing
+    or refused, and for the one-node runs at T = 0, they run inline, with
+    the same bytes.  A caller with threads of its own should not rely on the
+    fork; Python >= 3.12 warns when it forks a process with threads (an
+    OpenBLAS thread pool counts), and the children's calls are invisible to
+    an in-process tracer.
     """
     space, kernel, fp, u = cfg.build()
     checks: dict[str, dict] = {}
@@ -268,8 +270,7 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     # one pass over the RK4 reference on [0, T] feeds every RK4-based check
     # below, and those integrate ``fpt``, the pair truncated at its level K~
     # (fixed before the first node).  The pass keeps the node masses, the
-    # nodes at the split t1 and at T, the class-system gap on [0, min(T, 10)]
-    # and the coarse frequency gaps on [0, min(T, 1)]
+    # nodes at the split t1 and at T, and the class-system gap on [0, min(T, 10)]
     reference = rk4_stream(u, kernel, fp, cfg.T, cfg.dt)
     fpt = fp.truncated(reference.meta["k_tilde"])
     times = reference.times
@@ -283,50 +284,37 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     n_split, n_class, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 10.0)), nodes_upto(min(cfg.T, 1.0))
     masses = np.empty(len(times))
     class_gap, last, restart, fine, oracle = 0.0, None, None, None, None
-    # the class-system oracle, the restart from the split node and the dt/2
-    # run need nothing more from the reference: each runs in a forked child
-    # beside the pass (a run of one node, at T = 0, is not worth a process),
-    # the oracle sending its nodes through a pipe as the pass reads them, and
-    # the child whose result is not read is ended in the finally below
+    # the class-system oracle, the restart from the split node and the
+    # frequency gaps on [0, min(T, 1)] at dt and dt/2 need nothing more from
+    # the reference: each runs in a forked child beside the pass (a run of
+    # one node, at T = 0, is not worth a process), the oracle sending its
+    # nodes through a pipe as the pass reads them, and the child whose
+    # result is not read is ended in the finally below
     children: list[_Child] = []
 
     def start(fn, stream: bool = False) -> _Child:
         children.append(_forked(fn, stream) if cfg.T > 0 else _Child(fn))
         return children[-1]
 
-    def read():
-        nonlocal class_gap, last, restart
-        for k, w in enumerate(reference.weights):
-            masses[k] = w.sum()
-            if oracle is not None and k < n_class:
-                diff = w - next(oracle)
-                class_gap = np.maximum(class_gap, np.abs(diff, out=diff).sum())
-            if k == n_split - 1 and composes:  # the default binds the split node
-                restart = start(lambda at_split=w: rk4_stream(MeasureVec(space, at_split), kernel, fpt,
-                                                              cfg.T - t1, cfg.dt).run_to_end().weights)
-            last = w
-            yield w
-
-    def fine_gaps():
-        return frequency_gaps(rk4_stream(u, kernel, fpt, times[n_coarse - 1], cfg.dt / 2.0), kernel, fp)
-
     try:
         if not fp.mean_fitness_mortality:
             sys = DiscreteSystem.from_measure_problem(kernel, fpt)
             _, states = discrete_nodes(sys, u.weights, times[n_class - 1], cfg.dt)
             oracle = start(lambda: states, stream=True).nodes(space.n)
-            fine = start(fine_gaps)
-        nodes = read()
-        coarse, rk4_witness = None, None
+            # the run at dt is bitwise the reference's head: the same pair on the same nodes
+            fine = start(lambda: [frequency_gaps(rk4_stream(u, kernel, fpt, times[n_coarse - 1], h),
+                                                 kernel, fp) for h in (cfg.dt, cfg.dt / 2.0)])
+        rk4_witness = None
         try:
-            if not fp.mean_fitness_mortality:
-                head = NodeStream(space, times[:n_coarse], islice(nodes, n_coarse), reference.meta)
-                try:
-                    coarse = frequency_gaps(head, kernel, fp)
-                except ValueError as exc:  # a nonpositive mass, raised below if the gaps are checked
-                    coarse = exc
-            for _ in nodes:
-                pass
+            for k, w in enumerate(reference.weights):
+                masses[k] = w.sum()
+                if oracle is not None and k < n_class:
+                    diff = w - next(oracle)
+                    class_gap = np.maximum(class_gap, np.abs(diff, out=diff).sum())
+                if k == n_split - 1 and composes:  # the default binds the split node
+                    restart = start(lambda at_split=w: rk4_stream(MeasureVec(space, at_split), kernel, fpt,
+                                                                  cfg.T - t1, cfg.dt).run_to_end().weights)
+                last = w
         except NumericError as exc:
             rk4_witness = str(exc)
 
@@ -382,15 +370,11 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
                 record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-10,
                        witness=str(exc))
 
-        # frequency-dynamics consistency, at two resolutions (order check); the
-        # reference's head is the coarse run, only the dt/2 run is new
+        # frequency-dynamics consistency, at two resolutions (order check)
         if positive_mass and not fp.mean_fitness_mortality:
             try:
                 reference_passed()
-                if isinstance(coarse, ValueError):
-                    raise coarse
-                rc, nc = coarse
-                rf, nf = fine.result()
+                (rc, nc), (rf, nf) = fine.result()
                 if kernel.is_dirac:
                     tol = max(1e-12, rc / 2.8)
                     record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf,

@@ -9,9 +9,10 @@ run inlined, and with ``dirac-limit``'s flat distance to the fittest atom
 in its closed form, which ``test_measures`` holds against ``bl_distance``):
 every report, CSV and JSON file must be byte-equal to it, with the same
 witnesses and the same refusals.  Traced-peak guards hold
-each command to a fraction of one trajectory.  ``verify`` runs its restart
-and its dt/2 run in forked children; without ``os.fork`` it computes them
-inline, and both paths are held to the same bytes.
+each command to a fraction of one trajectory.  ``verify`` runs its
+class-system oracle, its restart and its frequency-gap runs in forked
+children; without ``os.fork`` it computes them inline, and both paths are
+held to the same bytes.
 """
 
 import json
@@ -486,22 +487,30 @@ def test_discrete_reduction_compares_every_node_up_to_ten(case, monkeypatch):
 
 
 def test_verify_forks_one_child_per_independent_run(monkeypatch):
-    # the class-system oracle and the dt/2 run (not under mean-fitness
-    # mortality) and the semigroup restart; a run of one node is computed inline
-    forks = []
-    fork = os.fork
+    # the class-system oracle and the frequency gaps at dt and dt/2 (not
+    # under mean-fitness mortality) and the semigroup restart; a run of one
+    # node is computed inline.  The parent computes no frequency gap of its
+    # own, so it calls frequency_gaps only where the children run inline
+    forks, gap_calls = [], []
+    fork, gaps = os.fork, experiments.frequency_gaps
 
     def counting_fork():
         forks.append(1)
         return fork()
 
+    def counting_gaps(run, kernel, fp):
+        gap_calls.append(1)
+        return gaps(run, kernel, fp)
+
     monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(experiments, "frequency_gaps", counting_gaps)
     fds = open_fds()
-    for d, expected in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 3),
-                        (VERIFY_CASES["mean-fitness"], 1), (VERIFY_CASES["T-zero"], 0)):
+    for d, n_forks, n_gap_calls in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 3, 0),
+                                    (VERIFY_CASES["mean-fitness"], 1, 0), (VERIFY_CASES["T-zero"], 0, 2)):
         forks.clear()
+        gap_calls.clear()
         assert verify(RunConfig.from_dict(d))["passed"]
-        assert len(forks) == expected, d
+        assert (len(forks), len(gap_calls)) == (n_forks, n_gap_calls), d
         assert_no_child_left(fds)
 
 
@@ -535,13 +544,15 @@ def test_an_exception_in_the_dt2_child_reaches_the_parent(planted, tmp_path, mon
 
 @pytest.mark.parametrize("planted, at", [(NumericError("planted refusal"), 2),
                                          (NumericError("planted refusal"), 20),
-                                         (ValueError("planted value"), 20)])
+                                         (ValueError("planted value"), 20),
+                                         (ValueError("planted at oracle node 2"), 2)])
 def test_an_exception_in_the_oracle_stream_reaches_the_parent(planted, at, tmp_path, monkeypatch):
     # a fork inherits the patched discrete_nodes: the oracle's exception
     # at node ``at`` is raised where the pass reads that node, inside the
     # reference's first unit of time (node 2) or past it (node 20); a
     # NumericError is every RK4-based check's witness, a ValueError
-    # propagates unchanged; the forked and the inline path report alike
+    # propagates unchanged, also where the pass reads the node inside the
+    # first unit of time; the forked and the inline path report alike
     cfg = RunConfig.from_dict(VERIFY_CASES["atoms-matrix-T-above-10"])
     nodes = experiments.discrete_nodes
 
@@ -563,7 +574,7 @@ def test_an_exception_in_the_oracle_stream_reaches_the_parent(planted, at, tmp_p
     assert forked == _outcome(lambda out: inline(monkeypatch, lambda: verify(cfg, out)),
                               tmp_path / "inline")
     if isinstance(planted, ValueError):
-        assert forked == (("refused", "ValueError", "planted value"), None)
+        assert forked == (("refused", "ValueError", str(planted)), None)
     else:
         checks = json.loads(forked[1]["verify.json"])["checks"]
         assert checks["positivity"]["witness"] == "planted refusal"
