@@ -112,6 +112,8 @@ class RunConfig:
             dt = float(dt) if dt is not None else T / 2000.0 if T > 0 else 1.0
             if not 0 < dt < np.inf:
                 raise ConfigError("dt must be positive and finite")
+            if not T / dt < np.inf:
+                raise ConfigError(f"T / dt must be finite, got T = {T!r} and dt = {dt!r}")
             picard = d.get("picard", {})
             picard_tol = float(picard.get("tol", 1e-10))
             if not 0 < picard_tol < np.inf:
@@ -166,7 +168,7 @@ class RunConfig:
             u = initial_from_config(self.raw["initial"], space, seed=self.seed)
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid component spec: {exc}") from exc
         if fp.mean_fitness_mortality and self.solver == "picard":
             raise ConfigError(

@@ -226,15 +226,16 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     carries that level to the restart, the frequency-gap runs and the class
     system.  No trajectory is held: the reference is read once, node by
     node, in one loop that keeps its node masses, its class-system gap and
-    its nodes at the split and at T.  The class-system oracle, the restart
-    from the split and the frequency gaps (of the reference's head on
-    [0, min(T, 1)], integrated again, and of the dt/2 run there) each run in
-    a forked child process (``_forked``) beside the loop, started once their
-    initial node is known.  The oracle's child streams its nodes through a
-    pipe, which the loop reads one per reference node (the pipe's buffer
-    holds the child a few nodes ahead); the other two outcomes are read
-    where the checks need them, and a child whose outcome is not needed is
-    killed.  An exception other than a ``NumericError`` propagates
+    its nodes at the split and at T.  The Lipschitz sampler, the
+    class-system oracle, the restart from the split and the frequency gaps
+    (of the reference's head on [0, min(T, 1)], integrated again, and of the
+    dt/2 run there) each run in a forked child process (``_forked``) beside
+    the loop, started once their initial node is known; the sampler loads
+    ``numpy.random`` in its child alone.  The oracle's child streams its nodes
+    through a pipe, which the loop reads one per reference node (the pipe's
+    buffer holds the child a few nodes ahead); the other three outcomes are
+    read where the checks need them, and a child whose outcome is not
+    needed is killed.  An exception other than a ``NumericError`` propagates
     unchanged, from the loop or from a child.  Where ``os.fork`` is missing
     or refused, and for the one-node runs at T = 0, they run inline, with
     the same bytes.  A caller with threads of its own should not rely on the
@@ -260,13 +261,6 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         info = {k: v for k, v in report.to_dict().items() if k != "passed"}
         record("assumptions", report.passed, **info)
 
-    # Lipschitz bound of the truncated field on a TV ball
-    if constants is not None:
-        k_f = constants.B1 + constants.B2 + (constants.L1 + constants.L2) * constants.C1
-        worst = field_lipschitz_ratio(kernel, fp.truncated(constants.k_tilde), constants.C1,
-                                      np.random.default_rng(cfg.seed))
-        record("lipschitz_field", worst <= k_f, observed_ratio=worst, bound=k_f)
-
     # one pass over the RK4 reference on [0, T] feeds every RK4-based check
     # below, and those integrate ``fpt``, the pair truncated at its level K~
     # (fixed before the first node).  The pass keeps the node masses, the
@@ -284,12 +278,13 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     n_split, n_class, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 10.0)), nodes_upto(min(cfg.T, 1.0))
     masses = np.empty(len(times))
     class_gap, last, restart, fine, oracle = 0.0, None, None, None, None
-    # the class-system oracle, the restart from the split node and the
-    # frequency gaps on [0, min(T, 1)] at dt and dt/2 need nothing more from
-    # the reference: each runs in a forked child beside the pass (a run of
-    # one node, at T = 0, is not worth a process), the oracle sending its
-    # nodes through a pipe as the pass reads them, and the child whose
-    # result is not read is ended in the finally below
+    # the Lipschitz sampler, the class-system oracle, the restart from the
+    # split node and the frequency gaps on [0, min(T, 1)] at dt and dt/2 need
+    # nothing more from the reference: each runs in a forked child beside the
+    # pass (a run of one node, at T = 0, is not worth a process), the oracle
+    # sending its nodes through a pipe as the pass reads them, and the child
+    # whose result is not read is ended in the finally below.  The sampler
+    # loads numpy.random in its child, not in this process
     children: list[_Child] = []
 
     def start(fn, stream: bool = False) -> _Child:
@@ -298,6 +293,8 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
 
     try:
         if not fp.mean_fitness_mortality:
+            lipschitz = start(lambda: field_lipschitz_ratio(
+                kernel, fp.truncated(constants.k_tilde), constants.C1, np.random.default_rng(cfg.seed)))
             sys = DiscreteSystem.from_measure_problem(kernel, fpt)
             _, states = discrete_nodes(sys, u.weights, times[n_class - 1], cfg.dt)
             oracle = start(lambda: states, stream=True).nodes(space.n)
@@ -322,6 +319,12 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
             """Raise the reference's refusal, if it had one."""
             if rk4_witness is not None:
                 raise NumericError(rk4_witness)
+
+        # Lipschitz bound of the truncated field on a TV ball
+        if not fp.mean_fitness_mortality:
+            k_f = constants.B1 + constants.B2 + (constants.L1 + constants.L2) * constants.C1
+            worst = lipschitz.result()
+            record("lipschitz_field", worst <= k_f, observed_ratio=worst, bound=k_f)
 
         # positivity and the mass bound along the configured run, on the
         # reference's node times; an RK4 run records the reference's clips, a
@@ -425,6 +428,8 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     floor = fp.params["floor"]
     if np.any(b <= 0):
         raise ConfigError("dirac-limit needs positive density-mortality coefficients")
+    if not u.total_mass() > 0:
+        raise ConfigError("dirac-limit needs a positive initial mass")
     ratio_floored = (a - floor) / b
     ratio_raw = a / b
     order = np.argsort(ratio_floored)

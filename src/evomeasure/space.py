@@ -114,6 +114,8 @@ def grid_2d(bounds, cells) -> StrategySpace:
     is the center of cell (i, j), so y varies fastest.
     """
     bounds = np.asarray(bounds, dtype=float).reshape(2, 2)
+    if len(cells) != 2:
+        raise ValueError(f"space.cells needs two entries (nx, ny), got {len(cells)}")
     nx, ny = _integer(cells[0], "space.cells"), _integer(cells[1], "space.cells")
     if nx < 1 or ny < 1:
         raise ValueError("need at least one cell per axis")

@@ -137,6 +137,35 @@ def test_a_space_with_a_non_finite_entry_exits_2(space, bad, tmp_path, capsys):
     assert not out.exists()
 
 
+def grid2d_reference(cells):
+    return small_reference(space={"kind": "grid2d", "bounds": [[0.0, 1.0], [0.0, 1.0]], "cells": cells},
+                           kernel={"variant": "dirac"},
+                           fitness={"family": "logistic", "a": {"trait": 0}, "b": 1.0})
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    # grid_2d read cells[1] of a one-entry list, and ran a 2x2 grid on a three-entry one
+    ("simulate", grid2d_reference([4]), "space.cells needs two entries (nx, ny), got 1"),
+    ("simulate", grid2d_reference([2, 2, 7]), "space.cells needs two entries (nx, ny), got 3"),
+    # numpy's uniform sampler raises OverflowError on an infinite range
+    ("simulate", small_reference(initial={"kind": "random", "high": float("inf")}),
+     "range exceeds valid bounds"),
+    ("simulate", small_reference(initial={"kind": "random", "low": -float("inf")}),
+     "range exceeds valid bounds"),
+    # an infinite step count, which time_grid cannot convert to an integer
+    ("simulate", small_reference(T=1e308, dt=0.01), "T / dt must be finite"),
+    # a zero mass has no concentration: every share and distance would be NaN
+    ("dirac-limit", {**concentration_config_dict(cells=16, T=1.0, dt=0.05),
+                     "initial": {"kind": "uniform", "mass": 0.0}},
+     "dirac-limit needs a positive initial mass"),
+])
+def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_mean_fitness_with_picard_is_config_error(tmp_path):
     cfg = small_reference(
         fitness={"family": "mean_fitness", "a": 1.0},

@@ -5,14 +5,14 @@ Picard, node by node and keep only what their checks and summaries need.
 The oracle is the code that collected every run into a full trajectory
 first, kept here verbatim (only renamed, with the summary-node rule, the
 mass bound of the trajectory and the ``_flow`` wrapper of the configured
-run inlined, and with ``dirac-limit``'s flat distance to the fittest atom
-in its closed form, which ``test_measures`` holds against ``bl_distance``):
-every report, CSV and JSON file must be byte-equal to it, with the same
-witnesses and the same refusals.  Traced-peak guards hold
-each command to a fraction of one trajectory.  ``verify`` runs its
-class-system oracle, its restart and its frequency-gap runs in forked
-children; without ``os.fork`` it computes them inline, and both paths are
-held to the same bytes.
+run inlined, with ``dirac-limit``'s flat distance to the fittest atom in
+its closed form, which ``test_measures`` holds against ``bl_distance``, and
+with its refusal of a zero initial mass): every report, CSV and JSON file
+must be byte-equal to it, with the same witnesses and the same refusals.
+Traced-peak guards hold each command to a fraction of one trajectory.
+``verify`` runs its Lipschitz sampler, its class-system oracle, its
+restart and its frequency-gap runs in forked children; without ``os.fork``
+it computes them inline, and both paths are held to the same bytes.
 """
 
 import json
@@ -180,6 +180,8 @@ def materialized_dirac_limit(cfg, out_dir):
     floor = fp.params["floor"]
     if np.any(b <= 0):
         raise ConfigError("dirac-limit needs positive density-mortality coefficients")
+    if not u.total_mass() > 0:
+        raise ConfigError("dirac-limit needs a positive initial mass")
     ratio_floored = (a - floor) / b
     ratio_raw = a / b
     order = np.argsort(ratio_floored)
@@ -487,10 +489,11 @@ def test_discrete_reduction_compares_every_node_up_to_ten(case, monkeypatch):
 
 
 def test_verify_forks_one_child_per_independent_run(monkeypatch):
-    # the class-system oracle and the frequency gaps at dt and dt/2 (not
-    # under mean-fitness mortality) and the semigroup restart; a run of one
-    # node is computed inline.  The parent computes no frequency gap of its
-    # own, so it calls frequency_gaps only where the children run inline
+    # the Lipschitz sampler, the class-system oracle and the frequency gaps
+    # at dt and dt/2 (not under mean-fitness mortality) and the semigroup
+    # restart; a run of one node is computed inline.  The parent computes no
+    # frequency gap of its own, so it calls frequency_gaps only where the
+    # children run inline
     forks, gap_calls = [], []
     fork, gaps = os.fork, experiments.frequency_gaps
 
@@ -505,7 +508,7 @@ def test_verify_forks_one_child_per_independent_run(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(experiments, "frequency_gaps", counting_gaps)
     fds = open_fds()
-    for d, n_forks, n_gap_calls in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 3, 0),
+    for d, n_forks, n_gap_calls in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 4, 0),
                                     (VERIFY_CASES["mean-fitness"], 1, 0), (VERIFY_CASES["T-zero"], 0, 2)):
         forks.clear()
         gap_calls.clear()
@@ -745,3 +748,28 @@ def test_cli_and_a_1d_dirac_limit_load_no_numpy_random(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "False"), proc.stdout
+
+
+def test_a_forked_verify_loads_numpy_random_only_in_its_child(tmp_path):
+    # the Lipschitz sampler draws its pairs in a forked child, so the
+    # parent's modules stay without numpy.random; without os.fork the
+    # sampler runs inline and loads it, with the same report
+    (tmp_path / "cfg.json").write_text(json.dumps(reference_config_dict(cells=16, T=1.5, dt=0.01)))
+    script = (
+        "import os, sys\n"
+        "import evomeasure.cli\n"
+        "if sys.argv[1] == 'inline':\n"
+        "    del os.fork\n"
+        "assert evomeasure.cli.main(['verify', '--config', 'cfg.json', '--out', sys.argv[1]]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = {}
+    for out in ("forked", "inline"):
+        proc = subprocess.run([sys.executable, "-c", script, out], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        loaded[out] = proc.stdout.splitlines()[-1]
+    assert loaded == {"forked": "False", "inline": "True"}
+    assert ((tmp_path / "forked" / "verify.json").read_bytes()
+            == (tmp_path / "inline" / "verify.json").read_bytes())
