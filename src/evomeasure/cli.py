@@ -5,8 +5,8 @@
     evomeasure dirac-limit    --config cfg.json --out dir ...
     evomeasure mutation-limit --config cfg.json --out dir [--sigmas 0.4,0.2,0.1,0.05] ...
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
-failure.
+Exit codes: 0 success, 1 verification failure, 2 config error (or an output
+directory that cannot be written), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -95,12 +95,16 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # the config is read into a ConfigError: this is the --out side
+        print(f"cannot write the artifacts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wall time: {time.perf_counter() - started:.2f} s")
     return code
 
 
 def _sigmas(args, cfg: RunConfig) -> list[float]:
-    """The kernel widths from --sigmas or the config, each finite and positive."""
+    """The kernel widths from --sigmas or the config: finite, positive and
+    strictly decreasing."""
     if args.sigmas:
         entries = [s for s in args.sigmas.split(",") if s.strip()]
     else:
@@ -113,6 +117,8 @@ def _sigmas(args, cfg: RunConfig) -> list[float]:
         raise ConfigError(f"bad sigma list: {exc}") from exc
     if not all(0.0 < s < math.inf for s in sigmas):
         raise ConfigError(f"every sigma must be a finite positive number, got {sigmas}")
+    if any(later >= s for s, later in zip(sigmas, sigmas[1:])):
+        raise ConfigError(f"the sigmas must be strictly decreasing, got {sigmas}")
     return sigmas
 
 

@@ -507,8 +507,6 @@ def _picard_nodes(
             raise NumericError(f"dt={dt} exceeds the contraction window b={constants.b}; reduce dt")
         k1 = min(k0 + m, last)
         piece = _picard_fixed_point(start, kernel, fp, constants, times[k0:k1 + 1], tol, max_iter)
-        if k0:
-            meta["window_breaks"].append(k0)
         del piece.meta["residuals"]
         meta["windows"].append({"t_start": times.item(k0), "window": times.item(k1) - times.item(k0),
                                 **piece.meta})
@@ -526,7 +524,10 @@ def flow_stream(
     ``rk4`` is ``rk4_stream``.  ``picard`` solves consecutive contraction
     windows of whole grid steps, re-estimating the truncation constants from
     the mass at each window start, and yields a window's nodes once they
-    converge; ``meta`` gains the window's record and its seam as it is read.
+    converge; ``meta`` gains the window's record as it is read.  Where the
+    windows are cut moves the nodes only within the tolerance: a window from
+    k0 carries e^(-(I_k - I_k0)) w_k0 plus its own trapezoid sum, which adds
+    up to e^(-I_k) (u + A_k), the sums over [0, t_k].
     ``dt`` may be omitted only at T = 0, where the flow is the identity.  The
     arguments are checked here, before any node is read.
     """
@@ -545,7 +546,7 @@ def flow_stream(
         raise ValueError("dt must be positive")
     _check_picard_settings(fp, tol, max_iter)
     times = time_grid(T, dt)
-    meta = {"dt": dt, "tol": tol, "windows": [], "window_breaks": []}
+    meta = {"dt": dt, "tol": tol, "windows": []}
     return NodeStream(u.space, times, _picard_nodes(u, kernel, fp, times, tol, max_iter, ball_radius, meta),
                       meta)
 
@@ -568,35 +569,31 @@ def flow(
 # ─── consistency diagnostics ─────────────────────────────────────────
 
 
-def finite_difference_residual(
-    traj: Trajectory, kernel: MutationKernel, fp: FitnessPair, skip: tuple[int, ...] = ()
-) -> float:
+def finite_difference_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> float:
     """Max TV gap between central differences of the states and the field.
 
     Checks that the trajectory solves the differential form: at interior
-    nodes, TV((w[k+1]-w[k-1])/(t[k+1]-t[k-1]) - F(w[k])).  Nodes in ``skip``
-    (e.g. window seams of a stitched Picard run) are excluded.
+    nodes, TV((w[k+1]-w[k-1])/(t[k+1]-t[k-1]) - F(w[k])).
     """
     field = _field(kernel, fp)
     nodes = ((w, None) for w in traj.weights)
-    return _central_difference_gap(traj.times, nodes, [lambda w, _: field(w, float(w.sum()))], skip)[0][0]
+    return _central_difference_gap(traj.times, nodes, [lambda w, _: field(w, float(w.sum()))])[0][0]
 
 
-def _central_difference_gap(times: np.ndarray, nodes, rhs, skip=()) -> tuple[list[float], int]:
+def _central_difference_gap(times: np.ndarray, nodes, rhs) -> tuple[list[float], int]:
     """Max TV gaps between central differences of the states on ``times``
     and each right-hand side in ``rhs``, and the number of nodes checked.
 
     ``nodes`` yields one ``(state, data)`` pair per node, in time order, and
     is read once through a window of three nodes; ``rhs[i](state, data)`` is
-    the i-th right-hand side at a node.  Nodes in ``skip``, and nodes between
-    steps of unequal length (where the difference is only first order), are
-    left out.  ``np.maximum`` carries a NaN gap through.
+    the i-th right-hand side at a node.  Nodes between steps of unequal
+    length (where the difference is only first order) are left out.
+    ``np.maximum`` carries a NaN gap through.
     """
     h = np.diff(times)
     even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
     checked = np.zeros(len(times), dtype=bool)
     checked[1:-1] = even
-    checked[list(skip)] = False
     worst = [0.0] * len(rhs)
     before = here = None
     for k, node in enumerate(nodes):

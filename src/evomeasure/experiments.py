@@ -237,11 +237,10 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     read where the checks need them, and a child whose outcome is not
     needed is killed.  An exception other than a ``NumericError`` propagates
     unchanged, from the loop or from a child.  Where ``os.fork`` is missing
-    or refused, and for the one-node runs at T = 0, they run inline, with
-    the same bytes.  A caller with threads of its own should not rely on the
-    fork; Python >= 3.12 warns when it forks a process with threads (an
-    OpenBLAS thread pool counts), and the children's calls are invisible to
-    an in-process tracer.
+    or refused, they run inline, with the same bytes.  A caller with threads
+    of its own should not rely on the fork; Python >= 3.12 warns when it
+    forks a process with threads (an OpenBLAS thread pool counts), and the
+    children's calls are invisible to an in-process tracer.
     """
     space, kernel, fp, u = cfg.build()
     checks: dict[str, dict] = {}
@@ -274,21 +273,20 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         return int(np.searchsorted(times, t + 1e-9 * cfg.dt, side="right"))
 
     t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
-    composes = cfg.T > 0 and t1 < cfg.T
+    composes = t1 < cfg.T  # t1 >= dt > 0, so T > 0 here
     n_split, n_class, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 10.0)), nodes_upto(min(cfg.T, 1.0))
     masses = np.empty(len(times))
     class_gap, last, restart, fine, oracle = 0.0, None, None, None, None
     # the Lipschitz sampler, the class-system oracle, the restart from the
     # split node and the frequency gaps on [0, min(T, 1)] at dt and dt/2 need
     # nothing more from the reference: each runs in a forked child beside the
-    # pass (a run of one node, at T = 0, is not worth a process), the oracle
-    # sending its nodes through a pipe as the pass reads them, and the child
-    # whose result is not read is ended in the finally below.  The sampler
-    # loads numpy.random in its child, not in this process
+    # pass, the oracle sending its nodes through a pipe as the pass reads
+    # them, and the child whose result is not read is ended in the finally
+    # below.  The sampler loads numpy.random in its child, not in this process
     children: list[_Child] = []
 
     def start(fn, stream: bool = False) -> _Child:
-        children.append(_forked(fn, stream) if cfg.T > 0 else _Child(fn))
+        children.append(_forked(fn, stream))
         return children[-1]
 
     try:

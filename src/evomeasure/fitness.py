@@ -31,8 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, _integer
+from .errors import ConfigError, NumericError, _integer
 from .space import StrategySpace
+
+K_TILDE_FACTOR = 1.1  # the truncation level K~ of estimate_constants, in units of u(Q) + 2a
+N_X = 101  # X-values of the sampling lattice on [0, K~]
 
 
 def _coef(space: StrategySpace, spec, name: str) -> float | np.ndarray:
@@ -40,7 +43,7 @@ def _coef(space: StrategySpace, spec, name: str) -> float | np.ndarray:
 
     Accepts a scalar, kept as a float that broadcasts against the points, an
     (n,) array, {"trait": i} (use coordinate i of each point), or a callable
-    on points.
+    on points.  A non-finite entry is refused, naming the coefficient.
     """
     n = space.n
     if isinstance(spec, dict):
@@ -49,13 +52,15 @@ def _coef(space: StrategySpace, spec, name: str) -> float | np.ndarray:
             raise ValueError(f"coefficient {name}: trait index {i} out of range")
         return space.points[:, i].copy()
     if callable(spec):
-        return np.array([float(spec(q)) for q in space.points])
-    arr = np.asarray(spec, dtype=float)
-    if arr.ndim == 0:
-        return float(arr)
-    if arr.shape != (n,):
-        raise ValueError(f"coefficient {name} has {arr.shape[0]} entries, space has {n} points")
-    return arr.copy()
+        arr = np.array([float(spec(q)) for q in space.points])
+    else:
+        arr = np.array(spec, dtype=float)
+        if arr.ndim and arr.shape != (n,):
+            raise ValueError(f"coefficient {name} has {arr.shape[0]} entries, space has {n} points")
+    bad = ~np.isfinite(arr)
+    if np.any(bad):
+        raise ConfigError(f"coefficient {name} is not finite: {float(arr[bad][0])!r}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _birth_coef(space: StrategySpace, spec) -> np.ndarray:
@@ -223,6 +228,8 @@ def fitness_from_config(cfg: dict, space: StrategySpace) -> FitnessPair:
     """
     family = cfg.get("family")
     floor = float(cfg.get("floor", 1e-3))
+    if not np.isfinite(floor):
+        raise ConfigError(f"fitness floor is not finite: {floor!r}")
     if family == "constant":
         return constant_pair(space, cfg["a"], cfg["b"])
     if family == "logistic":
@@ -253,16 +260,16 @@ class AssumptionReport:
         return dict(asdict(self), violations=self.violations[:20])
 
 
-def verify_assumptions(fp: FitnessPair, k_tilde: float = 10.0, n_x: int = 101) -> AssumptionReport:
+def verify_assumptions(fp: FitnessPair, k_tilde: float = 10.0) -> AssumptionReport:
     """Check nonnegativity, monotonicity in X, and the mortality floor.
 
-    Sampled on a lattice of ``n_x`` X-values on [0, k_tilde] times the
+    Sampled on a lattice of ``N_X`` X-values on [0, k_tilde] times the
     support points of ``fp.space``; witnesses name the offending point.
     Mean-fitness pairs are reported as not applicable.
     """
     if fp.mean_fitness_mortality:
         return AssumptionReport(applicable=False, passed=True, varpi=float("nan"), n_x=0)
-    xs = np.linspace(0.0, k_tilde, n_x)
+    xs = np.linspace(0.0, k_tilde, N_X)
     f1_tab, f2_tab = fp.tables(xs)
     violations = []
 
@@ -295,7 +302,7 @@ def verify_assumptions(fp: FitnessPair, k_tilde: float = 10.0, n_x: int = 101) -
     if varpi <= 0:
         witness("mortality_floor_nonpositive", 0, int(np.argmin(f2_tab[0])), varpi)
     return AssumptionReport(
-        applicable=True, passed=not violations, varpi=varpi, n_x=n_x, violations=violations
+        applicable=True, passed=not violations, varpi=varpi, n_x=N_X, violations=violations
     )
 
 
@@ -341,25 +348,19 @@ def _lattice_bounds(fp: FitnessPair, k_tilde: float, n_x: int):
     return b1, b2, l1, l2
 
 
-def estimate_constants(
-    fp: FitnessPair,
-    u_mass: float,
-    a: float | None = None,
-    k_tilde: float | None = None,
-    n_x: int = 101,
-) -> TruncationConstants:
+def estimate_constants(fp: FitnessPair, u_mass: float, a: float | None = None) -> TruncationConstants:
     """Measure B1, B2, L1, L2 on a lattice and pick the contraction window b.
 
     ``u_mass`` is u(Q), ``a`` the ball radius (default max(1, u(Q))), and K~
-    defaults to 1.1 (u(Q) + 2a).  The rates are tabulated at the support
-    points of ``fp.space`` on the ``n_x``-point lattice on [0, K~] refined
-    once by its midpoints (2 n_x - 1 points).  The refinement holds every
+    is 1.1 (u(Q) + 2a).  The rates are tabulated at the support points of
+    ``fp.space`` on the ``N_X``-point lattice on [0, K~] refined once by its
+    midpoints (2 N_X - 1 points).  The refinement holds every
     coarse node, and each coarse divided difference is the mean of two
     refined ones, so the coarse lattice alone never gives a larger estimate.
     b has the closed form of the module docstring, and both window
     inequalities are re-asserted at it.  A refusal for want of a positive
     window names the first assumption the truncated pair breaks on the
-    ``n_x``-point lattice.
+    ``N_X``-point lattice.
     """
     if a is None:
         a = max(1.0, u_mass)
@@ -368,12 +369,9 @@ def estimate_constants(
     if u_mass < 0:
         raise ValueError("u_mass must be nonnegative")
     C1 = u_mass + 2.0 * a
-    if k_tilde is None:
-        k_tilde = 1.1 * C1
-    if k_tilde <= C1:
-        raise ValueError(f"k_tilde must exceed u(Q) + 2a = {C1}")
+    k_tilde = K_TILDE_FACTOR * C1
     fpt = fp.truncated(k_tilde)
-    B1, B2, L1, L2 = _lattice_bounds(fpt, k_tilde, 2 * n_x - 1)
+    B1, B2, L1, L2 = _lattice_bounds(fpt, k_tilde, 2 * N_X - 1)
 
     # window condition 1: (1 - e^(-B2 b)) u(Q) + 2 B1 C1 b < a, increasing in b
     def g(b):
@@ -397,7 +395,7 @@ def estimate_constants(
     root = np.inf if A == 0 else 1.8 / (A + np.sqrt(A * A + 3.6 * K))
     b = float(np.minimum(0.9 * np.minimum(1.0, b1_star), root))
     if not (b > 0 and np.isfinite(b)):
-        broken = verify_assumptions(fpt, k_tilde, n_x).violations[:1]
+        broken = verify_assumptions(fpt, k_tilde).violations[:1]
         raise NumericError(
             f"no positive window satisfies the contraction conditions "
             f"(bound from growth: {b1_star}, bound from Lipschitz terms: {root})"

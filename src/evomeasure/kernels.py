@@ -10,7 +10,7 @@ Kernels are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class MutationKernel:
 
     space: StrategySpace
     rows: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.rows is None:
@@ -103,7 +102,7 @@ def matrix_kernel(space: StrategySpace, rows) -> MutationKernel:
     return MutationKernel(space, rows=np.asarray(rows, dtype=float))
 
 
-def _density_kernel(space: StrategySpace, table: np.ndarray, meta: dict) -> MutationKernel:
+def _density_kernel(space: StrategySpace, table: np.ndarray) -> MutationKernel:
     """The kernel of a density tabulated as table[j, i] = p(q_i, q_hat_j).
 
     Row j is proportional to p(q_i, q_hat_j) * cell_volumes[i], renormalized
@@ -124,7 +123,7 @@ def _density_kernel(space: StrategySpace, table: np.ndarray, meta: dict) -> Muta
     sums[zero] = 1.0
     rows /= sums[:, None]
     rows[zero, zero] = 1.0
-    return MutationKernel(space, rows=rows, meta=meta)
+    return MutationKernel(space, rows=rows)
 
 
 def kernel_from_density(space: StrategySpace, p) -> MutationKernel:
@@ -135,7 +134,7 @@ def kernel_from_density(space: StrategySpace, p) -> MutationKernel:
     normalized by ``_density_kernel``.
     """
     table = np.array([[p(q, qhat) for q in space.points] for qhat in space.points], dtype=float)
-    return _density_kernel(space, table, {"source": "density"})
+    return _density_kernel(space, table)
 
 
 def gaussian_kernel(space: StrategySpace, sigma: float) -> MutationKernel:
@@ -146,12 +145,12 @@ def gaussian_kernel(space: StrategySpace, sigma: float) -> MutationKernel:
     d2 = 0.0
     for x in space.points.T:
         d2 = d2 + (x[None, :] - x[:, None]) ** 2
-    return _density_kernel(space, np.exp(-inv * d2), {"source": "gaussian", "sigma": sigma})
+    return _density_kernel(space, np.exp(-inv * d2))
 
 
 def uniform_kernel(space: StrategySpace) -> MutationKernel:
     """Offspring strategy uniform over Q regardless of the parent."""
-    return _density_kernel(space, np.ones((space.n, space.n)), {"source": "uniform"})
+    return _density_kernel(space, np.ones((space.n, space.n)))
 
 
 def kernel_from_config(cfg: dict, space: StrategySpace) -> MutationKernel:

@@ -151,13 +151,13 @@ def class_system_gap(traj, kernel, fpt, u, dt):
     return max_row_tv(traj.weights, xs)
 
 
-def central_difference_gap(times, state, rhs, skip=()):
+def central_difference_gap(times, state, rhs):
     """Max TV gap between the central difference of ``state(k)`` and
-    ``rhs(k)`` over interior nodes between equal steps and not in ``skip``,
-    and the number of nodes checked."""
+    ``rhs(k)`` over interior nodes between equal steps, and the number of
+    nodes checked."""
     h = np.diff(times)
     even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
-    ks = np.setdiff1d(np.flatnonzero(even) + 1, skip)
+    ks = np.flatnonzero(even) + 1
     worst = 0.0
     for k in ks:
         row = state(k + 1) - state(k - 1)
@@ -167,11 +167,11 @@ def central_difference_gap(times, state, rhs, skip=()):
     return float(worst), len(ks)
 
 
-def finite_difference_residual(traj, kernel, fp, skip=()):
+def finite_difference_residual(traj, kernel, fp):
     """The central-difference gap of a trajectory against the measure field."""
     w = traj.weights
     return central_difference_gap(traj.times, w.__getitem__,
-                                  lambda k: field_weights(w[k], kernel, fp), skip)[0]
+                                  lambda k: field_weights(w[k], kernel, fp))[0]
 
 
 def _frequency_gap(traj, rhs):

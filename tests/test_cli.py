@@ -143,6 +143,16 @@ def grid2d_reference(cells):
                            fitness={"family": "logistic", "a": {"trait": 0}, "b": 1.0})
 
 
+def refit(**coefs):
+    """The small reference with fitness coefficients replaced."""
+    return small_reference(fitness={**small_reference()["fitness"], **coefs})
+
+
+def one_infinite_birth_coefficient():
+    a = small_reference()["fitness"]["a"]
+    return refit(a=[*a[:5], float("inf"), *a[6:]])
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     # grid_2d read cells[1] of a one-entry list, and ran a 2x2 grid on a three-entry one
     ("simulate", grid2d_reference([4]), "space.cells needs two entries (nx, ny), got 1"),
@@ -158,12 +168,32 @@ def grid2d_reference(cells):
     ("dirac-limit", {**concentration_config_dict(cells=16, T=1.0, dt=0.05),
                      "initial": {"kind": "uniform", "mass": 0.0}},
      "dirac-limit needs a positive initial mass"),
+    # non-finite rate coefficients made K~ NaN (a traceback), or RK4's first step non-finite
+    ("simulate", refit(a=float("nan")), "coefficient a is not finite: nan"),
+    ("simulate", refit(c=float("nan")), "coefficient c is not finite: nan"),
+    ("simulate", refit(b=float("inf")), "coefficient b is not finite: inf"),
+    ("simulate", refit(floor=float("inf")), "fitness floor is not finite: inf"),
+    ("simulate", one_infinite_birth_coefficient(), "coefficient a is not finite: inf"),
+    ("verify", refit(a=float("nan")), "coefficient a is not finite: nan"),
+    ("verify", refit(c=float("nan")), "coefficient c is not finite: nan"),
 ])
 def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_an_output_path_that_cannot_be_a_directory_exits_2(command, out, tmp_path, capsys):
+    # an existing file, or a path below one: the artifacts cannot be written
+    (tmp_path / "file").write_text("kept\n")
+    args = [command, "--config", str(write_config(tmp_path, small_reference())), "--out", str(tmp_path / out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write the artifacts: ")
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_config_mean_fitness_with_picard_is_config_error(tmp_path):
@@ -627,7 +657,7 @@ def test_mutation_limit_needs_sigmas(tmp_path):
 def test_mutation_limit_bad_sigmas_exit_2_before_running(tmp_path):
     cfg = reference_config_dict(cells=16, T=0.2, dt=0.01)
     p = str(write_config(tmp_path, cfg))
-    for sigmas in ("0.4,-1", "0", "nan", "inf"):
+    for sigmas in ("0.4,-1", "0", "nan", "inf", "0.1,0.2", "0.4,0.2,0.2"):
         assert main(["mutation-limit", "--config", p, "--out", str(tmp_path / "out"),
                      "--sigmas", sigmas]) == 2
     p = str(write_config(tmp_path, dict(cfg, sigmas=[0.2, "x"]), name="listed.json"))

@@ -491,9 +491,8 @@ def test_discrete_reduction_compares_every_node_up_to_ten(case, monkeypatch):
 def test_verify_forks_one_child_per_independent_run(monkeypatch):
     # the Lipschitz sampler, the class-system oracle and the frequency gaps
     # at dt and dt/2 (not under mean-fitness mortality) and the semigroup
-    # restart; a run of one node is computed inline.  The parent computes no
-    # frequency gap of its own, so it calls frequency_gaps only where the
-    # children run inline
+    # restart (not at T = 0, where there is no split).  The parent computes
+    # no frequency gap of its own, so it calls frequency_gaps nowhere
     forks, gap_calls = [], []
     fork, gaps = os.fork, experiments.frequency_gaps
 
@@ -509,7 +508,7 @@ def test_verify_forks_one_child_per_independent_run(monkeypatch):
     monkeypatch.setattr(experiments, "frequency_gaps", counting_gaps)
     fds = open_fds()
     for d, n_forks, n_gap_calls in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 4, 0),
-                                    (VERIFY_CASES["mean-fitness"], 1, 0), (VERIFY_CASES["T-zero"], 0, 2)):
+                                    (VERIFY_CASES["mean-fitness"], 1, 0), (VERIFY_CASES["T-zero"], 3, 0)):
         forks.clear()
         gap_calls.clear()
         assert verify(RunConfig.from_dict(d))["passed"]

@@ -328,10 +328,9 @@ def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inje
     assert traj.sup_tv_distance(other) == max_row_tv(traj.weights, other.weights)
     rhs_rows = rng.normal(size=(n_nodes, n))
     rhs = lambda k: rhs_rows[k]
-    skip = tuple(int(k) for k in rng.choice(n_nodes, size=rng.integers(0, n_nodes + 1), replace=False))
     nodes = zip(traj.weights, range(n_nodes))
-    (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rhs(k)], skip)
-    want_gap, want_count = central_difference_gap(traj.times, traj.weights.__getitem__, rhs, skip)
+    (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rhs(k)])
+    want_gap, want_count = central_difference_gap(traj.times, traj.weights.__getitem__, rhs)
     assert gap == want_gap and count == want_count
 
 
@@ -569,7 +568,6 @@ def test_picard_flow_on_a_2d_grid_is_the_per_node_operators(monkeypatch):
     monkeypatch.setattr("evomeasure.dynamics.picard_operator", parent_picard_operator)
     want = flow(u, kernel, fp, 0.3, solver="picard", dt=0.005)
     assert len(got.meta["windows"]) >= 2
-    assert got.meta["window_breaks"] == want.meta["window_breaks"]
     for g, w in zip(got.meta["windows"], want.meta["windows"], strict=True):
         assert (g["t_start"], g["window"], g["iterations"]) == (w["t_start"], w["window"], w["iterations"])
     assert np.array_equal(got.times, want.times)
@@ -720,6 +718,23 @@ def test_flow_rejects_mean_fitness_picard():
         flow(u, dirac_kernel(sp), fp, 1.0, solver="picard", dt=1e-3)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kernel_kind", ["dirac", "gaussian"])
+@pytest.mark.parametrize("space_kind", ["grid1d", "grid2d", "atoms"])
+def test_picard_nodes_do_not_depend_on_where_the_windows_are_cut(space_kind, kernel_kind, seed):
+    # a window from node k0 carries e^(-(I_k - I_k0)) w_k0 plus its own
+    # trapezoid sums, which add up to the sums over [0, t_k]: ball radii 1
+    # and 8 cut [0, T] into different windows, and the nodes agree to the
+    # Picard tolerance
+    rng = np.random.default_rng(seed)
+    sp, kernel, fp, u = random_problem(rng, space_kind, int(rng.integers(1, 6)), kernel_kind)
+    fp, tol = replace(fp, k_tilde=None), 1e-10
+    coarse, fine = (flow(u, kernel, fp, 0.5, solver="picard", dt=0.0025, tol=tol, ball_radius=a)
+                    for a in (1.0, 8.0))
+    assert len(coarse.meta["windows"]) < len(fine.meta["windows"])
+    assert coarse.sup_tv_distance(fine) <= 10 * tol
+
+
 def test_flow_picard_nodes_are_the_rk4_grid_bitwise():
     # T / dt = 39.5: windows are runs of whole steps of time_grid(T, dt), so
     # no seam is a float sum and the last window ends with the grid's
@@ -728,8 +743,6 @@ def test_flow_picard_nodes_are_the_rk4_grid_bitwise():
     traj = flow(u, kernel, fp, 0.395, solver="picard", dt=0.01)
     assert np.array_equal(traj.times, time_grid(0.395, 0.01))
     assert len(traj.meta["windows"]) >= 2
-    assert traj.meta["window_breaks"] == [
-        int(np.searchsorted(traj.times, w["t_start"])) for w in traj.meta["windows"][1:]]
 
 
 def test_sup_tv_distance_refuses_different_node_counts():
@@ -845,24 +858,22 @@ def test_picard_and_rk4_agree_at_order_two(space_kind, n, kernel_kind, seed):
 
 
 def test_finite_difference_residual_matches_a_node_loop():
-    # the plain per-node loop is the reference: nodes in ``skip`` and nodes
-    # between steps of unequal length (here before the shortened last step)
-    # are left out
+    # the plain per-node loop is the reference: nodes between steps of
+    # unequal length (here before the shortened last step) are left out
     sp, kernel, fp, u = reference_components(cells=16)
     traj = rk4_integrate(u, kernel, fp, 0.395, 0.01)
     fpt = fp.truncated(traj.meta["k_tilde"])
-    skip = (5, 17)
     t, w = traj.times, traj.weights
     worst = 0.0
     for k in range(1, traj.n_nodes - 1):
         h1, h2 = t[k] - t[k - 1], t[k + 1] - t[k]
-        if k in skip or abs(h1 - h2) > 1e-12 * max(h1, h2):
+        if abs(h1 - h2) > 1e-12 * max(h1, h2):
             continue
         deriv = (w[k + 1] - w[k - 1]) / (t[k + 1] - t[k - 1])
         f = vector_field(traj.state(k), kernel, fpt).weights
         worst = max(worst, float(np.abs(deriv - f).sum()))
     assert traj.n_nodes == 41 and t[-1] - t[-2] < 0.0051
-    assert finite_difference_residual(traj, kernel, fpt, skip=skip) == worst
+    assert finite_difference_residual(traj, kernel, fpt) == worst
 
 
 def test_central_difference_gap_of_a_nan_rhs_is_nan():

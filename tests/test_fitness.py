@@ -25,6 +25,7 @@ from evomeasure import (
     ricker_pair,
     verify_assumptions,
 )
+from evomeasure import fitness
 from evomeasure.fitness import _lattice_bounds, fitness_from_config
 from oracles import random_pair, random_problem
 
@@ -264,11 +265,12 @@ def test_constants_window_inequalities_hold_with_margin():
         assert tc.kappa == pytest.approx(2 * tc.b * (tc.L2 * tc.C1 + tc.B1 + tc.C1 * tc.C2))
 
 
-def test_constants_logistic_2d_stable_under_lattice_refinement():
+def test_constants_logistic_2d_stable_under_lattice_refinement(monkeypatch):
     sp = grid_2d([[1.0, 2.0], [1.0, 2.0]], (6, 6))
     fp = logistic_pair(sp, a={"trait": 0}, b={"trait": 1}, floor=0.1)
-    c1 = estimate_constants(fp, 1.0, 1.0, k_tilde=10.0, n_x=101)
-    c2 = estimate_constants(fp, 1.0, 1.0, k_tilde=10.0, n_x=202)
+    c1 = estimate_constants(fp, 1.0, 1.0)
+    monkeypatch.setattr(fitness, "N_X", 2 * fitness.N_X)
+    c2 = estimate_constants(fp, 1.0, 1.0)
     for name in ("B1", "B2", "L1", "L2", "b", "kappa"):
         v1, v2 = getattr(c1, name), getattr(c2, name)
         if v1 == 0 and v2 == 0:
@@ -384,8 +386,8 @@ def test_constants_reject_mean_fitness_and_bad_inputs():
     fp = constant_pair(sp, 1.0, 1.0)
     with pytest.raises(ValueError):
         estimate_constants(fp, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        estimate_constants(fp, 1.0, 1.0, k_tilde=2.0)  # below u(Q) + 2a
+    # K~ is 1.1 (u(Q) + 2a), above u(Q) + 2a
+    assert estimate_constants(fp, 1.0, 1.0).k_tilde == pytest.approx(1.1 * 3.0)
 
 
 # ─── config loading ──────────────────────────────────────────────────

@@ -278,7 +278,8 @@ def test_kernel_from_config_variants():
     k = kernel_from_config({"variant": "matrix", "rows": np.eye(3).tolist()}, sp)
     assert np.array_equal(k.rows, np.eye(3))
     assert kernel_from_config({"variant": "uniform"}, sp).rows is not None
-    assert kernel_from_config({"variant": "gaussian", "sigma": 0.2}, sp).meta["sigma"] == 0.2
+    assert np.array_equal(kernel_from_config({"variant": "gaussian", "sigma": 0.2}, sp).rows,
+                          gaussian_kernel(sp, 0.2).rows)
     with pytest.raises(ValueError):
         kernel_from_config({"variant": "nope"}, sp)
 
