@@ -103,14 +103,16 @@ def main(argv=None) -> int:
 
 
 def _sigmas(args, cfg: RunConfig) -> list[float]:
-    """The kernel widths from --sigmas or the config: finite, positive and
-    strictly decreasing."""
+    """The kernel widths from --sigmas or the config's JSON list: finite,
+    positive and strictly decreasing."""
     if args.sigmas:
         entries = [s for s in args.sigmas.split(",") if s.strip()]
     else:
         entries = cfg.raw.get("sigmas")
         if not entries:
             raise ConfigError("mutation-limit needs --sigmas or a 'sigmas' config entry")
+        if not isinstance(entries, list):  # a string would be read one character at a time
+            raise ConfigError(f"the config's 'sigmas' must be a JSON list, got {entries!r}")
     try:
         sigmas = [float(s) for s in entries]
     except (TypeError, ValueError) as exc:

@@ -67,12 +67,15 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
         raise ConfigError(f"unknown initial measure kind {kind!r}")
     if np.any(w < 0):
         raise ConfigError("initial measure must be nonnegative")
+    with np.errstate(over="ignore"):
+        total = float(np.sum(w))
+    if not np.isfinite(total):  # finite weights can still add up past the largest float
+        raise ConfigError(f"the initial measure's total mass is not finite: {total!r}")
     mass = cfg.get("mass")
     if mass is not None:
         mass = float(mass)
         if not 0 <= mass < np.inf:
             raise ConfigError("initial.mass must be nonnegative and finite")
-        total = float(np.sum(w))
         if total <= 0:
             raise ConfigError("cannot scale a zero initial measure to a target mass")
         w = w * (mass / total)

@@ -339,8 +339,8 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
                                          count=len(times))
                 record("positivity", True)
             if constants is not None:
-                excess = mass_bound_excess(times, run_masses, constants.M_f1)
-                record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
+                excess = mass_bound_excess(times, run_masses, constants.B1)
+                record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.B1)
             positive_mass = bool(np.all(run_masses > 0))
         except NumericError as exc:
             record("positivity", False, witness=str(exc))

@@ -11,9 +11,9 @@ death) are offered with an additive floor so the implemented pair satisfies
 the assumptions; passing floor=0 reproduces the raw model outside the proven
 well-posedness regime, and assumption verification will flag it.
 
-``estimate_constants`` measures the bounds and Lipschitz constants of the
-truncated pair on a sampling lattice and chooses the contraction window b
-for the Picard solver:
+``estimate_constants`` takes the bounds and Lipschitz constants of the
+truncated pair from the families' formulas and chooses the contraction
+window b for the Picard solver:
 
     (1 - e^(-B2 b)) u(Q) + 2 B1 C1 b < a,
     b < min{1, 1 / (2 L2 C1 + 2 B1 + 2 C2 C1)},
@@ -35,7 +35,7 @@ from .errors import ConfigError, NumericError, _integer
 from .space import StrategySpace
 
 K_TILDE_FACTOR = 1.1  # the truncation level K~ of estimate_constants, in units of u(Q) + 2a
-N_X = 101  # X-values of the sampling lattice on [0, K~]
+N_X = 101  # X-values of verify_assumptions' lattice on [0, k_tilde]
 
 
 def _coef(space: StrategySpace, spec, name: str) -> float | np.ndarray:
@@ -323,7 +323,6 @@ class TruncationConstants:
     B2: float
     L1: float
     L2: float
-    M_f1: float
     varpi: float
     u_mass: float
     a: float
@@ -336,42 +335,44 @@ class TruncationConstants:
         return asdict(self)
 
 
-def _lattice_bounds(fp: FitnessPair, k_tilde: float, n_x: int):
-    """Sup bounds and max divided differences of the truncated pair."""
-    xs = np.linspace(0.0, k_tilde, n_x)
-    f1_tab, f2_tab = fp.tables(xs)
-    dx = xs[1] - xs[0]
-    b1 = float(np.max(f1_tab))
-    b2 = float(np.max(f2_tab))
-    l1 = float(np.max(np.abs(np.diff(f1_tab, axis=0)))) / dx
-    l2 = float(np.max(np.abs(np.diff(f2_tab, axis=0)))) / dx
-    return b1, b2, l1, l2
-
-
 def estimate_constants(fp: FitnessPair, u_mass: float, a: float | None = None) -> TruncationConstants:
-    """Measure B1, B2, L1, L2 on a lattice and pick the contraction window b.
+    """B1, B2, L1, L2 of the truncated pair in closed form, and the window b.
 
     ``u_mass`` is u(Q), ``a`` the ball radius (default max(1, u(Q))), and K~
-    is 1.1 (u(Q) + 2a).  The rates are tabulated at the support points of
-    ``fp.space`` on the ``N_X``-point lattice on [0, K~] refined once by its
-    midpoints (2 N_X - 1 points).  The refinement holds every
-    coarse node, and each coarse divided difference is the mean of two
-    refined ones, so the coarse lattice alone never gives a larger estimate.
-    b has the closed form of the module docstring, and both window
-    inequalities are re-asserted at it.  A refusal for want of a positive
-    window names the first assumption the truncated pair breaks on the
-    ``N_X``-point lattice.
+    is 1.1 (u(Q) + 2a).  With coefficients a, b, c >= 0, every built-in f1
+    (a, a / (1 + cX), a e^(-cX)) is nonincreasing and convex in X and every
+    f2 (b, floor + bX) nondecreasing and affine, also clamped to [0, K~]: so
+    B1 = max f1(0) = max a, B2 = max f2(K~), L1 = max(a c) (the slope at
+    X = 0; 0 without c) and L2 = max b (0 for constant rates) are bounds, not
+    samples.  A custom pair has no such formulas and is refused.  b has the
+    closed form of the module docstring, and both window inequalities are
+    re-asserted at it.  A refusal for want of a positive window names a
+    negative coefficient, if any, and the first assumption the truncated
+    pair breaks on ``verify_assumptions``' lattice.
     """
-    if a is None:
-        a = max(1.0, u_mass)
+    if fp.family == "custom":
+        raise ValueError("a custom pair has no closed-form truncation constants; use RK4")
+    a = max(1.0, u_mass) if a is None else a
     if a <= 0:
         raise ValueError("ball radius a must be positive")
     if u_mass < 0:
         raise ValueError("u_mass must be nonnegative")
     C1 = u_mass + 2.0 * a
     k_tilde = K_TILDE_FACTOR * C1
-    fpt = fp.truncated(k_tilde)
-    B1, B2, L1, L2 = _lattice_bounds(fpt, k_tilde, 2 * N_X - 1)
+    fpt, p = fp.truncated(k_tilde), fp.params
+    B1 = float(np.max(fpt.f1(0.0)))
+    B2 = float(np.max(fpt.f2(k_tilde)))  # a mean-fitness pair refuses here, naming RK4
+    L1 = float(np.max(p["a"] * p["c"])) if "c" in p else 0.0
+    L2 = 0.0 if fp.family == "constant" else float(np.max(p["b"]))
+
+    def refuse(reason: str):
+        broken = "".join(f"; {v['kind']} at X={v['X']}, q={v['q']}"
+                         for v in verify_assumptions(fpt, k_tilde).violations[:1])
+        raise NumericError(f"no positive window satisfies the contraction conditions ({reason}){broken}")
+
+    for name in ("a", "b", "c"):
+        if name in p and np.min(p[name]) < 0:
+            refuse(f"coefficient {name} is negative: {float(np.min(p[name]))!r}")
 
     # window condition 1: (1 - e^(-B2 b)) u(Q) + 2 B1 C1 b < a, increasing in b
     def g(b):
@@ -395,27 +396,19 @@ def estimate_constants(fp: FitnessPair, u_mass: float, a: float | None = None) -
     root = np.inf if A == 0 else 1.8 / (A + np.sqrt(A * A + 3.6 * K))
     b = float(np.minimum(0.9 * np.minimum(1.0, b1_star), root))
     if not (b > 0 and np.isfinite(b)):
-        broken = verify_assumptions(fpt, k_tilde).violations[:1]
-        raise NumericError(
-            f"no positive window satisfies the contraction conditions "
-            f"(bound from growth: {b1_star}, bound from Lipschitz terms: {root})"
-            + "".join(f"; {v['kind']} at X={v['X']}, q={v['q']}" for v in broken)
-        )
+        refuse(f"bound from growth: {b1_star}, bound from Lipschitz terms: {root}")
     C2 = L1 + 2.0 * b * L2 * B1
     kappa = 2.0 * b * (L2 * C1 + B1 + C1 * C2)
     # both window inequalities at the result; kappa = b (A + K b) < 1 is condition 2
     if not (g(b) < a and b < 1.0 and kappa < 1.0):
         raise NumericError(f"window selection failed at b={b}")
-    f1_zero = fpt.f1(0.0)
-    f2_zero = fpt.f2(0.0)
     return TruncationConstants(
         k_tilde=float(k_tilde),
         B1=B1,
         B2=B2,
         L1=L1,
         L2=L2,
-        M_f1=float(np.max(f1_zero)),
-        varpi=float(np.min(f2_zero)),
+        varpi=float(np.min(fpt.f2(0.0))),
         u_mass=float(u_mass),
         a=float(a),
         b=float(b),

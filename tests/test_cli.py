@@ -153,6 +153,13 @@ def one_infinite_birth_coefficient():
     return refit(a=[*a[:5], float("inf"), *a[6:]])
 
 
+def overflowing_initial_measures():
+    huge = [1e308, 1e308] + [0.0] * 14
+    return [{"kind": "weights", "weights": huge, "mass": 1.0},
+            {"kind": "gaussian", "center": 1.0, "sigma": 0.2, "baseline": 1e308, "mass": 1.0},
+            {"kind": "weights", "weights": huge}]
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     # grid_2d read cells[1] of a one-entry list, and ran a 2x2 grid on a three-entry one
     ("simulate", grid2d_reference([4]), "space.cells needs two entries (nx, ny), got 1"),
@@ -176,6 +183,9 @@ def one_infinite_birth_coefficient():
     ("simulate", one_infinite_birth_coefficient(), "coefficient a is not finite: inf"),
     ("verify", refit(a=float("nan")), "coefficient a is not finite: nan"),
     ("verify", refit(c=float("nan")), "coefficient c is not finite: nan"),
+    # finite weights whose sum overflows: rescaled to the zero measure, or a numeric failure
+    *[(command, small_reference(initial=initial), "the initial measure's total mass is not finite: inf")
+      for command in ("simulate", "verify") for initial in overflowing_initial_measures()],
 ])
 def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -663,6 +673,16 @@ def test_mutation_limit_bad_sigmas_exit_2_before_running(tmp_path):
     p = str(write_config(tmp_path, dict(cfg, sigmas=[0.2, "x"]), name="listed.json"))
     assert main(["mutation-limit", "--config", p, "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigmas", ["42", 0.2])
+def test_mutation_limit_config_sigmas_must_be_a_list(sigmas, tmp_path, capsys):
+    # the string "42" once ran sigma = 4 and sigma = 2, one character each
+    cfg = dict(reference_config_dict(cells=16, T=0.2, dt=0.01), sigmas=sigmas)
+    out = tmp_path / "out"
+    assert main(["mutation-limit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert "the config's 'sigmas' must be a JSON list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mutation_limit_huge_sigma_dominates(tmp_path):

@@ -111,8 +111,8 @@ def materialized_verify(cfg, out_dir=None):
             traj = _flow(cfg, u, kernel, fp, cfg.T)
             record("positivity", True)
         if constants is not None:
-            excess = materialized_mass_bound_excess(traj, constants.M_f1)
-            record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.M_f1)
+            excess = materialized_mass_bound_excess(traj, constants.B1)
+            record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.B1)
         positive_mass = bool(np.all(traj.masses > 0))
         del traj
     except NumericError as exc:
@@ -673,9 +673,9 @@ def test_dirac_limit_reads_a_picard_run_window_by_window(tmp_path):
 
 
 def test_picard_flow_holds_one_trajectory():
-    # the windows are written into the one collected array; the remainder
-    # is the sampling lattice of estimate_constants and one window's arrays.
-    # Windows kept apart and stacked at the end peak above 2 trajectories
+    # the windows are written into the one collected array, and the traced
+    # peak is 1.21 trajectories.  Windows kept apart and stacked at the end
+    # peak above 2 trajectories
     sp, kernel, fp, u = reference_components(cells=64)
     peak = _traced_peak(lambda: flow(u, kernel, fp, 4.0, solver="picard", dt=1e-3))
     trajectory_bytes = 4001 * 64 * 8

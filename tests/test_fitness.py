@@ -6,12 +6,15 @@ Lipschitz bound), so the package's closed-form root is checked against an
 independent route.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evomeasure import (
+    ConfigError,
     NumericError,
     atoms,
     beverton_holt_pair,
@@ -25,8 +28,7 @@ from evomeasure import (
     ricker_pair,
     verify_assumptions,
 )
-from evomeasure import fitness
-from evomeasure.fitness import _lattice_bounds, fitness_from_config
+from evomeasure.fitness import fitness_from_config
 from oracles import random_pair, random_problem
 
 
@@ -175,7 +177,6 @@ def test_custom_pair_callables_broadcast_over_a_column():
         assert np.array_equal(f1_tab[k], 2.0 * np.exp(-X * q[:, 0]))
         assert np.array_equal(f2_tab[k], 0.1 + X * q[:, 1] ** 2)
     assert verify_assumptions(fp, k_tilde=3.0).passed
-    assert estimate_constants(fp, 1.0, 1.0).b > 0
 
 
 # ─── assumption verification ─────────────────────────────────────────
@@ -247,7 +248,6 @@ def test_constants_dead_birth_case():
     fp = constant_pair(sp, a=0.0, b=1.0)
     tc = estimate_constants(fp, 1.0, 1.0)
     assert tc.B1 == 0.0
-    assert tc.M_f1 == 0.0
 
 
 def test_constants_window_inequalities_hold_with_margin():
@@ -265,45 +265,70 @@ def test_constants_window_inequalities_hold_with_margin():
         assert tc.kappa == pytest.approx(2 * tc.b * (tc.L2 * tc.C1 + tc.B1 + tc.C1 * tc.C2))
 
 
-def test_constants_logistic_2d_stable_under_lattice_refinement(monkeypatch):
-    sp = grid_2d([[1.0, 2.0], [1.0, 2.0]], (6, 6))
-    fp = logistic_pair(sp, a={"trait": 0}, b={"trait": 1}, floor=0.1)
-    c1 = estimate_constants(fp, 1.0, 1.0)
-    monkeypatch.setattr(fitness, "N_X", 2 * fitness.N_X)
-    c2 = estimate_constants(fp, 1.0, 1.0)
-    for name in ("B1", "B2", "L1", "L2", "b", "kappa"):
-        v1, v2 = getattr(c1, name), getattr(c2, name)
-        if v1 == 0 and v2 == 0:
-            continue
-        assert abs(v1 - v2) / max(abs(v1), abs(v2)) < 0.05
-
-
 @settings(max_examples=100, deadline=None)
 @given(
-    family=st.sampled_from(["logistic", "beverton_holt", "ricker"]),
-    n=st.integers(1, 6),
-    n_x=st.integers(2, 120),
+    family=st.sampled_from(["constant", "logistic", "beverton_holt", "ricker"]),
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 5),
+    u_mass=st.floats(0.0, 5.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_refined_lattice_bounds_dominate_the_coarse_ones(family, n, n_x, seed):
-    # why estimate_constants tabulates the refined lattice only: its nodes
-    # include the coarse ones and every coarse divided difference is the
-    # mean of two refined ones, so no coarse bound is larger (bitwise)
+def test_constants_are_bounds_of_the_truncated_rates(family, space_kind, n, u_mass, seed):
+    # every coefficient a scalar or one entry per point, c up to 30, where a
+    # lattice's divided differences fall furthest below the slope at X = 0
     rng = np.random.default_rng(seed)
-    sp = grid_1d(0.0, 1.0, n)
-    coef = lambda: rng.uniform(0.0, 3.0, n)
-    floor = float(rng.uniform(0.0, 0.5))
-    if family == "logistic":
-        fp = logistic_pair(sp, a=coef(), b=coef(), floor=floor)
+    sp = random_problem(rng, space_kind, n, "dirac")[0]
+    draw = lambda hi: rng.uniform(0.0, hi, sp.n) if rng.random() < 0.5 else float(rng.uniform(0.0, hi))
+    a, b, c, floor = draw(3.0), draw(3.0), draw(30.0), float(rng.uniform(0.0, 0.5))
+    if family == "constant":
+        fp, c = constant_pair(sp, a, b), 0.0
+    elif family == "logistic":
+        fp, c = logistic_pair(sp, a, b, floor=floor), 0.0
     elif family == "beverton_holt":
-        fp = beverton_holt_pair(sp, a=coef(), c=coef(), b=coef(), floor=floor)
+        fp = beverton_holt_pair(sp, a, c, b, floor=floor)
     else:
-        fp = ricker_pair(sp, a=coef(), c=coef(), b=coef(), floor=floor)
-    k_tilde = float(rng.uniform(0.1, 20.0))
-    fpt = fp.truncated(k_tilde)
-    coarse = _lattice_bounds(fpt, k_tilde, n_x)
-    fine = _lattice_bounds(fpt, k_tilde, 2 * n_x - 1)
-    assert all(c <= f for c, f in zip(coarse, fine))
+        fp = ricker_pair(sp, a, c, b, floor=floor)
+    tc = estimate_constants(fp, u_mass)
+    assert all(type(v) is float for v in asdict(tc).values())
+    assert tc.kappa < 1.0
+    fpt = fp.truncated(tc.k_tilde)
+    assert tc.B1 == np.max(fpt.f1(0.0)) and tc.B2 == np.max(fpt.f2(tc.k_tilde))
+    # B and L bound the tables and their divided differences on a fine
+    # lattice, up to 1e-12 relative and the rounding of the tabulated rates
+    # (an affine f2's differences exceed b by about 3e-12 relative from it)
+    eps = np.finfo(float).eps
+    xs = np.linspace(0.0, tc.k_tilde, 10001)
+    for tab, B, L in zip(fpt.tables(xs), (tc.B1, tc.B2), (tc.L1, tc.L2)):
+        assert tab.max() <= B
+        slack = 4.0 * eps * np.abs(tab).max(axis=0)
+        assert np.all(np.abs(np.diff(tab, axis=0)) <= L * (1.0 + 1e-12) * np.diff(xs)[:, None] + slack)
+    # L1, L2 are the slopes at X = 0: forward quotients there are off by at
+    # most h max(a c^2) (the convex f1's curvature) plus their round-off
+    h = 1e-6
+    slope1 = -(fpt.f1(h) - fpt.f1(0.0)) / h
+    slope2 = (fpt.f2(h) - fpt.f2(0.0)) / h
+    tol1 = h * np.max(np.multiply(a, np.square(c))) + 4.0 * eps * tc.B1 / h + eps * tc.L1
+    assert abs(np.max(slope1) - tc.L1) <= tol1
+    assert abs(np.max(slope2) - tc.L2) <= 4.0 * eps * np.max(fpt.f2(h)) / h + eps * tc.L2
+
+
+def test_constants_bound_the_steep_beverton_holt_pair():
+    # the reference problem's a with c = 20: the slope at X = 0 is max(a c),
+    # a third above the largest divided difference on a 201-mass lattice
+    # (29.96), and kappa is a bound at the shorter window it licenses
+    sp = grid_1d(0.0, 2.0, 64)
+    fp = beverton_holt_pair(sp, a=1.0 + sp.points[:, 0] / 2.0, c=20.0, b=0.5, floor=0.2)
+    tc = estimate_constants(fp, 1.0)
+    assert tc.L1 == 39.84375
+    assert tc.b < 0.0048
+    assert tc.kappa == pytest.approx(0.9)
+
+
+def test_constants_refuse_a_custom_pair():
+    fp = custom_pair(grid_1d(0.0, 1.0, 4), lambda X, pts: np.exp(-X) * np.ones(len(pts)),
+                     lambda X, pts: 0.5 + X * np.ones(len(pts)))
+    with pytest.raises(ValueError, match="custom pair has no closed-form truncation constants; use RK4"):
+        estimate_constants(fp, 1.0, 1.0)
 
 
 def test_constants_lipschitz_self_consistent():
@@ -320,13 +345,23 @@ def test_constants_lipschitz_self_consistent():
 
 
 def test_constants_without_a_window_raise_a_numeric_error():
-    # exp(400 X) overflows the birth table: no positive window exists, and the
-    # refusal names where the truncated birth rate increases in X
+    # a negative c makes the birth rate grow in X (exp(400 X) overflows its
+    # table): the refusal names the coefficient and where f1 increases
     fp = ricker_pair(grid_1d(0.0, 2.0, 8), a=1.0, c=-400.0, b=0.5, floor=0.2)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=r"no positive window .*; "
-                           r"f1_not_nonincreasing at X=1\.749, q=\[0\.125\]$"):
+        with pytest.raises(NumericError, match=r"no positive window .* \(coefficient c is negative: "
+                           r"-400\.0\); f1_not_nonincreasing at X=1\.749, q=\[0\.125\]$"):
             estimate_constants(fp, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name, witness", [("a", "f1_negative"), ("b", "f2_negative")])
+def test_constants_name_a_negative_coefficient(name, witness):
+    # max(a c) and max b are no Lipschitz bounds once a coefficient is negative
+    sp = grid_1d(0.0, 2.0, 8)
+    coefs = {"a": 1.0, "c": 0.5, "b": 0.5} | {name: np.where(np.arange(8) == 3, -0.5, 1.0)}
+    fp = ricker_pair(sp, floor=0.2, **coefs)
+    with pytest.raises(NumericError, match=rf"\(coefficient {name} is negative: -0\.5\); {witness} at X="):
+        estimate_constants(fp, 1.0, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,14 +392,19 @@ def test_window_is_the_closed_form_root(family, n, u_mass, a, seed):
 @pytest.mark.parametrize("rate", ["f1", "f2"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_constants_refuse_nonfinite_rate_tables(rate, bad):
-    # one nonfinite entry above X = 1 in either table leaves no positive window
+    # a non-finite coefficient is refused when the pair is built, and finite
+    # ones whose constants overflow (L1 = a c of f1, or B2 = floor + b K~ and
+    # L2 = b of f2) leave no positive window
     sp = grid_1d(0.0, 1.0, 4)
-    spoiled = lambda X, pts: np.where(X > 1.0, bad, 1.0) * np.ones(len(pts))
-    plain = lambda X, pts: np.ones(len(pts))
-    fp = custom_pair(sp, spoiled, plain) if rate == "f1" else custom_pair(sp, plain, spoiled)
-    with np.errstate(invalid="ignore"):
+    if rate == "f1":
+        pair = lambda big: ricker_pair(sp, a=big, c=1e10, b=0.5, floor=0.2)
+    else:
+        pair = lambda big: logistic_pair(sp, a=1.0, b=big, floor=0.2)
+    with pytest.raises(ConfigError, match="is not finite"):
+        pair(bad)
+    with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="no positive window"):
-            estimate_constants(fp, 1.0, 1.0)
+            estimate_constants(pair(1e308), 1.0, 1.0)
 
 
 def test_assumption_witnesses_skip_nan_differences():
