@@ -4,9 +4,9 @@ Two independent solvers: direct RK4 and the Picard fixed point
 
 The same selection-mutation problem is solved twice: once by RK4 on the
 semi-discretized ODE, once by iterating the integral operator S on a
-contraction window derived from the measured rate bounds.  The observed
-contraction ratios sit far below the a-priori factor kappa, and the two
-routes agree to the quadrature error.
+contraction window derived from the rate bounds, which come from the rates'
+formulas.  The observed contraction ratios sit far below the a-priori
+factor kappa, and the two routes agree to the quadrature error.
 """
 
 import numpy as np

@@ -12,12 +12,12 @@ directory that cannot be written), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
 from .config import RunConfig
 from .errors import ConfigError, NumericError
+from .kernels import gaussian_exponent
 from . import experiments
 
 EXIT_OK = 0
@@ -103,8 +103,8 @@ def main(argv=None) -> int:
 
 
 def _sigmas(args, cfg: RunConfig) -> list[float]:
-    """The kernel widths from --sigmas or the config's JSON list: finite,
-    positive and strictly decreasing."""
+    """The kernel widths from --sigmas or the config's JSON list: each one a
+    width ``gaussian_exponent`` accepts, strictly decreasing."""
     if args.sigmas:
         entries = [s for s in args.sigmas.split(",") if s.strip()]
     else:
@@ -115,10 +115,10 @@ def _sigmas(args, cfg: RunConfig) -> list[float]:
             raise ConfigError(f"the config's 'sigmas' must be a JSON list, got {entries!r}")
     try:
         sigmas = [float(s) for s in entries]
+        for s in sigmas:
+            gaussian_exponent(s)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sigma list: {exc}") from exc
-    if not all(0.0 < s < math.inf for s in sigmas):
-        raise ConfigError(f"every sigma must be a finite positive number, got {sigmas}")
     if any(later >= s for s, later in zip(sigmas, sigmas[1:])):
         raise ConfigError(f"the sigmas must be strictly decreasing, got {sigmas}")
     return sigmas

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, _integer
 from .fitness import FitnessPair, fitness_from_config
-from .kernels import MutationKernel, kernel_from_config
+from .kernels import MutationKernel, gaussian_exponent, kernel_from_config
 from .measures import MeasureVec
 from .space import StrategySpace, atoms, grid_1d, grid_2d
 
@@ -50,8 +50,10 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
         center = np.asarray(cfg["center"], dtype=float).reshape(space.dim)
         sigma = float(cfg["sigma"])
         baseline = float(cfg.get("baseline", 0.0))
-        if sigma <= 0:
-            raise ConfigError("initial gaussian needs sigma > 0")
+        try:
+            gaussian_exponent(sigma)
+        except ValueError as exc:
+            raise ConfigError(f"initial gaussian: {exc}") from exc
         d2 = ((space.points - center) ** 2).sum(axis=1)
         w = (baseline + np.exp(-d2 / (2.0 * sigma * sigma))) * space.cell_volumes
     elif kind == "weights":

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .fitness import FitnessPair, TruncationConstants, estimate_constants
 from .kernels import MutationKernel
 from .measures import MeasureVec
@@ -241,9 +241,14 @@ def _check_start(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair) -> None
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:
-    """Nodes 0, dt, 2 dt, ... up to T, the last step shortened to end at T."""
+    """Nodes 0, dt, 2 dt, ... up to T, the last step shortened to end at T; a
+    grid that numpy cannot allocate is a ``ConfigError`` naming its size."""
     n_steps = 0 if T == 0.0 else max(1, math.ceil(T / dt - 1e-9))
-    times = np.minimum(dt * np.arange(n_steps + 1), T)
+    try:
+        times = np.minimum(dt * np.arange(n_steps + 1), T)
+    except (MemoryError, ValueError) as exc:  # a size past numpy's index range is a ValueError
+        raise ConfigError(f"the node grid of T = {T!r} at dt = {dt!r} has {n_steps + 1:.6g} nodes, "
+                          f"which cannot be allocated") from exc
     times[-1] = T
     return times
 

@@ -26,7 +26,7 @@ K = 4 L2 B1 C1, so b is min(0.9 min(1, b1*), 1.8 / (A + sqrt(A^2 + 3.6 K))):
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -131,14 +131,7 @@ class FitnessPair:
         """Clamp X to [0, k_tilde] before evaluation; idempotent."""
         if not k_tilde > 0:
             raise ValueError("k_tilde must be positive")
-        return FitnessPair(
-            space=self.space,
-            family=self.family,
-            birth=self.birth,
-            death=self.death,
-            params=self.params,
-            k_tilde=float(k_tilde),
-        )
+        return replace(self, k_tilde=float(k_tilde))
 
 
 # ─── families ────────────────────────────────────────────────────────

@@ -137,11 +137,19 @@ def kernel_from_density(space: StrategySpace, p) -> MutationKernel:
     return _density_kernel(space, table)
 
 
+def gaussian_exponent(sigma: float) -> float:
+    """1 / (2 sigma^2), the Gaussian kernel's exponent per squared distance;
+    refused for a sigma that is not positive and finite, and for one so
+    small that 2 sigma^2 underflows and the exponent is not finite."""
+    two_var = 2.0 * sigma * sigma
+    if not (0 < sigma < np.inf and two_var > 0 and 1.0 / two_var < np.inf):
+        raise ValueError(f"sigma must be positive and finite with 1 / (2 sigma^2) finite, got {sigma!r}")
+    return 1.0 / two_var
+
+
 def gaussian_kernel(space: StrategySpace, sigma: float) -> MutationKernel:
     """Gaussian mutation density centered at the parent, truncated to Q."""
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    inv = 1.0 / (2.0 * sigma * sigma)
+    inv = gaussian_exponent(sigma)
     d2 = 0.0
     for x in space.points.T:
         d2 = d2 + (x[None, :] - x[:, None]) ** 2

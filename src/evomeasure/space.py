@@ -1,8 +1,8 @@
-"""Discretized compact strategy spaces.
+"""Discretized strategy spaces.
 
-A strategy space is a finite set of support points inside a compact box in
-R^1 or R^2, each point carrying a positive cell volume.  Two flavours cover
-everything the dynamics needs:
+A strategy space is a finite set of support points in R^1 or R^2, each
+point carrying a positive cell volume.  Two flavours cover everything the
+dynamics needs:
 
   * regular grids (cell centers of a uniform partition, volume = cell size),
     used to represent discretized densities, and
@@ -20,17 +20,15 @@ from .errors import _integer
 
 @dataclass(frozen=True)
 class StrategySpace:
-    """Finite support inside a compact box, with per-point cell volumes.
+    """Finite support with per-point cell volumes.
 
     Attributes:
         points: (n, dim) array of support points, pairwise distinct.
         cell_volumes: (n,) positive volumes (1.0 for pure atom sets).
-        bounds: (dim, 2) array of [lo, hi] per coordinate containing all points.
     """
 
     points: np.ndarray
     cell_volumes: np.ndarray
-    bounds: np.ndarray
 
     def __post_init__(self):
         # copied: the caller keeps writeable arrays
@@ -38,20 +36,16 @@ class StrategySpace:
         if pts.shape[0] == 0:
             raise ValueError("strategy space needs at least one point")
         vols = np.array(self.cell_volumes, dtype=float)
-        bounds = np.array(self.bounds, dtype=float).reshape(pts.shape[1], 2)
-        if pts.shape[1] not in (1, 2):
-            raise ValueError(f"only 1-D and 2-D strategy spaces supported, got dim={pts.shape[1]}")
+        if pts.ndim != 2 or pts.shape[1] not in (1, 2):
+            raise ValueError(f"only 1-D and 2-D strategy spaces supported, got points of shape {pts.shape}")
         if vols.shape != (pts.shape[0],):
             raise ValueError("cell_volumes must have one entry per point")
-        for name, arr in (("point", pts), ("bound", bounds), ("cell volume", vols)):
+        for name, arr in (("point", pts), ("cell volume", vols)):
             bad = np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))
             if bad.size:
                 raise ValueError(f"strategy space {name} {bad[0]} is not finite: {arr[bad[0]].tolist()}")
         if np.any(vols <= 0):
             raise ValueError("cell volumes must be positive")
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        if np.any(pts < lo - 1e-12) or np.any(pts > hi + 1e-12):
-            raise ValueError("all points must lie within bounds")
         # pairwise distinct points: no two neighbours are equal once the rounded rows are sorted
         rows = pts.round(decimals=12)
         rows = rows[np.lexsort(rows.T)]
@@ -59,7 +53,6 @@ class StrategySpace:
             raise ValueError("support points must be pairwise distinct")
         object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "cell_volumes", _frozen(vols))
-        object.__setattr__(self, "bounds", _frozen(bounds))
 
     @property
     def dim(self) -> int:
@@ -100,11 +93,7 @@ def grid_1d(lo: float, hi: float, cells: int) -> StrategySpace:
         raise ValueError("need at least one cell")
     h = (hi - lo) / cells
     centers = lo + h * (np.arange(cells) + 0.5)
-    return StrategySpace(
-        points=centers[:, None],
-        cell_volumes=np.full(cells, h),
-        bounds=np.array([[lo, hi]]),
-    )
+    return StrategySpace(points=centers[:, None], cell_volumes=np.full(cells, h))
 
 
 def grid_2d(bounds, cells) -> StrategySpace:
@@ -127,11 +116,7 @@ def grid_2d(bounds, cells) -> StrategySpace:
     ys = bounds[1, 0] + hy * (np.arange(ny) + 0.5)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    return StrategySpace(
-        points=pts,
-        cell_volumes=np.full(nx * ny, hx * hy),
-        bounds=bounds,
-    )
+    return StrategySpace(points=pts, cell_volumes=np.full(nx * ny, hx * hy))
 
 
 def atoms(points) -> StrategySpace:
@@ -142,13 +127,4 @@ def atoms(points) -> StrategySpace:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    # widen degenerate bounds so single atoms still sit in a box
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    bounds = np.column_stack([lo - 1e-9 * span, hi + 1e-9 * span])
-    return StrategySpace(
-        points=pts,
-        cell_volumes=np.ones(pts.shape[0]),
-        bounds=bounds,
-    )
+    return StrategySpace(points=pts, cell_volumes=np.ones(pts.shape[0]))

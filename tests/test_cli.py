@@ -160,6 +160,13 @@ def overflowing_initial_measures():
             {"kind": "weights", "weights": huge}]
 
 
+def every_command():
+    """Each command with a small config it runs."""
+    return [("simulate", small_reference()), ("verify", small_reference()),
+            ("dirac-limit", concentration_config_dict(cells=16, T=1.0, dt=0.05)),
+            ("mutation-limit", small_reference(sigmas=[0.2]))]
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     # grid_2d read cells[1] of a one-entry list, and ran a 2x2 grid on a three-entry one
     ("simulate", grid2d_reference([4]), "space.cells needs two entries (nx, ny), got 1"),
@@ -186,6 +193,18 @@ def overflowing_initial_measures():
     # finite weights whose sum overflows: rescaled to the zero measure, or a numeric failure
     *[(command, small_reference(initial=initial), "the initial measure's total mass is not finite: inf")
       for command in ("simulate", "verify") for initial in overflowing_initial_measures()],
+    # a Gaussian width whose 2 sigma^2 underflows: a ZeroDivisionError, or a NaN kernel diagonal
+    *[(command, {**cfg, "kernel": {"variant": "gaussian", "sigma": sigma}},
+       f"sigma must be positive and finite with 1 / (2 sigma^2) finite, got {sigma!r}")
+      for command, cfg in every_command() for sigma in (1e-300, 1e-160)],
+    # the initial Gaussian's width: 0 / 0 at the center, or a NaN sigma, made a NaN total mass
+    *[(command, small_reference(initial={"kind": "gaussian", "center": 1.0625, "sigma": sigma}),
+       f"initial gaussian: sigma must be positive and finite with 1 / (2 sigma^2) finite, got {sigma!r}")
+      for command in ("simulate", "verify") for sigma in (1e-300, float("nan"))],
+    # 1e17 nodes, 8e17 bytes, past any address space: numpy's MemoryError
+    *[(command, {**cfg, "T": 1e8, "dt": 1e-9},
+       "the node grid of T = 100000000.0 at dt = 1e-09 has 1e+17 nodes, which cannot be allocated")
+      for command, cfg in every_command()],
 ])
 def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -667,7 +686,7 @@ def test_mutation_limit_needs_sigmas(tmp_path):
 def test_mutation_limit_bad_sigmas_exit_2_before_running(tmp_path):
     cfg = reference_config_dict(cells=16, T=0.2, dt=0.01)
     p = str(write_config(tmp_path, cfg))
-    for sigmas in ("0.4,-1", "0", "nan", "inf", "0.1,0.2", "0.4,0.2,0.2"):
+    for sigmas in ("0.4,-1", "0", "nan", "inf", "0.1,0.2", "0.4,0.2,0.2", "0.4,1e-300", "0.4,1e-160"):
         assert main(["mutation-limit", "--config", p, "--out", str(tmp_path / "out"),
                      "--sigmas", sigmas]) == 2
     p = str(write_config(tmp_path, dict(cfg, sigmas=[0.2, "x"]), name="listed.json"))

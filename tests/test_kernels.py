@@ -88,13 +88,13 @@ def test_matrix_rows_must_be_finite():
 def test_constructors_leave_the_callers_arrays_writeable():
     # each constructor freezes its own copy, never the array it was given
     sp = grid_1d(0.0, 1.0, 3)
-    arrays = [np.eye(3), np.eye(3), np.ones(3), sp.points.copy(), np.ones(3), np.array([[-1.0, 1.0]])]
+    arrays = [np.eye(3), np.eye(3), np.ones(3), sp.points.copy(), np.ones(3)]
     built = [matrix_kernel(sp, arrays[0]), MutationKernel(sp, rows=arrays[1]), MeasureVec(sp, arrays[2]),
-             StrategySpace(points=arrays[3], cell_volumes=arrays[4], bounds=arrays[5])]
+             StrategySpace(points=arrays[3], cell_volumes=arrays[4])]
     assert all(a.flags.writeable for a in arrays)
-    arrays[0][0, 0] = arrays[2][0] = arrays[3][0, 0] = 0.5
+    arrays[0][0, 0] = arrays[2][0] = arrays[3][0, 0] = arrays[4][0] = 0.5
     assert built[0].rows[0, 0] == 1.0 and built[2].weights[0] == 1.0
-    assert built[3].points[0, 0] == sp.points[0, 0]
+    assert built[3].points[0, 0] == sp.points[0, 0] and built[3].cell_volumes[0] == 1.0
 
 
 def test_gaussian_sigma_must_be_positive_and_finite():
@@ -102,6 +102,12 @@ def test_gaussian_sigma_must_be_positive_and_finite():
     for sigma in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma"):
             gaussian_kernel(sp, sigma)
+    # 2 sigma^2 underflows to 0 (a ZeroDivisionError) or to a subnormal (an infinite exponent)
+    for sigma in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match=f"1 / \\(2 sigma\\^2\\) finite, got {sigma!r}"):
+            gaussian_kernel(sp, sigma)
+    # a small width that passes keeps a finite, unit diagonal
+    assert np.array_equal(gaussian_kernel(sp, 1e-150).rows, np.eye(4))
 
 
 def test_rows_are_probability_measures():

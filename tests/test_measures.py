@@ -152,13 +152,23 @@ def test_a_space_refuses_repeated_and_non_finite_entries():
         with pytest.raises(ValueError, match="pairwise distinct"):
             atoms(pts)
     assert atoms([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]).n == 3
-    # the first non-finite point, bound row or cell volume is named
+    # the first non-finite point or cell volume is named
     with pytest.raises(ValueError, match=r"point 1 is not finite: \[0.5, nan\]"):
-        StrategySpace([[0.5, 0.5], [0.5, np.nan], [np.inf, 0.0]], [1.0] * 3, [[0.0, 1.0]] * 2)
-    with pytest.raises(ValueError, match=r"bound 1 is not finite: \[0.0, inf\]"):
-        StrategySpace([[0.5, 0.5]], [1.0], [[0.0, 1.0], [0.0, np.inf]])
+        StrategySpace([[0.5, 0.5], [0.5, np.nan], [np.inf, 0.0]], [1.0] * 3)
     with pytest.raises(ValueError, match=r"cell volume 2 is not finite: inf"):
-        StrategySpace([[0.1], [0.2], [0.3]], [1.0, 1.0, np.inf], [[0.0, 1.0]])
+        StrategySpace([[0.1], [0.2], [0.3]], [1.0, 1.0, np.inf])
+    # rows of points, not a deeper nesting of them
+    with pytest.raises(ValueError, match=r"got points of shape \(2, 1, 1\)"):
+        atoms([[[0.0]], [[1.0]]])
+
+
+@pytest.mark.parametrize("points", [[0.3], [[0.3, -2.0]], [[0.0, 1.0], [2.0, 1.0], [5.0, 1.0]],
+                                    [[0.5, 0.0], [0.5, 1.0]]])
+def test_atoms_keep_one_point_and_a_shared_coordinate(points):
+    # the spans that were widened into a box: a single atom, and a coordinate all atoms share
+    sp = atoms(points)
+    assert sp.points.tolist() == np.reshape(points, (len(points), -1)).tolist()
+    assert sp.cell_volumes.tolist() == [1.0] * len(points)
 
 
 # ─── total mass and TV norm ──────────────────────────────────────────
