@@ -10,7 +10,10 @@ vector.  Two independent solvers are provided:
 
   * ``rk4_integrate``: classical fixed-step RK4 on the weights, the nodes
     of ``rk4_stream`` collected (checks that read each node once read the
-    stream itself);
+    stream itself).  One node loop takes one of two steps of the same RK4
+    map: the four field stages, or, for a pair with ``factors`` (f1 =
+    phi(X) a, f2 = psi(X)), one polynomial of degree 4 in the mutation
+    operator M = rows^T diag(a) applied to the node;
   * ``picard_solve``: the fixed-point iteration of the integral operator
 
         [S alpha](t) = e^(-int_0^t f2~) du
@@ -294,7 +297,9 @@ def rk4_stream(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float,
     -1e-8 max(1, TV) aborts with the offending step (step size too large),
     and so does a non-finite weight.  A node whose mass exceeds K~ aborts
     too, before it is yielded: there the clamp is active.  The arguments are
-    checked here, before any node is read.
+    checked here, before any node is read.  A pair with ``factors`` takes
+    ``_polynomial_step``, any other ``_field_step``: the same RK4 map, the
+    nodes equal to round-off.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -307,10 +312,77 @@ def rk4_stream(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float,
         fp = fp.truncated(max(1.0, u.total_mass()) * math.exp(min(m_f1 * T, 60.0)) * 1.1 + 1.0)
     times = time_grid(T, dt)
     meta = {"dt": dt, "M_f1": m_f1, "k_tilde": fp.k_tilde, "clip_count": 0, "clip_max": 0.0}
-    return NodeStream(u.space, times, _rk4_nodes(u.weights, _field(kernel, fp), times, meta), meta)
+    step = _field_step(kernel, fp) if fp.factors is None else _polynomial_step(kernel, fp)
+    return NodeStream(u.space, times, _rk4_nodes(u.weights, step, times, meta), meta)
 
 
-def _rk4_nodes(w: np.ndarray, field, times: np.ndarray, meta: dict) -> Iterator[np.ndarray]:
+def _field_step(kernel: MutationKernel, fp: FitnessPair):
+    """The RK4 step w -> w' over h of the field of (kernel, fp), from w of mass X."""
+    field = _field(kernel, fp)
+    add = np.add.reduce
+
+    def step(w: np.ndarray, X: float, h: float) -> np.ndarray:
+        k1 = field(w, X)
+        s = w + 0.5 * h * k1
+        k2 = field(s, float(add(s)))
+        s = w + 0.5 * h * k2
+        k3 = field(s, float(add(s)))
+        s = w + h * k3
+        k4 = field(s, float(add(s)))
+        return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+    return step
+
+
+def _polynomial_step(kernel: MutationKernel, fp: FitnessPair):
+    """The RK4 step of a separable pair, F(w) = phi(x) M w - psi(x) w with
+    M w = push(a w), as one polynomial of degree 4 in M applied to w.
+
+    The stage operators phi_i M - psi_i I commute, so stage i's vector is
+    sum_j s_j M^j w and its derivative k_i = (phi_i M - psi_i) s_i shifts
+    the coefficients one degree up.  The Krylov vectors V_j = M^j w and
+    their masses mu_j are computed once per step; the stages update the
+    coefficients in Python floats, a stage's mass being sum_j s_j mu_j.
+    """
+    av, phi, psi = fp.factors
+    push, k_tilde = kernel.push_births, fp.k_tilde
+    V = np.empty((5, fp.space.n))
+    v0, v1, v2, v3, v4 = V
+    head, ones = V[:4], np.ones(fp.space.n)
+
+    def rates(X: float) -> tuple[float, float]:
+        x = X if 0.0 <= X <= k_tilde else min(max(X, 0.0), k_tilde)  # the comparison costs less than min, max
+        return phi(x), psi(x)
+
+    def step(w: np.ndarray, X: float, h: float) -> np.ndarray:
+        v0[:] = w
+        v1[:] = push(av * v0)
+        v2[:] = push(av * v1)
+        v3[:] = push(av * v2)
+        v4[:] = push(av * v3)
+        m0, m1, m2, m3 = np.dot(head, ones).tolist()
+        # a_j, b_j, c_j, d_j are the coefficients of k1, k2, k3, k4 on V_j
+        r = 0.5 * h
+        f, g = rates(X)
+        a0, a1 = -g, f  # k1, from s = 1
+        s0, s1 = 1.0 + r * a0, r * a1
+        f, g = rates(s0 * m0 + s1 * m1)
+        b0, b1, b2 = -g * s0, f * s0 - g * s1, f * s1  # k2
+        s0, s1, s2 = 1.0 + r * b0, r * b1, r * b2
+        f, g = rates(s0 * m0 + s1 * m1 + s2 * m2)
+        c0, c1, c2, c3 = -g * s0, f * s0 - g * s1, f * s1 - g * s2, f * s2  # k3
+        s0, s1, s2, s3 = 1.0 + h * c0, h * c1, h * c2, h * c3
+        f, g = rates(s0 * m0 + s1 * m1 + s2 * m2 + s3 * m3)
+        d0, d1, d2, d3, d4 = -g * s0, f * s0 - g * s1, f * s1 - g * s2, f * s2 - g * s3, f * s3  # k4
+        e = h / 6.0
+        alpha = [1.0 + e * (a0 + 2.0 * (b0 + c0) + d0), e * (a1 + 2.0 * (b1 + c1) + d1),
+                 e * (2.0 * (b2 + c2) + d2), e * (2.0 * c3 + d3), e * d4]
+        return np.dot(alpha, V)
+
+    return step
+
+
+def _rk4_nodes(w: np.ndarray, step, times: np.ndarray, meta: dict) -> Iterator[np.ndarray]:
     # a node's mass serves its checks and the first stage of the next step;
     # the reductions are called directly, not through the ndarray methods
     k_tilde = meta["k_tilde"]
@@ -319,15 +391,7 @@ def _rk4_nodes(w: np.ndarray, field, times: np.ndarray, meta: dict) -> Iterator[
     for k in range(len(times)):
         t = times.item(k)
         if k:
-            h = t - times.item(k - 1)
-            k1 = field(w, mass)
-            s = w + 0.5 * h * k1
-            k2 = field(s, float(add(s)))
-            s = w + 0.5 * h * k2
-            k3 = field(s, float(add(s)))
-            s = w + h * k3
-            k4 = field(s, float(add(s)))
-            w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            w = step(w, mass, t - times.item(k - 1))
             # the minimum is the witness: a node whose minimum is nonnegative
             # and whose mass is finite is finite and needs no clip
             lowest = float(minimum(w))

@@ -410,11 +410,13 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
 def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     """Track mass concentration onto the fittest class under pure selection.
 
-    Requires a Dirac kernel and a logistic-family fitness (birth a(q),
-    mortality floor + b(q) X).  Emits a time series of the mass share in
-    the fittest cell and the flat distance between the normalized state and
-    the unit atom there, plus trend summaries.  The run is read once, node
-    by node, and only the summary nodes' rows are kept.
+    Requires a Dirac kernel, a logistic-family fitness (birth a(q),
+    mortality floor + b(q) X) and a positive target mass (a - floor) / b at
+    the fittest cell; without it the population goes extinct.  Emits a time
+    series of the mass share in the fittest cell and the flat distance
+    between the normalized state and the unit atom there, plus trend
+    summaries.  The run is read once, node by node, and only the summary
+    nodes' rows are kept.
     """
     space, kernel, fp, u = cfg.build()
     if not kernel.is_dirac:
@@ -432,6 +434,9 @@ def dirac_limit(cfg: RunConfig, out_dir) -> dict:
     ratio_raw = a / b
     order = np.argsort(ratio_floored)
     best = int(order[-1])
+    if not ratio_floored[best] > 0:
+        raise ConfigError(f"dirac-limit needs a positive target mass: the largest (a - floor) / b is "
+                          f"{float(ratio_floored[best])!r}, at cell {best}, so the population goes extinct")
     tie = bool(len(order) > 1 and ratio_floored[order[-2]] >= ratio_floored[best] - 1e-12)
 
     # the flat distance from p >= 0 of unit mass to the atom at q* is sum_i p_i min(2, |q_i - q*|): no

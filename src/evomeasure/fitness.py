@@ -26,6 +26,7 @@ K = 4 L2 B1 C1, so b is min(0.9 min(1, b1*), 1.8 / (A + sqrt(A^2 + 3.6 K))):
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -85,6 +86,13 @@ class FitnessPair:
     is the population's average birth rate (``mean_fitness_mortality``);
     such pairs have no pointwise f2 and are only legal with the direct RK4
     solver.
+
+    ``factors`` is the pair's separable form (a, phi, psi) where it has one:
+    f1(X) = phi(x) a and f2(X) = psi(x) at the clamped mass x, with a the
+    (n,) birth coefficients and phi, psi maps of a float to a float.  The
+    built-in families have it when b and c are scalars and c >= 0; vector
+    b or c, custom and mean-fitness pairs have None.  RK4 steps a separable pair as
+    one polynomial in the mutation operator.
     """
 
     space: StrategySpace
@@ -93,6 +101,7 @@ class FitnessPair:
     death: Callable[[float], float | np.ndarray] | None
     params: dict = field(default_factory=dict)
     k_tilde: float | None = None
+    factors: tuple | None = None
 
     @property
     def mean_fitness_mortality(self) -> bool:
@@ -137,23 +146,40 @@ class FitnessPair:
 # ─── families ────────────────────────────────────────────────────────
 
 
+def _separable(av: np.ndarray, phi, death, b, c=0.0) -> tuple | None:
+    """(a, phi, psi) with psi the pair's own ``death`` when b and c are scalars.
+
+    A negative c keeps no factors: its phi in Python floats would raise on
+    an overflow or a zero denominator, where numpy's (n,) rates reach inf.
+    """
+    return (av, phi, death) if isinstance(b, float) and isinstance(c, float) and c >= 0 else None
+
+
+def _one(X: float) -> float:
+    return 1.0
+
+
 def constant_pair(space: StrategySpace, a, b) -> FitnessPair:
     """f1 = a(q), f2 = b(q), both independent of X."""
     av = _birth_coef(space, a)
     bv = _coef(space, b, "b")
-    return FitnessPair(space, "constant", lambda X: av, lambda X: bv, params={"a": av, "b": bv})
+    death = lambda X: bv
+    return FitnessPair(space, "constant", lambda X: av, death, params={"a": av, "b": bv},
+                       factors=_separable(av, _one, death, bv))
 
 
 def logistic_pair(space: StrategySpace, a, b, floor: float = 1e-3) -> FitnessPair:
     """f1 = a(q), f2 = floor + b(q) X (generalized logistic with mortality floor)."""
     av = _birth_coef(space, a)
     bv = _coef(space, b, "b")
+    death = lambda X: floor + bv * X
     return FitnessPair(
         space,
         "logistic",
         lambda X: av,
-        lambda X: floor + bv * X,
+        death,
         params={"a": av, "b": bv, "floor": floor},
+        factors=_separable(av, _one, death, bv),
     )
 
 
@@ -162,12 +188,14 @@ def beverton_holt_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> Fi
     av = _birth_coef(space, a)
     cv = _coef(space, c, "c")
     bv = _coef(space, b, "b")
+    death = lambda X: floor + bv * X
     return FitnessPair(
         space,
         "beverton_holt",
         lambda X: av / (1.0 + cv * X),
-        lambda X: floor + bv * X,
+        death,
         params={"a": av, "b": bv, "c": cv, "floor": floor},
+        factors=_separable(av, lambda X: 1.0 / (1.0 + cv * X), death, bv, cv),
     )
 
 
@@ -177,12 +205,14 @@ def ricker_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> FitnessPa
     cv = _coef(space, c, "c")
     bv = _coef(space, b, "b")
     neg_cv = -cv
+    death = lambda X: floor + bv * X
     return FitnessPair(
         space,
         "ricker",
         lambda X: av * np.exp(neg_cv * X),
-        lambda X: floor + bv * X,
+        death,
         params={"a": av, "b": bv, "c": cv, "floor": floor},
+        factors=_separable(av, lambda X: math.exp(neg_cv * X), death, bv, cv),
     )
 
 

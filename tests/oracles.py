@@ -234,18 +234,21 @@ def wasserstein1_cdf(points, w1, w2):
 # ─── random problems ─────────────────────────────────────────────────
 
 
-def random_pair(rng, sp, family):
-    """An untruncated rate pair of ``family`` with random coefficients."""
-    coef = lambda lo, hi: rng.uniform(lo, hi, sp.n)
+def random_pair(rng, sp, family, scalar=False):
+    """An untruncated rate pair of ``family`` with random coefficients: a
+    drawn per point, and b and c per point or, with ``scalar``, one draw
+    each, which makes the pair separable."""
+    a = lambda lo, hi: rng.uniform(lo, hi, sp.n)
+    coef = (lambda lo, hi: float(rng.uniform(lo, hi))) if scalar else a
     floor = float(rng.uniform(0.05, 0.5))
     if family == "logistic":
-        return logistic_pair(sp, a=coef(0.2, 2.0), b=coef(0.1, 1.0), floor=floor)
+        return logistic_pair(sp, a=a(0.2, 2.0), b=coef(0.1, 1.0), floor=floor)
     if family == "beverton_holt":
-        return beverton_holt_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=floor)
+        return beverton_holt_pair(sp, a=a(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=floor)
     if family == "ricker":
-        return ricker_pair(sp, a=coef(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=floor)
+        return ricker_pair(sp, a=a(0.2, 2.0), c=coef(0.1, 1.0), b=coef(0.1, 1.0), floor=floor)
     if family == "constant":
-        return constant_pair(sp, a=coef(0.0, 2.0), b=coef(0.0, 2.0))
+        return constant_pair(sp, a=a(0.0, 2.0), b=coef(0.0, 2.0))
     a, c = coef(0.2, 2.0), coef(0.1, 1.0)
     return mean_fitness_pair(sp, lambda X, points: a * np.exp(-c * X))
 

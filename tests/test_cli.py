@@ -160,6 +160,12 @@ def overflowing_initial_measures():
             {"kind": "weights", "weights": huge}]
 
 
+def floored_concentration(floor):
+    """The small concentration problem with its mortality floor replaced."""
+    cfg = concentration_config_dict(cells=16, T=1.0, dt=0.05)
+    return {**cfg, "fitness": {**cfg["fitness"], "floor": floor}}
+
+
 def every_command():
     """Each command with a small config it runs."""
     return [("simulate", small_reference()), ("verify", small_reference()),
@@ -205,6 +211,9 @@ def every_command():
     *[(command, {**cfg, "T": 1e8, "dt": 1e-9},
        "the node grid of T = 100000000.0 at dt = 1e-09 has 1e+17 nodes, which cannot be allocated")
       for command, cfg in every_command()],
+    # a mortality floor above every birth rate reported a negative target mass and exited 0
+    ("dirac-limit", floored_concentration(5.0),
+     "the largest (a - floor) / b is -3.01125, at cell 7, so the population goes extinct"),
 ])
 def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
     out = tmp_path / "out"

@@ -186,6 +186,9 @@ def materialized_dirac_limit(cfg, out_dir):
     ratio_raw = a / b
     order = np.argsort(ratio_floored)
     best = int(order[-1])
+    if not ratio_floored[best] > 0:
+        raise ConfigError(f"dirac-limit needs a positive target mass: the largest (a - floor) / b is "
+                          f"{float(ratio_floored[best])!r}, at cell {best}, so the population goes extinct")
     tie = bool(len(order) > 1 and ratio_floored[order[-2]] >= ratio_floored[best] - 1e-12)
 
     traj = _flow(cfg, u, kernel, fp, cfg.T)
@@ -344,6 +347,10 @@ VERIFY_CASES = {
     "zero-mass-picard": dict(ZERO_MASS, solver="picard", dt=0.01),
 }
 
+# a mortality floor above every birth rate: the target mass is negative
+EXTINCT = concentration_config_dict(cells=8, T=1.0, dt=0.05)
+EXTINCT["fitness"] = EXTINCT["fitness"] | {"floor": 5.0}
+
 DIRAC_LIMIT_CASES = {
     "grid1d-concentration": concentration_config_dict(cells=16, T=20.0, dt=0.05),
     "tie": {
@@ -368,6 +375,7 @@ DIRAC_LIMIT_CASES = {
     "T-zero": concentration_config_dict(cells=8, T=0.0),
     "zero-mass": ZERO_MASS | {"kernel": {"variant": "dirac"}},
     "negativity-abort": concentration_config_dict(cells=8, T=20.0, dt=4.0),
+    "extinct": EXTINCT,
 }
 
 MUTATION_LIMIT_CASES = {
@@ -462,6 +470,8 @@ def test_the_failing_cases_fail_as_intended(tmp_path):
     assert checks(VERIFY_CASES["clipping"])["positivity"]["clip_count"] > 0
     with pytest.raises(NumericError, match="negativity"):
         dirac_limit(RunConfig.from_dict(DIRAC_LIMIT_CASES["negativity-abort"]), tmp_path / "d")
+    with pytest.raises(ConfigError, match="goes extinct"):
+        dirac_limit(RunConfig.from_dict(DIRAC_LIMIT_CASES["extinct"]), tmp_path / "d")
     d, sigmas = MUTATION_LIMIT_CASES["negativity-abort"]
     with pytest.raises(NumericError, match="negativity"):
         mutation_limit(RunConfig.from_dict(d), sigmas, tmp_path / "m")

@@ -52,7 +52,8 @@ from evomeasure.dynamics import (
     rk4_stream,
     time_grid,
 )
-from oracles import central_difference_gap, class_rhs, max_row_tv, outcome, random_pair, random_problem, rk4, rk4_run
+from oracles import (central_difference_gap, class_rhs, max_row_tv, outcome, random_pair, random_problem,
+                     refuse_mass_above, refused, rk4, rk4_run)
 
 RNG = np.random.default_rng(3)
 
@@ -489,6 +490,64 @@ def test_rk4_nodes_are_the_parent_loops_bitwise(space_kind, n, kernel_kind, fami
     for wrong in (sp.n + 1, sp.n - 1):
         with pytest.raises(ValueError, match=f"{sp.n} entries"):
             integrate_discrete(sys, np.full(wrong, 0.1), T, dt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 5),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant", "stiff"]),
+    n_steps=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rk4_of_a_separable_pair_is_the_stage_form_to_round_off(space_kind, n, kernel_kind, family,
+                                                                  n_steps, seed):
+    # scalar b and c: the package takes the polynomial step, the oracle the
+    # stage form of the same RK4 map.  Every node agrees to round-off, and a
+    # K~ refusal or a negativity abort names the same step
+    rng = np.random.default_rng(seed)
+    sp, kernel, _, u = random_problem(rng, space_kind, n, kernel_kind)
+    dt = float(rng.uniform(0.005, 0.05))
+    if family == "stiff":
+        # deaths at 15-30 under a kernel that mixes a share eps, from a
+        # measure with empty classes: RK4 clips dips, or aborts on large ones
+        eps = 10.0 ** rng.uniform(-10.0, -2.0)
+        mix = rng.uniform(0.0, 1.0, (sp.n, sp.n))
+        kernel = matrix_kernel(sp, (1.0 - eps) * np.eye(sp.n) + eps * mix / mix.sum(axis=1, keepdims=True))
+        fp = constant_pair(sp, a=rng.uniform(0.0, 2.0, sp.n), b=float(rng.uniform(15.0, 30.0)))
+        dt = float(rng.uniform(0.05, 0.12))
+        u = MeasureVec(sp, u.weights * (np.arange(sp.n) % 2 == 0))
+    else:
+        fp = random_pair(rng, sp, family, scalar=True)
+    fp = fp.truncated(float(rng.uniform(0.3, 3.0)))
+    assert fp.factors is not None
+    T = n_steps * dt
+    want = outcome(lambda: refuse_mass_above(rk4_run(u, kernel, fp, T, dt)))
+    got = outcome(lambda: rk4_integrate(u, kernel, fp, T, dt))
+    if refused(want):
+        # the messages up to the offending mass or weight, which is round-off apart
+        unvalued = lambda r: (r[:2], re.sub(r"^(mass|weight) \S+ ", "", r[2]))
+        assert refused(got) and unvalued(got) == unvalued(want)
+        return
+    assert not refused(got), got
+    assert got.meta["k_tilde"] == want.meta["k_tilde"]
+    tv = np.abs(want.weights).sum(axis=1)
+    gap = np.abs(got.weights - want.weights).sum(axis=1)
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, tv)), float(np.max(gap / np.maximum(1.0, tv)))
+
+
+def test_a_separable_step_clamps_its_stage_masses():
+    # x' = x (1 - floor - x) from 0.5 in steps of 1.5: stage 4 overshoots
+    # K~ = 0.82 while the nodes stay below it, so the clamp sets that
+    # stage's rates; the node is the oracle's, and not the unclamped one
+    sp = atoms([[0.0]])
+    fp = logistic_pair(sp, a=1.0, b=1.0)
+    assert fp.factors is not None
+    u, kernel = MeasureVec(sp, np.array([0.5])), dirac_kernel(sp)
+    node = lambda run, k_tilde: float(run(u, kernel, fp.truncated(k_tilde), 1.5, 1.5).final.weights[0])
+    assert node(rk4_integrate, 0.82) == pytest.approx(node(rk4_run, 0.82), rel=0.0, abs=1e-15)
+    assert abs(node(rk4_integrate, 0.82) - node(rk4_run, 2.0)) > 1e-4
 
 
 def test_picard_operator_exponential_mass_path():

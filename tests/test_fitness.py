@@ -165,6 +165,46 @@ def test_tables_are_the_stacked_per_mass_rates_bitwise(space_kind, n, family, tr
     assert f2_tab.tobytes() == f2_want.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 6),
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant"]),
+    truncate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scalar_b_and_c_factor_the_rates(space_kind, n, family, truncate, seed):
+    # f1(X) = phi(x) a and f2(X) = psi(x) at the clamped mass x, within 4 ulp,
+    # on a lattice of X through K~ and past it
+    rng = np.random.default_rng(seed)
+    sp = random_problem(rng, space_kind, n, "dirac")[0]
+    fp = random_pair(rng, sp, family, scalar=True)
+    k_tilde = float(rng.uniform(0.5, 4.0))
+    if truncate:
+        fp = fp.truncated(k_tilde)
+        assert fp.factors is not None
+    a, phi, psi = fp.factors
+    assert a.tobytes() == fp.f1(0.0).tobytes()
+    for X in np.linspace(0.0, 1.2 * k_tilde, 61).tolist():
+        x = X if fp.k_tilde is None else min(X, fp.k_tilde)
+        for got, want in ((phi(x) * a, fp.f1(X)), (np.full(sp.n, psi(x)), fp.f2(X))):
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), (X, got, want)
+
+
+def test_vector_coefficients_custom_and_mean_fitness_pairs_do_not_factor():
+    sp = grid_1d(0.0, 1.0, 4)
+    rng = np.random.default_rng(0)
+    for family in ("logistic", "beverton_holt", "ricker", "constant", "mean_fitness"):
+        assert random_pair(rng, sp, family).factors is None
+        assert random_pair(rng, sp, family).truncated(2.0).factors is None
+        assert fitness_from_config({"family": family, "a": 1.0, "b": {"trait": 0}}, sp).factors is None
+    # a negative c, whose phi in Python floats could overflow
+    assert ricker_pair(sp, a=1.0, c=-1.0, b=0.5).factors is None
+    assert beverton_holt_pair(sp, a=1.0, c=-1.0, b=0.5).factors is None
+    assert custom_pair(sp, lambda X, q: np.ones(len(q)), lambda X, q: np.ones(len(q))).factors is None
+    assert mean_fitness_pair(sp, 1.0).factors is None
+
+
 def test_custom_pair_callables_broadcast_over_a_column():
     sp = grid_2d([[0.0, 1.0], [0.0, 2.0]], (3, 2))
     q = sp.points

@@ -4,6 +4,9 @@
 class-system oracle and the dt/2 run node by node.  The oracle is the code
 that materialized them as full arrays, in ``oracles``: every streamed result
 must be bitwise equal to it, with the same node counts and the same refusals.
+The pairs drawn here have vector b and c, so RK4 takes the field step that
+the oracle writes out; ``test_dynamics`` holds separable pairs, which take
+the polynomial step, to the oracle at round-off.
 """
 
 from dataclasses import astuple
