@@ -7,11 +7,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 config error (or an output
 directory that cannot be written), 3 numeric failure.
+
+``entry`` (``python -m evomeasure.cli``, the ``evomeasure`` script) calls
+``gc.freeze()`` before ``main``: exit and ``verify``'s forked children then
+leave the imports' objects alone.  ``main`` in process keeps the heap as is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -102,6 +107,12 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> int:
+    """``main`` on the command line, after freezing the heap."""
+    gc.freeze()
+    return main()
+
+
 def _sigmas(args, cfg: RunConfig) -> list[float]:
     """The kernel widths from --sigmas or the config's JSON list: each one a
     width ``gaussian_exponent`` accepts, strictly decreasing."""
@@ -125,4 +136,4 @@ def _sigmas(args, cfg: RunConfig) -> list[float]:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -336,19 +336,22 @@ def _field_step(kernel: MutationKernel, fp: FitnessPair):
 
 def _polynomial_step(kernel: MutationKernel, fp: FitnessPair):
     """The RK4 step of a separable pair, F(w) = phi(x) M w - psi(x) w with
-    M w = push(a w), as one polynomial of degree 4 in M applied to w.
+    M w = push(a w), as one polynomial p of degree 4 in M applied to w.
 
     The stage operators phi_i M - psi_i I commute, so stage i's vector is
     sum_j s_j M^j w and its derivative k_i = (phi_i M - psi_i) s_i shifts
     the coefficients one degree up.  The Krylov vectors V_j = M^j w and
     their masses mu_j are computed once per step; the stages update the
-    coefficients in Python floats, a stage's mass being sum_j s_j mu_j.
+    coefficients alpha of p in Python floats, a stage's mass being
+    sum_j s_j mu_j, and the node is alpha @ V.  Under the Dirac kernel
+    M = diag(a): V_j = a V_{j-1} is multiplied in place, with no push, and
+    the node is p(a) w.
     """
     av, phi, psi = fp.factors
-    push, k_tilde = kernel.push_births, fp.k_tilde
+    push, k_tilde, dirac = kernel.push_births, fp.k_tilde, kernel.is_dirac
     V = np.empty((5, fp.space.n))
     v0, v1, v2, v3, v4 = V
-    head, ones = V[:4], np.ones(fp.space.n)
+    head, ones, mul = V[:4], np.ones(fp.space.n), np.multiply
 
     def rates(X: float) -> tuple[float, float]:
         x = X if 0.0 <= X <= k_tilde else min(max(X, 0.0), k_tilde)  # the comparison costs less than min, max
@@ -356,10 +359,16 @@ def _polynomial_step(kernel: MutationKernel, fp: FitnessPair):
 
     def step(w: np.ndarray, X: float, h: float) -> np.ndarray:
         v0[:] = w
-        v1[:] = push(av * v0)
-        v2[:] = push(av * v1)
-        v3[:] = push(av * v2)
-        v4[:] = push(av * v3)
+        if dirac:
+            mul(av, v0, out=v1)
+            mul(av, v1, out=v2)
+            mul(av, v2, out=v3)
+            mul(av, v3, out=v4)
+        else:
+            v1[:] = push(av * v0)
+            v2[:] = push(av * v1)
+            v3[:] = push(av * v2)
+            v4[:] = push(av * v3)
         m0, m1, m2, m3 = np.dot(head, ones).tolist()
         # a_j, b_j, c_j, d_j are the coefficients of k1, k2, k3, k4 on V_j
         r = 0.5 * h

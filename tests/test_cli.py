@@ -4,14 +4,24 @@ Exit code contract: 0 success, 1 verification failure, 2 config error,
 3 numeric failure.
 """
 
+import gc
+import importlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import concentration_config_dict, reference_config_dict
+from evomeasure import cli
 from evomeasure.cli import main
 from evomeasure.config import RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -723,3 +733,38 @@ def test_mutation_limit_huge_sigma_dominates(tmp_path):
     rep = json.loads((tmp_path / "out" / "mutation_limit.json").read_text())
     dists = rep["final_distances"]
     assert dists[0] == max(dists)
+
+
+# ─── the program entry ───────────────────────────────────────────────
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
+    p = write_config(tmp_path, concentration_config_dict(cells=16, T=1.0, dt=0.05))
+    frozen = gc.get_freeze_count()
+    assert main(["dirac-limit", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("config", ["cfg.json", "missing.json"])
+def test_the_module_run_as_main_freezes_and_exits_with_mains_code(config, tmp_path):
+    write_config(tmp_path, concentration_config_dict(cells=16, T=1.0, dt=0.05))
+    args = ["dirac-limit", "--config", str(tmp_path / config), "--out", str(tmp_path / "out")]
+    want = main(args)
+    script = (
+        "import atexit, gc, runpy\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "runpy.run_module('evomeasure.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == want, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "frozen True", proc.stdout
+
+
+def test_the_console_script_is_the_program_entry():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\nevomeasure = "([\w.]+):(\w+)"$', text, re.M)
+    assert target is not None
+    assert getattr(importlib.import_module(target[1]), target[2]) is cli.entry

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_components
+from conftest import concentration_config_dict, reference_components
 from evomeasure import (
     DiscreteSystem,
     MeasureVec,
@@ -42,6 +42,7 @@ from evomeasure import (
     vector_field,
     zero_measure,
 )
+from evomeasure.config import RunConfig
 from evomeasure.dynamics import (
     NEG_ABORT,
     Trajectory,
@@ -52,6 +53,7 @@ from evomeasure.dynamics import (
     rk4_stream,
     time_grid,
 )
+from evomeasure.kernels import MutationKernel
 from oracles import (central_difference_gap, class_rhs, max_row_tv, outcome, random_pair, random_problem,
                      refuse_mass_above, refused, rk4, rk4_run)
 
@@ -306,22 +308,24 @@ def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inje
     if n_nodes > 1:
         times[-1] = times[-2] + h * last_step
     w = rng.uniform(0.0, 1.0, (n_nodes, n)) * 10.0 ** rng.integers(-3, 4, (n_nodes, 1))
-    for kind in inject:
-        k, i = rng.integers(n_nodes), rng.integers(n)
-        # negatives on either side of the round-off tolerance 1e-12 max(1, TV)
-        tol = 1e-12 * max(1.0, float(np.abs(w[k]).sum()))
-        w[k, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "huge": 1e308,
-                   "neg_inside": -0.5 * tol, "neg_outside": -2.0 * tol}[kind]
-    want = outcome(lambda: parent_validate(times, w))
-    with np.errstate(over="ignore"):
+    # the planted inf and 1e308 weights overflow, and inf - inf is NaN, in
+    # the sums and differences below: on purpose, so numpy is told not to warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in inject:
+            k, i = rng.integers(n_nodes), rng.integers(n)
+            # negatives on either side of the round-off tolerance 1e-12 max(1, TV)
+            tol = 1e-12 * max(1.0, float(np.abs(w[k]).sum()))
+            w[k, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "huge": 1e308,
+                       "neg_inside": -0.5 * tol, "neg_outside": -2.0 * tol}[kind]
+        want = outcome(lambda: parent_validate(times, w))
         sums = w.sum(axis=1)
+        traj = outcome(lambda: Trajectory(sp, times, w))
     if want is None and not np.all(np.isfinite(sums)):
         # the parent accepted finite weights whose row sum overflows; they are
         # refused, naming the first such row
         k = int(np.flatnonzero(~np.isfinite(sums))[0])
         want = ("refused", "NumericError",
                 f"trajectory state at t={times[k]} has finite weights whose sum overflows")
-    traj = outcome(lambda: Trajectory(sp, times, w))
     if want is not None:
         assert traj == want
         return
@@ -330,8 +334,9 @@ def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inje
     rhs_rows = rng.normal(size=(n_nodes, n))
     rhs = lambda k: rhs_rows[k]
     nodes = zip(traj.weights, range(n_nodes))
-    (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rhs(k)])
-    want_gap, want_count = central_difference_gap(traj.times, traj.weights.__getitem__, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rhs(k)])
+        want_gap, want_count = central_difference_gap(traj.times, traj.weights.__getitem__, rhs)
     assert gap == want_gap and count == want_count
 
 
@@ -548,6 +553,52 @@ def test_a_separable_step_clamps_its_stage_masses():
     node = lambda run, k_tilde: float(run(u, kernel, fp.truncated(k_tilde), 1.5, 1.5).final.weights[0])
     assert node(rk4_integrate, 0.82) == pytest.approx(node(rk4_run, 0.82), rel=0.0, abs=1e-15)
     assert abs(node(rk4_integrate, 0.82) - node(rk4_run, 2.0)) > 1e-4
+
+
+def test_a_dirac_separable_run_pushes_nothing_and_is_the_stage_form(monkeypatch):
+    # the concentration problem at 64 cells over 4000 steps: under the Dirac
+    # kernel M = diag(a), so a step is p(a) w without a push, and every node
+    # is the stage form's to round-off
+    cfg = RunConfig.from_dict(concentration_config_dict(cells=64))
+    _, kernel, fp, u = cfg.build()
+    assert kernel.is_dirac and fp.factors is not None
+    want = rk4_run(u, kernel, fp, cfg.T, cfg.dt)
+
+    def refuse(self, v):
+        raise AssertionError("the Dirac step pushed through the kernel")
+
+    monkeypatch.setattr(MutationKernel, "push_births", refuse)
+    got = rk4_integrate(u, kernel, fp, cfg.T, cfg.dt)
+    assert got.n_nodes == 4001
+    tv = np.abs(want.weights).sum(axis=1)
+    gap = np.abs(got.weights - want.weights).sum(axis=1)
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, tv)), float(np.max(gap / np.maximum(1.0, tv)))
+
+
+@pytest.mark.parametrize("a, weights, dt, message", [
+    (1e80, [0.5, 0.5], 0.05, "RK4 produced non-finite weights at step 1 "),
+    (1e80, [0.0, 0.5], 0.05, None),
+    (1e76, [0.0, 0.5], 30.0, "is below the negativity tolerance"),
+])
+def test_a_dirac_pair_whose_fourth_power_overflows_is_the_stage_form(a, weights, dt, message):
+    # a^4 = inf at a = 1e80; at a = 1e76 it is finite, but alpha_4 a^4
+    # overflows for h = 30.  With mass at that point the run aborts at the
+    # oracle's step with its message (up to the offending weight); with none
+    # there the point keeps weight 0, where a power of a formed before the
+    # product with w would give inf * 0 = NaN
+    sp = atoms([[0.0], [1.0]])
+    fp = logistic_pair(sp, a=np.array([a, 1.0]), b=1.0)
+    u, kernel = MeasureVec(sp, np.array(weights)), dirac_kernel(sp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = outcome(lambda: refuse_mass_above(rk4_run(u, kernel, fp, 10 * dt, dt)))
+        got = outcome(lambda: rk4_integrate(u, kernel, fp, 10 * dt, dt))
+    if message is not None:
+        unvalued = lambda r: (r[:2], re.sub(r"^weight \S+ ", "", r[2]))
+        assert refused(want) and unvalued(got) == unvalued(want)
+        assert message in want[2] and "at step 1 " in want[2]
+        return
+    assert not refused(want) and not refused(got)
+    assert np.max(np.abs(got.weights - want.weights)) <= 1e-15
 
 
 def test_picard_operator_exponential_mass_path():
