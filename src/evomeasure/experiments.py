@@ -19,7 +19,7 @@ from .config import RunConfig
 # vector_field, integrate_discrete, mm_residual and normalized_trajectory are not
 # called here: perfbench/tracer.py looks the names up in this module to trace
 # their calls
-from .dynamics import (NodeStream, field_lipschitz_ratio, flow, flow_stream, mass_bound_excess,
+from .dynamics import (NodeStream, _field, field_lipschitz_ratio, flow, flow_stream, mass_bound_excess,
                        rk4_stream, vector_field, write_csv_rows)
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
@@ -27,7 +27,7 @@ from .kernels import dirac_kernel, gaussian_kernel
 from .measures import MeasureVec, bl_distance
 from .reductions import (
     DiscreteSystem,
-    discrete_nodes,
+    _class_field,
     frequency_gaps,
     integrate_discrete,
     mm_residual,
@@ -61,46 +61,21 @@ def _run(cfg: RunConfig, u, kernel, fp) -> NodeStream:
 
 
 class _Child:
-    """``fn()`` computed in the forked child process ``pid``, which sends it
-    through the pipe whose read end is ``fd``; with no child (``pid`` None),
-    computed inline by ``result`` or ``nodes``.
-
-    The child sends each node of a stream as the tag byte ``b"n"`` and the
-    node's float64 bytes, then ``b"o"`` and its pickled ``(ok, value)``
-    outcome.
-    """
+    """``fn()`` computed in the forked child process ``pid``, which sends its
+    pickled ``(ok, value)`` outcome through the pipe whose read end is
+    ``fd``; with no child (``pid`` None), computed inline by ``result``."""
 
     def __init__(self, fn, pid: int | None = None, fd: int | None = None):
         self._fn, self._pid = fn, pid
         self._pipe = None if fd is None else open(fd, "rb")
 
     def result(self):
-        """fn's value, or fn's exception raised here."""
+        """fn's value, or fn's exception raised here; a forked child is reaped."""
         if self._pid is None:
             return self._fn()
-        return self._outcome(self._pipe.read(1))
-
-    def nodes(self, n: int):
-        """The nodes of the stream ``fn()``, each read into a fresh (n,)
-        array, then fn's exception, if it had one, raised here."""
-        if self._pid is None:
-            yield from self._fn()
-            return
-        tag = self._pipe.read(1)
-        while tag == b"n":
-            node = np.empty(n)
-            if self._pipe.readinto(node) < node.nbytes:  # the child died writing it
-                break
-            yield node
-            tag = self._pipe.read(1)
-        self._outcome(tag)
-
-    def _outcome(self, tag: bytes):
-        """Reap the child after the tag byte ``tag``: the value of its
-        outcome, or its exception raised here."""
         pipe, self._pipe = self._pipe, None
         with pipe:
-            data = pipe.read() if tag == b"o" else b""
+            data = pipe.read()
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         if not data or status != 0:
@@ -124,18 +99,15 @@ class _Child:
             self._pid = None
 
 
-def _forked(fn, stream: bool = False) -> _Child:
+def _forked(fn) -> _Child:
     """Start ``fn()`` in a forked child process; read it with ``result()``,
-    or, for a ``stream`` of float64 nodes, with ``nodes(n)``; end the child
-    with ``cancel()``.
+    or end the child with ``cancel()``.
 
-    The child writes each node of a stream to a pipe as it is computed (the
-    pipe's buffer bounds how far it runs ahead of the reader), then one
-    pickled ``(ok, value)`` outcome, an exception that cannot be pickled as
-    a ``RuntimeError`` naming it, and leaves by ``os._exit``: none of the
-    parent's ``finally`` blocks, exit handlers or stdio buffers run in it.
-    Where ``os.fork`` is missing or refused, ``result()`` and ``nodes(n)``
-    compute ``fn()`` inline instead.
+    The child writes one pickled ``(ok, value)`` outcome to a pipe, an
+    exception that cannot be pickled as a ``RuntimeError`` naming it, and
+    leaves by ``os._exit``: none of the parent's ``finally`` blocks, exit
+    handlers or stdio buffers run in it.  Where ``os.fork`` is missing or
+    refused, ``result()`` computes ``fn()`` inline instead.
     """
     fork = getattr(os, "fork", None)
     if fork is None:
@@ -155,13 +127,7 @@ def _forked(fn, stream: bool = False) -> _Child:
         os.close(fd)
         with open(wfd, "wb") as pipe:
             try:
-                if stream:
-                    for node in fn():
-                        pipe.write(b"n")
-                        pipe.write(node)
-                    outcome = (True, None)
-                else:
-                    outcome = (True, fn())
+                outcome = (True, fn())
             except Exception as exc:
                 outcome = (False, exc)
             try:
@@ -170,7 +136,7 @@ def _forked(fn, stream: bool = False) -> _Child:
                 shown = outcome[1] if not outcome[0] else exc
                 data = pickle.dumps((False, RuntimeError(
                     f"a forked child's outcome cannot be pickled: {type(shown).__name__}: {shown}")))
-            pipe.write(b"o" + data)
+            pipe.write(data)
         status = 0
     finally:
         os._exit(status)
@@ -219,27 +185,28 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     """Run the named invariant checks on a config; report pass/fail each.
 
     Checks: rate assumptions, the Lipschitz bound of the vector field, flow
-    positivity, the exponential mass bound, the semigroup axioms, agreement
-    with direct integration of the finite class system, and (where defined)
+    positivity, the exponential mass bound, the semigroup axioms, the
+    reduction to the finite class system, and (where defined)
     finite-difference consistency of the frequency dynamics.  The RK4-based
     checks follow one pair, truncated at the K~ of the RK4 reference, which
     carries that level to the restart, the frequency-gap runs and the class
     system.  No trajectory is held: the reference is read once, node by
-    node, in one loop that keeps its node masses, its class-system gap and
-    its nodes at the split and at T.  The Lipschitz sampler, the
-    class-system oracle, the restart from the split and the frequency gaps
-    (of the reference's head on [0, min(T, 1)], integrated again, and of the
+    node, in one loop that keeps its node masses, its nodes at the split and
+    at T, and the class-system gap: at each node w_k on [0, min(T, 10)] the
+    measure field F(w_k) and the class field P (f1 w_k) - f2 w_k, P =
+    rows^T, are one vector up to round-off, and the gap is the largest
+    TV(difference) / max(1, TV(w_k)), against a tolerance of 1e-13.  The
+    Lipschitz sampler, the restart from the split and the frequency gaps (of
+    the reference's head on [0, min(T, 1)], integrated again, and of the
     dt/2 run there) each run in a forked child process (``_forked``) beside
     the loop, started once their initial node is known; the sampler loads
-    ``numpy.random`` in its child alone.  The oracle's child streams its nodes
-    through a pipe, which the loop reads one per reference node (the pipe's
-    buffer holds the child a few nodes ahead); the other three outcomes are
-    read where the checks need them, and a child whose outcome is not
-    needed is killed.  An exception other than a ``NumericError`` propagates
-    unchanged, from the loop or from a child.  Where ``os.fork`` is missing
-    or refused, they run inline, with the same bytes.  A caller with threads
-    of its own should not rely on the fork; Python >= 3.12 warns when it
-    forks a process with threads (an OpenBLAS thread pool counts), and the
+    ``numpy.random`` in its child alone.  Their outcomes are read where the
+    checks need them, and a child whose outcome is not needed is killed.
+    An exception other than a ``NumericError`` propagates unchanged, from
+    the loop or from a child.  Where ``os.fork`` is missing or refused, they
+    run inline, with the same bytes.  A caller with threads of its own
+    should not rely on the fork; Python >= 3.12 warns when it forks a
+    process with threads (an OpenBLAS thread pool counts), and the
     children's calls are invisible to an in-process tracer.
     """
     space, kernel, fp, u = cfg.build()
@@ -264,6 +231,7 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     # below, and those integrate ``fpt``, the pair truncated at its level K~
     # (fixed before the first node).  The pass keeps the node masses, the
     # nodes at the split t1 and at T, and the class-system gap on [0, min(T, 10)]
+    # (on no node under mean-fitness mortality, which has no pointwise f2)
     reference = rk4_stream(u, kernel, fp, cfg.T, cfg.dt)
     fpt = fp.truncated(reference.meta["k_tilde"])
     times = reference.times
@@ -274,38 +242,38 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
 
     t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
     composes = t1 < cfg.T  # t1 >= dt > 0, so T > 0 here
-    n_split, n_class, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 10.0)), nodes_upto(min(cfg.T, 1.0))
+    n_split, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 1.0))
+    n_class = 0 if fp.mean_fitness_mortality else nodes_upto(min(cfg.T, 10.0))
     masses = np.empty(len(times))
-    class_gap, last, restart, fine, oracle = 0.0, None, None, None, None
-    # the Lipschitz sampler, the class-system oracle, the restart from the
-    # split node and the frequency gaps on [0, min(T, 1)] at dt and dt/2 need
-    # nothing more from the reference: each runs in a forked child beside the
-    # pass, the oracle sending its nodes through a pipe as the pass reads
-    # them, and the child whose result is not read is ended in the finally
-    # below.  The sampler loads numpy.random in its child, not in this process
+    class_gap, last, restart, fine = 0.0, None, None, None
+    # the Lipschitz sampler, the restart from the split node and the
+    # frequency gaps on [0, min(T, 1)] at dt and dt/2 need nothing more from
+    # the reference: each runs in a forked child beside the pass, and the
+    # child whose result is not read is ended in the finally below.  The
+    # sampler loads numpy.random in its child, not in this process
     children: list[_Child] = []
 
-    def start(fn, stream: bool = False) -> _Child:
-        children.append(_forked(fn, stream))
+    def start(fn) -> _Child:
+        children.append(_forked(fn))
         return children[-1]
 
     try:
         if not fp.mean_fitness_mortality:
             lipschitz = start(lambda: field_lipschitz_ratio(
                 kernel, fp.truncated(constants.k_tilde), constants.C1, np.random.default_rng(cfg.seed)))
-            sys = DiscreteSystem.from_measure_problem(kernel, fpt)
-            _, states = discrete_nodes(sys, u.weights, times[n_class - 1], cfg.dt)
-            oracle = start(lambda: states, stream=True).nodes(space.n)
             # the run at dt is bitwise the reference's head: the same pair on the same nodes
             fine = start(lambda: [frequency_gaps(rk4_stream(u, kernel, fpt, times[n_coarse - 1], h),
                                                  kernel, fp) for h in (cfg.dt, cfg.dt / 2.0)])
+            measure_field = _field(kernel, fpt)
+            class_field = _class_field(DiscreteSystem.from_measure_problem(kernel, fpt))
         rk4_witness = None
         try:
             for k, w in enumerate(reference.weights):
                 masses[k] = w.sum()
-                if oracle is not None and k < n_class:
-                    diff = w - next(oracle)
-                    class_gap = np.maximum(class_gap, np.abs(diff, out=diff).sum())
+                if k < n_class:
+                    # the reference's nodes are nonnegative: their TV is their mass
+                    diff = measure_field(w, masses[k]) - class_field(w)
+                    class_gap = max(class_gap, np.abs(diff, out=diff).sum() / max(1.0, masses[k]))
                 if k == n_split - 1 and composes:  # the default binds the split node
                     restart = start(lambda at_split=w: rk4_stream(MeasureVec(space, at_split), kernel, fpt,
                                                                   cfg.T - t1, cfg.dt).run_to_end().weights)
@@ -360,15 +328,16 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
             except NumericError as exc:
                 record("semigroup_composition", False, witness=str(exc))
 
-        # the finite class system is the same ODE: direct integration must agree
+        # the finite class system is the same ODE: its field is the measure
+        # field at every reference node, up to round-off
         if not fp.mean_fitness_mortality:
             try:
                 reference_passed()
                 gap = float(class_gap)
-                record("discrete_reduction", gap <= 1e-10, max_discrepancy=gap, tolerance=1e-10,
+                record("discrete_reduction", gap <= 1e-13, max_discrepancy=gap, tolerance=1e-13,
                        T=times[n_class - 1])
             except NumericError as exc:
-                record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-10,
+                record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-13,
                        witness=str(exc))
 
         # frequency-dynamics consistency, at two resolutions (order check)

@@ -83,19 +83,14 @@ def _class_field(sys: DiscreteSystem):
     return rhs
 
 
-def discrete_nodes(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Node times and the plain RK4 states of the class system, one per node
-    when read; the oracle side of reduction checks.  ``x0`` is checked here."""
+def integrate_discrete(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node times and the plain RK4 states of the class system, one row per
+    node; the oracle side of reduction checks.  ``x0`` is checked here."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise ValueError(f"state must have {sys.n} entries, got shape {x0.shape}")
     times = time_grid(T, dt)
-    return times, _rk4_nodes(_class_field(sys), x0, times)
-
-
-def integrate_discrete(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The states of ``discrete_nodes`` collected, one row per node."""
-    times, nodes = discrete_nodes(sys, x0, T, dt)
+    nodes = _rk4_nodes(_class_field(sys), x0, times)
     return times, np.fromiter(nodes, dtype=(float, sys.n), count=len(times))
 
 

@@ -501,10 +501,10 @@ def test_verify_planted_assumption_violation_fails(tmp_path):
 
 def test_verify_holds_each_trajectory_once(monkeypatch):
     # at 64 cells no trajectory is held: the RK4 reference is read once, node
-    # by node, alongside the class-system oracle, and the restart and the
-    # dt/2 run on [0, 1] are read node by node; the traced peak is 0.2-0.45
-    # references.  A collected reference peaks at 1.1-1.2, a materialized
-    # class-system oracle or dt/2 run higher still.  tracemalloc sees only
+    # by node, with the class-system identity checked at each node, and the
+    # restart and the dt/2 run on [0, 1] are read node by node; the traced
+    # peak is 0.2-0.45 references.  A collected reference peaks at 1.1-1.2,
+    # a materialized dt/2 run higher still.  tracemalloc sees only
     # this process, so the guard runs twice: with the restart and the dt/2
     # run in forked children, and inline, where os.fork is missing.  A
     # warm-up call first takes the one-time allocations of a process (about

@@ -5,10 +5,15 @@ integration of the class system must match RK4 on the measure weights to
 near machine level; the frequency dynamics and the replicator/quasi-species
 forms are checked by finite differences.  Agreement with the class system on
 random atoms and with simplex integration are acceptance criteria 07 and 08.
+Both reductions also hold state by state, with nothing integrated: the class
+system's right-hand side is the measure field, and the frequency field is
+F(w)/X - p (1^T F(w))/X, at every state w of mass X and p = w/X.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_components
 from evomeasure import (
@@ -33,9 +38,12 @@ from evomeasure import (
     replicator_mutator_rhs,
     ricker_pair,
     rk4_integrate,
+    uniform_kernel,
+    vector_field,
 )
 from evomeasure.dynamics import Trajectory
-from oracles import max_row_tv, rk4
+from evomeasure.reductions import mm_rhs
+from oracles import class_rhs, max_row_tv, random_pair, random_problem, rk4
 
 RNG = np.random.default_rng(17)
 
@@ -81,6 +89,49 @@ def test_discrete_rhs_change_of_variable_structure():
         lhs = a * discrete_rhs(x, sys)
         rhs = a * (P @ y) - b * X * y
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 6),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "uniform", "matrix"]),
+    family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant"]),
+    separable=st.booleans(),
+    truncate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_reductions_are_identities_at_random_states(
+    space_kind, n, kernel_kind, family, separable, truncate, seed
+):
+    # P (f1 w) - f2 w with P = rows^T is the measure field F(w); each kernel
+    # row sums to 1, so 1^T push(v) = 1^T v and F(w)/X - p (1^T F(w))/X is
+    # the frequency field mm_rhs(p, X), which under the Dirac kernel is the
+    # replicator field (f - fbar) p, f = f1 - f2.  A truncation level below
+    # the mass makes the K~ clamp bind on both sides.  Round-off is measured
+    # against the state's TV, and in the frequency fields against the rates'
+    # size (f1 + f2) . p, which may be large where births and deaths cancel
+    rng = np.random.default_rng(seed)
+    sp, kernel, _, _ = random_problem(rng, space_kind, n, "dirac" if kernel_kind == "uniform" else kernel_kind)
+    if kernel_kind == "uniform":
+        kernel = uniform_kernel(sp)
+    fp = random_pair(rng, sp, family, scalar=separable)
+    w = rng.uniform(0.0, 1.0, sp.n) * float(rng.uniform(1e-3, 5.0))
+    X = float(w.sum())
+    if truncate:
+        fp = fp.truncated(float(rng.uniform(0.5, 2.0)) * X)
+    F = vector_field(MeasureVec(sp, w), kernel, fp).weights
+
+    gap = np.abs(F - class_rhs(w, DiscreteSystem.from_measure_problem(kernel, fp))).sum()
+    assert gap <= 1e-13 * max(1.0, X)
+
+    p = w / X
+    frequency = F / X - p * (F.sum() / X)
+    tol = 1e-13 * max(1.0, (fp.f1(X) + fp.f2(X)) @ p)
+    assert np.abs(frequency - mm_rhs(p, X, kernel, fp)).sum() <= tol
+    if kernel.is_dirac:
+        f = fp.f1(X) - fp.f2(X)
+        assert np.abs(frequency - (f - f @ p) * p).sum() <= tol
 
 
 def test_discrete_oracle_shares_the_rk4_grid_off_the_step_grid():

@@ -1,9 +1,10 @@
 """The node streams against the materialized runs they replace.
 
-``verify`` reads its RK4 reference, the semigroup restart, the
-class-system oracle and the dt/2 run node by node.  The oracle is the code
-that materialized them as full arrays, in ``oracles``: every streamed result
-must be bitwise equal to it, with the same node counts and the same refusals.
+``verify`` reads its RK4 reference, the semigroup restart and the dt/2
+run node by node.  The oracle is the code that materialized them as full
+arrays, in ``oracles``: every streamed result must be bitwise equal to it,
+with the same node counts and the same refusals.  The class system's RK4
+run, ``integrate_discrete``, is held to the oracle's in the same way.
 The pairs drawn here have vector b and c, so RK4 takes the field step that
 the oracle writes out; ``test_dynamics`` holds separable pairs, which take
 the polynomial step, to the oracle at round-off.
@@ -20,7 +21,7 @@ import oracles
 from conftest import reference_components
 from evomeasure import DiscreteSystem, MeasureVec, constant_pair, matrix_kernel, zero_measure
 from evomeasure.dynamics import NodeStream, finite_difference_residual, rk4_integrate, rk4_stream, sup_tv
-from evomeasure.reductions import discrete_nodes, frequency_gaps, mm_residual, replicator_check
+from evomeasure.reductions import frequency_gaps, integrate_discrete, mm_residual, replicator_check
 from oracles import class_system_gap, outcome, random_pair, random_problem, refuse_mass_above, refused
 
 
@@ -89,8 +90,8 @@ def test_node_streams_are_the_materialized_runs_bitwise(
     if family == "mean_fitness":
         return
 
-    # the running class-system gap against the full arrays
-    _, oracle = discrete_nodes(DiscreteSystem.from_measure_problem(kernel, fpt), u.weights, T, dt)
+    # the class-system gap against the full arrays
+    _, oracle = integrate_discrete(DiscreteSystem.from_measure_problem(kernel, fpt), u.weights, T, dt)
     assert sup_tv(ref.weights, oracle) == class_system_gap(ref, kernel, fpt, u, dt)
 
     # the frequency gaps of the trajectory and of a stream (the dt/2 run of
