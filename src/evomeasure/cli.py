@@ -6,7 +6,8 @@
     evomeasure mutation-limit --config cfg.json --out dir [--sigmas 0.4,0.2,0.1,0.05] ...
 
 Exit codes: 0 success, 1 verification failure, 2 config error (or an output
-directory that cannot be written), 3 numeric failure.
+directory that cannot be written, or a run too large for memory), 3 numeric
+failure.
 
 ``entry`` (``python -m evomeasure.cli``, the ``evomeasure`` script) calls
 ``gc.freeze()`` before ``main``: exit and ``verify``'s forked children then
@@ -102,6 +103,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:  # the config is read into a ConfigError: this is the --out side
         print(f"cannot write the artifacts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"the run does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"wall time: {time.perf_counter() - started:.2f} s")
     return code

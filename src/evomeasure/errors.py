@@ -6,9 +6,9 @@ class ConfigError(ValueError):
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; a fractional number is refused, not truncated."""
+    """``value`` as an int; a fractional number or a boolean is refused, not read as one."""
     i = int(value)
-    if isinstance(value, float) and i != value:
+    if isinstance(value, bool) or isinstance(value, float) and i != value:
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return i
 

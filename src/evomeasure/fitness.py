@@ -6,10 +6,13 @@ standing assumptions are that f1 is nonincreasing and f2 nondecreasing in X,
 both nonnegative and Lipschitz in X, and that mortality has a strictly
 positive density-independent floor: min_q f2(0, q) = varpi > 0.
 
-Families whose natural mortality vanishes at X = 0 (pure density-dependent
-death) are offered with an additive floor so the implemented pair satisfies
-the assumptions; passing floor=0 reproduces the raw model outside the proven
-well-posedness regime, and assumption verification will flag it.
+The built-in families are the classical nonlinearities of one model:
+f1(X, q) = a(q) g(c(q) X), with g(s) = 1 (constant and logistic), 1 / (1 + s)
+(Beverton-Holt) or e^(-s) (Ricker), and f2(X, q) = floor + b(q) X, or b(q)
+for the constant family.  Pure density-dependent death vanishes at X = 0, so
+the floor makes the pair satisfy the assumptions; floor=0 reproduces the raw
+model outside the proven well-posedness regime, and assumption verification
+will flag it.
 
 ``estimate_constants`` takes the bounds and Lipschitz constants of the
 truncated pair from the families' formulas and chooses the contraction
@@ -57,7 +60,7 @@ def _coef(space: StrategySpace, spec, name: str) -> float | np.ndarray:
     else:
         arr = np.array(spec, dtype=float)
         if arr.ndim and arr.shape != (n,):
-            raise ValueError(f"coefficient {name} has {arr.shape[0]} entries, space has {n} points")
+            raise ValueError(f"coefficient {name} has shape {arr.shape}, space has {n} points")
     bad = ~np.isfinite(arr)
     if np.any(bad):
         raise ConfigError(f"coefficient {name} is not finite: {float(arr[bad][0])!r}")
@@ -146,84 +149,69 @@ class FitnessPair:
 # ─── families ────────────────────────────────────────────────────────
 
 
-def _separable(av: np.ndarray, phi, death, b, c=0.0) -> tuple | None:
-    """(a, phi, psi) with psi the pair's own ``death`` when b and c are scalars.
+def _beverton_holt(av, cv):
+    """Birth rate a / (1 + cX) and its factor phi = 1 / (1 + cX)."""
+    return lambda X: av / (1.0 + cv * X), lambda X: 1.0 / (1.0 + cv * X)
 
-    A negative c keeps no factors: its phi in Python floats would raise on
-    an overflow or a zero denominator, where numpy's (n,) rates reach inf.
+
+def _ricker(av, cv):
+    """Birth rate a e^(-cX) and its factor phi = e^(-cX)."""
+    neg_cv = -cv
+    return lambda X: av * np.exp(neg_cv * X), lambda X: math.exp(neg_cv * X)
+
+
+def _family_pair(space: StrategySpace, family: str, a, b, floor, c=None, shape=None) -> FitnessPair:
+    """A pair of the module docstring's model, g from ``shape`` (1 without
+    one) and f2 = b(q) where ``floor`` is None; separable when b and c are
+    scalars and c >= 0, no c counting as 0.  A negative c keeps no factors:
+    its phi in Python floats would raise on an overflow or a zero
+    denominator, where numpy's (n,) rates reach inf.
     """
-    return (av, phi, death) if isinstance(b, float) and isinstance(c, float) and c >= 0 else None
-
-
-def _one(X: float) -> float:
-    return 1.0
+    av = _birth_coef(space, a)
+    cv = 0.0 if c is None else _coef(space, c, "c")
+    bv = _coef(space, b, "b")
+    params = {"a": av, "b": bv}
+    if c is not None:
+        params["c"] = cv
+    if floor is None:
+        death = lambda X: bv
+    else:
+        death = lambda X: floor + bv * X
+        params["floor"] = floor
+    birth, phi = (lambda X: av, lambda X: 1.0) if shape is None else shape(av, cv)
+    separable = isinstance(bv, float) and isinstance(cv, float) and cv >= 0
+    return FitnessPair(space, family, birth, death, params=params,
+                       factors=(av, phi, death) if separable else None)
 
 
 def constant_pair(space: StrategySpace, a, b) -> FitnessPair:
     """f1 = a(q), f2 = b(q), both independent of X."""
-    av = _birth_coef(space, a)
-    bv = _coef(space, b, "b")
-    death = lambda X: bv
-    return FitnessPair(space, "constant", lambda X: av, death, params={"a": av, "b": bv},
-                       factors=_separable(av, _one, death, bv))
+    return _family_pair(space, "constant", a, b, None)
 
 
 def logistic_pair(space: StrategySpace, a, b, floor: float = 1e-3) -> FitnessPair:
     """f1 = a(q), f2 = floor + b(q) X (generalized logistic with mortality floor)."""
-    av = _birth_coef(space, a)
-    bv = _coef(space, b, "b")
-    death = lambda X: floor + bv * X
-    return FitnessPair(
-        space,
-        "logistic",
-        lambda X: av,
-        death,
-        params={"a": av, "b": bv, "floor": floor},
-        factors=_separable(av, _one, death, bv),
-    )
+    return _family_pair(space, "logistic", a, b, floor)
 
 
 def beverton_holt_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> FitnessPair:
     """f1 = a(q) / (1 + c(q) X), f2 = floor + b(q) X."""
-    av = _birth_coef(space, a)
-    cv = _coef(space, c, "c")
-    bv = _coef(space, b, "b")
-    death = lambda X: floor + bv * X
-    return FitnessPair(
-        space,
-        "beverton_holt",
-        lambda X: av / (1.0 + cv * X),
-        death,
-        params={"a": av, "b": bv, "c": cv, "floor": floor},
-        factors=_separable(av, lambda X: 1.0 / (1.0 + cv * X), death, bv, cv),
-    )
+    return _family_pair(space, "beverton_holt", a, b, floor, c, _beverton_holt)
 
 
 def ricker_pair(space: StrategySpace, a, c, b, floor: float = 1e-3) -> FitnessPair:
     """f1 = a(q) exp(-c(q) X), f2 = floor + b(q) X."""
-    av = _birth_coef(space, a)
-    cv = _coef(space, c, "c")
-    bv = _coef(space, b, "b")
-    neg_cv = -cv
-    death = lambda X: floor + bv * X
-    return FitnessPair(
-        space,
-        "ricker",
-        lambda X: av * np.exp(neg_cv * X),
-        death,
-        params={"a": av, "b": bv, "c": cv, "floor": floor},
-        factors=_separable(av, lambda X: math.exp(neg_cv * X), death, bv, cv),
-    )
+    return _family_pair(space, "ricker", a, b, floor, c, _ricker)
+
+
+def _on_points(space: StrategySpace, f):
+    """A callable (X, points) -> rates as a rate of X at the support points."""
+    return lambda X: np.asarray(f(X, space.points), dtype=float)
 
 
 def custom_pair(space: StrategySpace, f1, f2) -> FitnessPair:
     """Arbitrary callables (X, points) -> rates, X and rates as in ``FitnessPair.f1``."""
-    return FitnessPair(
-        space,
-        "custom",
-        lambda X: np.asarray(f1(X, space.points), dtype=float),
-        lambda X: np.asarray(f2(X, space.points), dtype=float),
-    )
+    return FitnessPair(space, "custom", _on_points(space, f1), _on_points(space, f2))
 
 
 def mean_fitness_pair(space: StrategySpace, f1) -> FitnessPair:
@@ -235,7 +223,7 @@ def mean_fitness_pair(space: StrategySpace, f1) -> FitnessPair:
     truncation constants and the Picard solver refuse it.
     """
     if callable(f1):
-        birth = lambda X: np.asarray(f1(X, space.points), dtype=float)
+        birth = _on_points(space, f1)
     else:
         av = _birth_coef(space, f1)
         birth = lambda X: av

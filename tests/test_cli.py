@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from conftest import concentration_config_dict, reference_config_dict
-from evomeasure import cli
+from evomeasure import cli, kernels
 from evomeasure.cli import main
 from evomeasure.config import RunConfig
+from evomeasure.reductions import DiscreteSystem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -224,12 +225,47 @@ def every_command():
     # a mortality floor above every birth rate reported a negative target mass and exited 0
     ("dirac-limit", floored_concentration(5.0),
      "the largest (a - floor) / b is -3.01125, at cell 7, so the population goes extinct"),
+    # JSON's true was read as the integer 1
+    ("simulate", small_reference(space={"kind": "grid1d", "bounds": [0.0, 2.0], "cells": True}),
+     "space.cells must be a whole number, got True"),
+    ("simulate", grid2d_reference([True, 3]), "space.cells must be a whole number, got True"),
+    ("simulate", small_reference(seed=True), "seed must be a whole number, got True"),
+    ("simulate", small_reference(summary_stride=True), "summary_stride must be a whole number, got True"),
+    ("simulate", small_reference(solver="picard", picard={"max_iter": True}),
+     "picard.max_iter must be a whole number, got True"),
+    ("simulate", refit(a={"trait": True}), "coefficient a: trait index must be a whole number, got True"),
 ])
 def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+NUMPY_MEMORY_ERROR = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_run_too_large_for_memory_exits_2(command, tmp_path, capsys, monkeypatch):
+    # at 100000 cells simulate's Gaussian table, and verify's class-system
+    # identity on a Dirac grid, cannot be allocated: numpy's MemoryError was a
+    # traceback and exit 1.  The allocation is refused here, not attempted:
+    # a host that overcommits memory may grant it
+    def refuse(*args):
+        raise MemoryError(NUMPY_MEMORY_ERROR)
+
+    if command == "simulate":
+        monkeypatch.setattr(kernels, "gaussian_kernel", refuse)
+        cfg = small_reference()
+    else:  # after verify has forked its children
+        monkeypatch.setattr(DiscreteSystem, "from_measure_problem", staticmethod(refuse))
+        cfg = small_reference(kernel={"variant": "dirac"})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"the run does not fit in memory: {NUMPY_MEMORY_ERROR}"]
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # no child is left running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -507,17 +543,18 @@ def test_verify_holds_each_trajectory_once(monkeypatch):
     # a materialized dt/2 run higher still.  tracemalloc sees only
     # this process, so the guard runs twice: with the restart and the dt/2
     # run in forked children, and inline, where os.fork is missing.  A
-    # warm-up call first takes the one-time allocations of a process (about
-    # 0.37 reference) out of the measurement
+    # warm-up call in each mode first takes the one-time allocations of a
+    # process (about 0.37 reference; inline, also the import of numpy.random,
+    # which a forked verify makes in its child) out of the measurement
     import os
     import tracemalloc
 
     from evomeasure.experiments import verify
 
-    verify(RunConfig.from_dict(reference_config_dict(cells=8, T=0.2, dt=0.01)))
     for forked in (True, False):
         if not forked:
             monkeypatch.delattr(os, "fork")
+        verify(RunConfig.from_dict(reference_config_dict(cells=8, T=0.2, dt=0.01)))
         for T in (4.0, 2.0):
             cfg = RunConfig.from_dict(reference_config_dict(cells=64, T=T, dt=1e-3))
             tracemalloc.start()

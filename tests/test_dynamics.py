@@ -469,24 +469,38 @@ def test_rk4_of_the_pair_truncated_at_the_references_level(space_kind, n, kernel
     n=st.integers(1, 5),
     kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
     family=st.sampled_from(["logistic", "beverton_holt", "ricker", "constant", "mean_fitness"]),
+    scalar=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rk4_nodes_are_the_parent_loops_bitwise(space_kind, n, kernel_kind, family, seed):
+def test_rk4_nodes_are_the_parent_loops_bitwise(space_kind, n, kernel_kind, family, scalar, seed):
     # test_streams holds the nodes to the oracle's RK4 run; here the cached
-    # masses, the Ricker rates and the class system's RK4, all bitwise
+    # masses, each family's rates and separable factors, and the class
+    # system's RK4, all bitwise
     rng = np.random.default_rng(seed)
     sp, kernel, _, u = random_problem(rng, space_kind, n, kernel_kind)
-    fp = random_pair(rng, sp, family)
+    scalar = scalar and family != "mean_fitness"  # whose scalar rate is not an (n,) vector
+    fp = random_pair(rng, sp, family, scalar=scalar)
     T, dt = float(rng.uniform(0.1, 1.0)), 0.05
     traj = rk4_integrate(u, kernel, fp, T, dt)
     for k in range(traj.n_nodes):
         assert traj.masses[k] == traj.state(k).total_mass()
-    if family == "ricker":
-        a, c = fp.params["a"], fp.params["c"]
-        for X in traj.masses:
-            assert fp.f1(X).tobytes() == (a * np.exp(-c * X)).tobytes()
     if family == "mean_fitness":
         return
+    p = fp.params
+    a, b, c = p["a"], p["b"], p.get("c")
+    death = (lambda X: b) if family == "constant" else lambda X: p["floor"] + b * X
+    if family == "ricker":
+        birth, phi = lambda X: a * np.exp(-c * X), lambda x: math.exp(-c * x)
+    elif family == "beverton_holt":
+        birth, phi = lambda X: a / (1 + c * X), lambda x: 1 / (1 + c * x)
+    else:
+        birth, phi = lambda X: a, lambda x: 1.0
+    for X in traj.masses:
+        assert fp.f1(X).tobytes() == birth(X).tobytes()
+        assert fp.f2(X).tobytes() == np.broadcast_to(death(X), sp.n).tobytes()
+        if scalar:
+            x = float(X)
+            assert (fp.factors[1](x), fp.factors[2](x)) == (phi(x), death(x))
     sys = DiscreteSystem.from_measure_problem(kernel, fp.truncated(traj.meta["k_tilde"]))
     times, xs = integrate_discrete(sys, u.weights, T, dt)
     want_times, want = rk4(lambda x: class_rhs(x, sys), u.weights, T, dt)

@@ -88,9 +88,12 @@ def test_ricker_hand_value():
 
 
 def test_coefficient_array_length_checked():
+    # named by its shape: a (4, 1) column has 4 entries, but not the shape (4,)
     sp = grid_1d(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"coefficient a has shape \(2,\), space has 4 points"):
         constant_pair(sp, a=[1.0, 2.0], b=1.0)
+    with pytest.raises(ValueError, match=r"coefficient b has shape \(4, 1\), space has 4 points"):
+        logistic_pair(sp, a=1.0, b=[[0.5]] * 4)
 
 
 # ─── truncation ──────────────────────────────────────────────────────
