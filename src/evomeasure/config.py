@@ -136,12 +136,15 @@ class RunConfig:
                 summary_stride = _integer(summary_stride, "summary_stride")
                 if summary_stride < 1:
                     raise ConfigError("summary_stride must be at least 1")
+            seed = _integer(d.get("seed", 0), "seed")
+            if seed < 0:
+                raise ConfigError(f"seed must be nonnegative, got {seed}")
             return RunConfig(
                 raw=d,
                 solver=solver,
                 T=T,
                 dt=dt,
-                seed=_integer(d.get("seed", 0), "seed"),
+                seed=seed,
                 picard_tol=picard_tol,
                 picard_max_iter=picard_max_iter,
                 ball_radius=ball_radius,

@@ -196,8 +196,9 @@ def _field(kernel: MutationKernel, fp: FitnessPair):
         x = X if k_tilde is None else min(max(X, 0.0), k_tilde)
         f1 = birth(x)
         births = push(f1 * w)
-        if death is None:
-            return births - (float(np.dot(f1, w)) / X if X != 0.0 else 0.0) * w
+        if death is None:  # a birth rate that does not vary over the points is its own mean
+            mean = float(f1) if np.ndim(f1) == 0 else float(np.dot(f1, w)) / X if X != 0.0 else 0.0
+            return births - mean * w
         return births - death(x) * w
 
     return field

@@ -109,13 +109,10 @@ def _forked(fn) -> _Child:
     handlers or stdio buffers run in it.  Where ``os.fork`` is missing or
     refused, ``result()`` computes ``fn()`` inline instead.
     """
-    fork = getattr(os, "fork", None)
-    if fork is None:
-        return _Child(fn)
     fd, wfd = os.pipe()
     try:
-        pid = fork()
-    except OSError:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork on this platform, or a fork refused
         os.close(fd)
         os.close(wfd)
         return _Child(fn)
@@ -196,18 +193,19 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     measure field F(w_k) and the class field P (f1 w_k) - f2 w_k, P =
     rows^T, are one vector up to round-off, and the gap is the largest
     TV(difference) / max(1, TV(w_k)), against a tolerance of 1e-13.  The
-    Lipschitz sampler, the restart from the split and the frequency gaps (of
-    the reference's head on [0, min(T, 1)], integrated again, and of the
-    dt/2 run there) each run in a forked child process (``_forked``) beside
-    the loop, started once their initial node is known; the sampler loads
-    ``numpy.random`` in its child alone.  Their outcomes are read where the
-    checks need them, and a child whose outcome is not needed is killed.
-    An exception other than a ``NumericError`` propagates unchanged, from
-    the loop or from a child.  Where ``os.fork`` is missing or refused, they
-    run inline, with the same bytes.  A caller with threads of its own
-    should not rely on the fork; Python >= 3.12 warns when it forks a
-    process with threads (an OpenBLAS thread pool counts), and the
-    children's calls are invisible to an in-process tracer.
+    restart from the split node runs after the pass, read node by node to
+    its end state.  The Lipschitz sampler and the frequency gaps (of the
+    reference's head on [0, min(T, 1)], integrated again, and of the dt/2
+    run there) run in one forked child process (``_forked``), started before
+    the pass and read once after it; the sampler loads ``numpy.random`` in
+    the child alone.  An exception other than a ``NumericError``
+    propagates unchanged: from the pass, the sampler or the restart, and
+    from the gaps where the frequency check reads them.  Where ``os.fork``
+    is missing or refused, the child's work runs inline after the pass, with
+    the same bytes.  A caller with threads of its own should not rely on the
+    fork; Python >= 3.12 warns when it forks a process with threads (an
+    OpenBLAS thread pool counts), and the child's calls are invisible to an
+    in-process tracer.
     """
     space, kernel, fp, u = cfg.build()
     checks: dict[str, dict] = {}
@@ -215,14 +213,12 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     def record(name, passed, **info):
         checks[name] = {"passed": bool(passed), **info}
 
-    u_mass = u.total_mass()
-
     # rate assumptions on a sampling lattice
     constants = None
     if fp.mean_fitness_mortality:
         record("assumptions", True, applicable=False)
     else:
-        constants = estimate_constants(fp, u_mass, cfg.ball_radius)
+        constants = estimate_constants(fp, u.total_mass(), cfg.ball_radius)
         report = verify_assumptions(fp, k_tilde=constants.k_tilde)
         info = {k: v for k, v in report.to_dict().items() if k != "passed"}
         record("assumptions", report.passed, **info)
@@ -245,28 +241,27 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     n_split, n_coarse = nodes_upto(t1), nodes_upto(min(cfg.T, 1.0))
     n_class = 0 if fp.mean_fitness_mortality else nodes_upto(min(cfg.T, 10.0))
     masses = np.empty(len(times))
-    class_gap, last, restart, fine = 0.0, None, None, None
-    # the Lipschitz sampler, the restart from the split node and the
-    # frequency gaps on [0, min(T, 1)] at dt and dt/2 need nothing more from
-    # the reference: each runs in a forked child beside the pass, and the
-    # child whose result is not read is ended in the finally below.  The
-    # sampler loads numpy.random in its child, not in this process
-    children: list[_Child] = []
+    class_gap, split, last, rk4_witness = 0.0, None, None, None
 
-    def start(fn) -> _Child:
-        children.append(_forked(fn))
-        return children[-1]
+    def sampled():
+        """The Lipschitz sampler's ratio, and the frequency gaps or the exception that ended them."""
+        ratio = field_lipschitz_ratio(kernel, fp.truncated(constants.k_tilde), constants.C1,
+                                      np.random.default_rng(cfg.seed))
+        try:
+            # the run at dt is bitwise the reference's head: the same pair on the same nodes
+            return ratio, [frequency_gaps(rk4_stream(u, kernel, fpt, times[n_coarse - 1], h), kernel, fp)
+                           for h in (cfg.dt, cfg.dt / 2.0)]
+        except Exception as exc:
+            return ratio, exc
 
+    # the sampler and the gaps need no reference node: one forked child computes
+    # them beside the pass, read once after it, or ended in the finally below
+    child = _Child(lambda: (None, None))  # a mean-fitness pair has neither
     try:
         if not fp.mean_fitness_mortality:
-            lipschitz = start(lambda: field_lipschitz_ratio(
-                kernel, fp.truncated(constants.k_tilde), constants.C1, np.random.default_rng(cfg.seed)))
-            # the run at dt is bitwise the reference's head: the same pair on the same nodes
-            fine = start(lambda: [frequency_gaps(rk4_stream(u, kernel, fpt, times[n_coarse - 1], h),
-                                                 kernel, fp) for h in (cfg.dt, cfg.dt / 2.0)])
+            child = _forked(sampled)
             measure_field = _field(kernel, fpt)
             class_field = _class_field(DiscreteSystem.from_measure_problem(kernel, fpt))
-        rk4_witness = None
         try:
             for k, w in enumerate(reference.weights):
                 masses[k] = w.sum()
@@ -274,90 +269,90 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
                     # the reference's nodes are nonnegative: their TV is their mass
                     diff = measure_field(w, masses[k]) - class_field(w)
                     class_gap = max(class_gap, np.abs(diff, out=diff).sum() / max(1.0, masses[k]))
-                if k == n_split - 1 and composes:  # the default binds the split node
-                    restart = start(lambda at_split=w: rk4_stream(MeasureVec(space, at_split), kernel, fpt,
-                                                                  cfg.T - t1, cfg.dt).run_to_end().weights)
+                if k == n_split - 1:
+                    split = w
                 last = w
         except NumericError as exc:
             rk4_witness = str(exc)
-
-        def reference_passed() -> None:
-            """Raise the reference's refusal, if it had one."""
-            if rk4_witness is not None:
-                raise NumericError(rk4_witness)
-
-        # Lipschitz bound of the truncated field on a TV ball
-        if not fp.mean_fitness_mortality:
-            k_f = constants.B1 + constants.B2 + (constants.L1 + constants.L2) * constants.C1
-            worst = lipschitz.result()
-            record("lipschitz_field", worst <= k_f, observed_ratio=worst, bound=k_f)
-
-        # positivity and the mass bound along the configured run, on the
-        # reference's node times; an RK4 run records the reference's clips, a
-        # Picard run is read for its masses.  Only the sign of the masses is kept.
-        positive_mass = False
-        try:
-            if cfg.solver == "rk4":
-                reference_passed()
-                run_masses = masses
-                record("positivity", True, clip_count=reference.meta["clip_count"],
-                       clip_max=reference.meta["clip_max"])
-            else:
-                run_masses = np.fromiter((w.sum() for w in _run(cfg, u, kernel, fp).weights), dtype=float,
-                                         count=len(times))
-                record("positivity", True)
-            if constants is not None:
-                excess = mass_bound_excess(times, run_masses, constants.B1)
-                record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.B1)
-            positive_mass = bool(np.all(run_masses > 0))
-        except NumericError as exc:
-            record("positivity", False, witness=str(exc))
-
-        # semigroup axioms: identity at 0, composition at a grid-aligned split;
-        # composition restarts the RK4 realization of the truncated pair from
-        # the reference node at t1, so both sides follow one vector field;
-        # only the restart's end state is kept
-        ident = flow(u, kernel, fp, 0.0)
-        record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
-        if composes:
-            try:
-                reference_passed()
-                end = MeasureVec(space, restart.result())
-                gap = end.add_scaled(-1.0, MeasureVec(space, last)).tv_norm()
-                record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
-            except NumericError as exc:
-                record("semigroup_composition", False, witness=str(exc))
-
-        # the finite class system is the same ODE: its field is the measure
-        # field at every reference node, up to round-off
-        if not fp.mean_fitness_mortality:
-            try:
-                reference_passed()
-                gap = float(class_gap)
-                record("discrete_reduction", gap <= 1e-13, max_discrepancy=gap, tolerance=1e-13,
-                       T=times[n_class - 1])
-            except NumericError as exc:
-                record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-13,
-                       witness=str(exc))
-
-        # frequency-dynamics consistency, at two resolutions (order check)
-        if positive_mass and not fp.mean_fitness_mortality:
-            try:
-                reference_passed()
-                (rc, nc), (rf, nf) = fine.result()
-                if kernel.is_dirac:
-                    tol = max(1e-12, rc / 2.8)
-                    record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf,
-                           tolerance=tol, coarse=rc)
-                tol = max(1e-12, nc / 2.8)
-                record("normalized_fd", nc <= 1e-10 or nf <= tol, max_discrepancy=nf, tolerance=tol,
-                       coarse=nc)
-            except NumericError as exc:
-                record("normalized_fd", False, max_discrepancy=float("nan"), tolerance=0.0,
-                       witness=str(exc))
+        worst, fine = child.result()
     finally:
-        for child in children:
-            child.cancel()
+        child.cancel()
+
+    def reference_passed() -> None:
+        """Raise the reference's refusal, if it had one."""
+        if rk4_witness is not None:
+            raise NumericError(rk4_witness)
+
+    # Lipschitz bound of the truncated field on a TV ball
+    if not fp.mean_fitness_mortality:
+        k_f = constants.B1 + constants.B2 + (constants.L1 + constants.L2) * constants.C1
+        record("lipschitz_field", worst <= k_f, observed_ratio=worst, bound=k_f)
+
+    # positivity and the mass bound along the configured run, on the
+    # reference's node times; an RK4 run records the reference's clips, a
+    # Picard run is read for its masses.  Only the sign of the masses is kept.
+    positive_mass = False
+    try:
+        if cfg.solver == "rk4":
+            reference_passed()
+            run_masses = masses
+            record("positivity", True, clip_count=reference.meta["clip_count"],
+                   clip_max=reference.meta["clip_max"])
+        else:
+            run_masses = np.fromiter((w.sum() for w in _run(cfg, u, kernel, fp).weights), dtype=float,
+                                     count=len(times))
+            record("positivity", True)
+        if constants is not None:
+            excess = mass_bound_excess(times, run_masses, constants.B1)
+            record("gronwall", excess <= 1e-6, excess=excess, M_f1=constants.B1)
+        positive_mass = bool(np.all(run_masses > 0))
+    except NumericError as exc:
+        record("positivity", False, witness=str(exc))
+
+    # semigroup axioms: identity at 0, composition at a grid-aligned split;
+    # composition restarts the RK4 realization of the truncated pair from
+    # the reference node at t1, so both sides follow one vector field; the
+    # restart is read node by node, and only its end state is kept
+    ident = flow(u, kernel, fp, 0.0)
+    record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
+    if composes:
+        try:
+            reference_passed()
+            end = rk4_stream(MeasureVec(space, split), kernel, fpt, cfg.T - t1, cfg.dt).run_to_end()
+            gap = end.add_scaled(-1.0, MeasureVec(space, last)).tv_norm()
+            record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
+        except NumericError as exc:
+            record("semigroup_composition", False, witness=str(exc))
+
+    # the finite class system is the same ODE: its field is the measure
+    # field at every reference node, up to round-off
+    if not fp.mean_fitness_mortality:
+        try:
+            reference_passed()
+            gap = float(class_gap)
+            record("discrete_reduction", gap <= 1e-13, max_discrepancy=gap, tolerance=1e-13,
+                   T=times[n_class - 1])
+        except NumericError as exc:
+            record("discrete_reduction", False, max_discrepancy=float("nan"), tolerance=1e-13,
+                   witness=str(exc))
+
+    # frequency-dynamics consistency, at two resolutions (order check)
+    if positive_mass and not fp.mean_fitness_mortality:
+        try:
+            reference_passed()
+            if isinstance(fine, Exception):
+                raise fine
+            (rc, nc), (rf, nf) = fine
+            if kernel.is_dirac:
+                tol = max(1e-12, rc / 2.8)
+                record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf,
+                       tolerance=tol, coarse=rc)
+            tol = max(1e-12, nc / 2.8)
+            record("normalized_fd", nc <= 1e-10 or nf <= tol, max_discrepancy=nf, tolerance=tol,
+                   coarse=nc)
+        except NumericError as exc:
+            record("normalized_fd", False, max_discrepancy=float("nan"), tolerance=0.0,
+                   witness=str(exc))
 
     # the reduction equivalences are the checks with a tolerance, reported a
     # second time in the {case, max_discrepancy, tolerance, pass} schema

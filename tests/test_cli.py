@@ -234,6 +234,8 @@ def every_command():
     ("simulate", small_reference(solver="picard", picard={"max_iter": True}),
      "picard.max_iter must be a whole number, got True"),
     ("simulate", refit(a={"trait": True}), "coefficient a: trait index must be a whole number, got True"),
+    # numpy.random refused it in verify's sampler (a traceback and exit 1), and simulate ignored it
+    *[(command, small_reference(seed=-1), "seed must be nonnegative, got -1") for command in ("simulate", "verify")],
 ])
 def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -257,7 +259,7 @@ def test_a_run_too_large_for_memory_exits_2(command, tmp_path, capsys, monkeypat
     if command == "simulate":
         monkeypatch.setattr(kernels, "gaussian_kernel", refuse)
         cfg = small_reference()
-    else:  # after verify has forked its children
+    else:  # after verify has forked its child
         monkeypatch.setattr(DiscreteSystem, "from_measure_problem", staticmethod(refuse))
         cfg = small_reference(kernel={"variant": "dirac"})
     out = tmp_path / "out"
@@ -540,12 +542,13 @@ def test_verify_holds_each_trajectory_once(monkeypatch):
     # by node, with the class-system identity checked at each node, and the
     # restart and the dt/2 run on [0, 1] are read node by node; the traced
     # peak is 0.2-0.45 references.  A collected reference peaks at 1.1-1.2,
-    # a materialized dt/2 run higher still.  tracemalloc sees only
-    # this process, so the guard runs twice: with the restart and the dt/2
-    # run in forked children, and inline, where os.fork is missing.  A
-    # warm-up call in each mode first takes the one-time allocations of a
-    # process (about 0.37 reference; inline, also the import of numpy.random,
-    # which a forked verify makes in its child) out of the measurement
+    # a materialized dt/2 run higher still.  tracemalloc sees only this
+    # process, so the guard runs twice: with the dt/2 run in the forked
+    # child and the restart in this process, and all inline, where os.fork
+    # is missing.  A warm-up call in each mode first takes the one-time
+    # allocations of a process (about 0.37 reference; inline, also the
+    # import of numpy.random, which a forked verify makes in its child) out
+    # of the measurement
     import os
     import tracemalloc
 
@@ -782,11 +785,16 @@ def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
     assert gc.get_freeze_count() == frozen
 
 
-@pytest.mark.parametrize("config", ["cfg.json", "missing.json"])
-def test_the_module_run_as_main_freezes_and_exits_with_mains_code(config, tmp_path):
-    write_config(tmp_path, concentration_config_dict(cells=16, T=1.0, dt=0.05))
-    args = ["dirac-limit", "--config", str(tmp_path / config), "--out", str(tmp_path / "out")]
+@pytest.mark.parametrize("command, config", [("dirac-limit", "cfg.json"), ("dirac-limit", "missing.json"),
+                                             ("verify", "cfg.json")], ids=["cfg.json", "missing.json", "verify"])
+def test_the_module_run_as_main_freezes_and_exits_with_mains_code(command, config, tmp_path):
+    # verify forks its child from the frozen heap, and writes the same bytes
+    write_config(tmp_path, small_reference() if command == "verify"
+                 else concentration_config_dict(cells=16, T=1.0, dt=0.05))
+    out = tmp_path / "out"
+    args = [command, "--config", str(tmp_path / config), "--out", str(out)]
     want = main(args)
+    written = {p.name: p.read_bytes() for p in out.glob("*")}
     script = (
         "import atexit, gc, runpy\n"
         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
@@ -797,6 +805,7 @@ def test_the_module_run_as_main_freezes_and_exits_with_mains_code(config, tmp_pa
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == want, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "frozen True", proc.stdout
+    assert {p.name: p.read_bytes() for p in out.glob("*")} == written
 
 
 def test_the_console_script_is_the_program_entry():

@@ -13,9 +13,9 @@ Only ``verify``'s class-system check is not verbatim: the oracle computes
 the per-node identity between the measure field and the class field over
 the collected head on [0, min(T, 10)], so that byte-equality tests the
 streaming.  Traced-peak guards hold each command to a fraction of one
-trajectory.  ``verify`` runs its Lipschitz sampler, its restart and its
-frequency-gap runs in forked children; without ``os.fork`` it computes
-them inline, and both paths are held to the same bytes.
+trajectory.  ``verify`` runs its Lipschitz sampler and its frequency-gap
+runs in one forked child; without ``os.fork`` it computes them inline, and
+both paths are held to the same bytes.
 """
 
 import json
@@ -540,31 +540,37 @@ def test_planted_defects_fail_the_discrete_reduction(defect, tmp_path, monkeypat
     assert 1e-11 <= check["max_discrepancy"] <= 1e-8
 
 
-# ─── the forked children ─────────────────────────────────────────────
+# ─── the forked child ────────────────────────────────────────────────
 
 
-def test_verify_forks_one_child_per_independent_run(monkeypatch):
-    # the Lipschitz sampler and the frequency gaps at dt and dt/2 (not under
-    # mean-fitness mortality) and the semigroup restart (not at T = 0, where
-    # there is no split).  The class-system check is the parent's, on the
-    # reference's nodes.  The parent computes no frequency gap of its own,
-    # so it calls frequency_gaps nowhere
-    forks, gap_calls = [], []
-    fork, gaps = os.fork, experiments.frequency_gaps
+def counted_forks(monkeypatch) -> list:
+    """A list that grows by one entry at each ``os.fork``."""
+    forks, fork = [], os.fork
 
     def counting_fork():
         forks.append(1)
         return fork()
 
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_verify_forks_one_child_per_independent_run(monkeypatch):
+    # one child computes the Lipschitz sampler and the frequency gaps at dt
+    # and dt/2 (not under mean-fitness mortality, which forks none).  The
+    # class-system check and the semigroup restart are the parent's.  The
+    # parent computes no frequency gap of its own, so it calls
+    # frequency_gaps nowhere
+    forks, gap_calls, gaps = counted_forks(monkeypatch), [], experiments.frequency_gaps
+
     def counting_gaps(run, kernel, fp):
         gap_calls.append(1)
         return gaps(run, kernel, fp)
 
-    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(experiments, "frequency_gaps", counting_gaps)
     fds = open_fds()
-    for d, n_forks, n_gap_calls in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 3, 0),
-                                    (VERIFY_CASES["mean-fitness"], 1, 0), (VERIFY_CASES["T-zero"], 2, 0)):
+    for d, n_forks, n_gap_calls in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 1, 0),
+                                    (VERIFY_CASES["mean-fitness"], 0, 0), (VERIFY_CASES["T-zero"], 1, 0)):
         forks.clear()
         gap_calls.clear()
         assert verify(RunConfig.from_dict(d))["passed"]
@@ -600,15 +606,45 @@ def test_an_exception_in_the_dt2_child_reaches_the_parent(planted, tmp_path, mon
         assert "replicator_fd" not in report["checks"]
 
 
-def test_an_interrupt_in_the_parent_reaps_the_children(monkeypatch):
-    # the three children are started when the mass bound is checked
-    def interrupted(*args):
-        raise KeyboardInterrupt
+@pytest.mark.parametrize("case", ["grid1d-dirac-logistic", "negativity-abort"])
+def test_an_exception_of_the_sampler_reaches_the_parent(case, tmp_path, monkeypatch):
+    # the child catches the gaps' exceptions, not the sampler's: a ValueError
+    # of the sampler propagates from verify, also where the reference was
+    # refused and no frequency check reads the gaps
+    def planted(*args):
+        raise ValueError("planted sampler")
 
-    monkeypatch.setattr(experiments, "mass_bound_excess", interrupted)
+    monkeypatch.setattr(experiments, "field_lipschitz_ratio", planted)
+    cfg = RunConfig.from_dict(VERIFY_CASES[case])
+    fds = open_fds()
+    forked = _outcome(lambda out: verify(cfg, out), tmp_path / "forked")
+    assert_no_child_left(fds)
+    assert forked == (("refused", "ValueError", "planted sampler"), None)
+    assert forked == _outcome(lambda out: inline(monkeypatch, lambda: verify(cfg, out)), tmp_path / "inline")
+
+
+def test_an_interrupt_in_the_parent_reaps_the_children(monkeypatch):
+    # the child is forked before the pass and read after it: an interrupt at
+    # the fifth reference node, where the class field is evaluated, finds it
+    # forked and not yet read
+    forks, field = counted_forks(monkeypatch), experiments._class_field
+
+    def interrupted(classes):
+        rhs, calls = field(classes), []
+
+        def at_node(x):
+            calls.append(1)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return rhs(x)
+
+        return at_node
+
+    monkeypatch.setattr(experiments, "_class_field", interrupted)
     fds = open_fds()
     with pytest.raises(KeyboardInterrupt):
         verify(RunConfig.from_dict(VERIFY_CASES["grid1d-dirac-logistic"]))
+    assert len(forks) == 1
     assert_no_child_left(fds)
 
 

@@ -478,7 +478,6 @@ def test_rk4_nodes_are_the_parent_loops_bitwise(space_kind, n, kernel_kind, fami
     # system's RK4, all bitwise
     rng = np.random.default_rng(seed)
     sp, kernel, _, u = random_problem(rng, space_kind, n, kernel_kind)
-    scalar = scalar and family != "mean_fitness"  # whose scalar rate is not an (n,) vector
     fp = random_pair(rng, sp, family, scalar=scalar)
     T, dt = float(rng.uniform(0.1, 1.0)), 0.05
     traj = rk4_integrate(u, kernel, fp, T, dt)
@@ -840,6 +839,18 @@ def test_flow_rejects_mean_fitness_picard():
     u = MeasureVec(sp, np.full(4, 0.25))
     with pytest.raises(ValueError, match="RK4|rk4"):
         flow(u, dirac_kernel(sp), fp, 1.0, solver="picard", dt=1e-3)
+
+
+def test_a_mean_fitness_birth_rate_equal_at_every_point_is_its_own_mean():
+    # a callable returning one rate for all points: the mean birth rate is
+    # that rate, so the run is the run of the rate given at every point, to
+    # round-off, and its mass stays at 1
+    sp = grid_1d(0.0, 1.0, 4)
+    u = MeasureVec(sp, np.array([0.1, 0.2, 0.3, 0.4]))
+    runs = [rk4_integrate(u, gaussian_kernel(sp, 0.3), mean_fitness_pair(sp, f1), 2.0, 0.01)
+            for f1 in (lambda X, p: 1.5 * np.exp(-0.5 * X), lambda X, p: np.full(len(p), 1.5 * np.exp(-0.5 * X)))]
+    assert max_row_tv(runs[0].weights, runs[1].weights) <= 1e-13
+    assert np.max(np.abs(runs[0].masses - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("seed", range(4))
