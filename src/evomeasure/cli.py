@@ -22,7 +22,7 @@ import sys
 import time
 
 from .config import RunConfig
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _real
 from .kernels import gaussian_exponent
 from . import experiments
 
@@ -129,7 +129,7 @@ def _sigmas(args, cfg: RunConfig) -> list[float]:
         if not isinstance(entries, list):  # a string would be read one character at a time
             raise ConfigError(f"the config's 'sigmas' must be a JSON list, got {entries!r}")
     try:
-        sigmas = [float(s) for s in entries]
+        sigmas = [_real(s, "sigma") for s in entries]
         for s in sigmas:
             gaussian_exponent(s)
     except (TypeError, ValueError) as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _integer
+from .errors import ConfigError, _integer, _real
 from .fitness import FitnessPair, fitness_from_config
 from .kernels import MutationKernel, gaussian_exponent, kernel_from_config
 from .measures import MeasureVec
@@ -34,7 +34,7 @@ def space_from_config(cfg: dict) -> StrategySpace:
     kind = cfg.get("kind")
     if kind == "grid1d":
         lo, hi = cfg["bounds"]
-        return grid_1d(float(lo), float(hi), cfg.get("cells", 128))
+        return grid_1d(_real(lo, "space.bounds"), _real(hi, "space.bounds"), cfg.get("cells", 128))
     if kind == "grid2d":
         return grid_2d(cfg["bounds"], cfg.get("cells", (32, 32)))
     if kind == "atoms":
@@ -48,8 +48,8 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
         w = space.cell_volumes / space.volume()
     elif kind == "gaussian":
         center = np.asarray(cfg["center"], dtype=float).reshape(space.dim)
-        sigma = float(cfg["sigma"])
-        baseline = float(cfg.get("baseline", 0.0))
+        sigma = _real(cfg["sigma"], "initial.sigma")
+        baseline = _real(cfg.get("baseline", 0.0), "initial.baseline")
         try:
             gaussian_exponent(sigma)
         except ValueError as exc:
@@ -62,8 +62,8 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
             raise ConfigError(f"initial weights need {space.n} entries, got {w.shape}")
     elif kind == "random":
         rng = np.random.default_rng(seed)
-        lo = float(cfg.get("low", 0.0))
-        hi = float(cfg.get("high", 1.0))
+        lo = _real(cfg.get("low", 0.0), "initial.low")
+        hi = _real(cfg.get("high", 1.0), "initial.high")
         w = rng.uniform(lo, hi, space.n) * space.cell_volumes
     else:
         raise ConfigError(f"unknown initial measure kind {kind!r}")
@@ -75,7 +75,7 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
         raise ConfigError(f"the initial measure's total mass is not finite: {total!r}")
     mass = cfg.get("mass")
     if mass is not None:
-        mass = float(mass)
+        mass = _real(mass, "initial.mass")
         if not 0 <= mass < np.inf:
             raise ConfigError("initial.mass must be nonnegative and finite")
         if total <= 0:
@@ -110,17 +110,17 @@ class RunConfig:
             solver = d.get("solver", "rk4")
             if solver not in ("rk4", "picard"):
                 raise ConfigError(f"solver must be 'rk4' or 'picard', got {solver!r}")
-            T = float(d.get("T", 1.0))
+            T = _real(d.get("T", 1.0), "T")
             if not 0 <= T < np.inf:
                 raise ConfigError("T must be nonnegative and finite")
             dt = d.get("dt")
-            dt = float(dt) if dt is not None else T / 2000.0 if T > 0 else 1.0
+            dt = _real(dt, "dt") if dt is not None else T / 2000.0 if T > 0 else 1.0
             if not 0 < dt < np.inf:
                 raise ConfigError("dt must be positive and finite")
             if not T / dt < np.inf:
                 raise ConfigError(f"T / dt must be finite, got T = {T!r} and dt = {dt!r}")
             picard = d.get("picard", {})
-            picard_tol = float(picard.get("tol", 1e-10))
+            picard_tol = _real(picard.get("tol", 1e-10), "picard.tol")
             if not 0 < picard_tol < np.inf:
                 raise ConfigError("picard.tol must be positive and finite")
             picard_max_iter = _integer(picard.get("max_iter", 30), "picard.max_iter")
@@ -128,7 +128,7 @@ class RunConfig:
                 raise ConfigError("picard.max_iter must be at least 1")
             ball_radius = picard.get("ball_radius")
             if ball_radius is not None:
-                ball_radius = float(ball_radius)
+                ball_radius = _real(ball_radius, "picard.ball_radius")
                 if not 0 < ball_radius < np.inf:
                     raise ConfigError("picard.ball_radius must be positive and finite")
             summary_stride = d.get("summary_stride")

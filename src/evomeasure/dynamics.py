@@ -246,7 +246,12 @@ def _check_start(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair) -> None
 
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Nodes 0, dt, 2 dt, ... up to T, the last step shortened to end at T; a
-    grid that numpy cannot allocate is a ``ConfigError`` naming its size."""
+    negative or non-finite T, or a nonpositive or non-finite dt, is a
+    ``ValueError``, and a grid that numpy cannot allocate a ``ConfigError``."""
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"T must be nonnegative and finite, got {T!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     n_steps = 0 if T == 0.0 else max(1, math.ceil(T / dt - 1e-9))
     try:
         times = np.minimum(dt * np.arange(n_steps + 1), T)
@@ -302,16 +307,12 @@ def rk4_stream(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float,
     ``_polynomial_step``, any other ``_field_step``: the same RK4 map, the
     nodes equal to round-off.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    times = time_grid(T, dt)
     _check_start(u, kernel, fp)
 
     m_f1 = float(np.max(fp.f1(0.0)))
     if fp.k_tilde is None:
         fp = fp.truncated(max(1.0, u.total_mass()) * math.exp(min(m_f1 * T, 60.0)) * 1.1 + 1.0)
-    times = time_grid(T, dt)
     meta = {"dt": dt, "M_f1": m_f1, "k_tilde": fp.k_tilde, "clip_count": 0, "clip_max": 0.0}
     step = _field_step(kernel, fp) if fp.factors is None else _polynomial_step(kernel, fp)
     return NodeStream(u.space, times, _rk4_nodes(u.weights, step, times, meta), meta)
@@ -608,23 +609,20 @@ def flow_stream(
     k0 carries e^(-(I_k - I_k0)) w_k0 plus its own trapezoid sum, which adds
     up to e^(-I_k) (u + A_k), the sums over [0, t_k].
     ``dt`` may be omitted only at T = 0, where the flow is the identity.  The
-    arguments are checked here, before any node is read.
+    arguments are checked here, at T = 0 too, before any node is read.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    _check_start(u, kernel, fp)
-    if T == 0.0:
-        return NodeStream(u.space, np.array([0.0]), iter([u.weights]), {})
-    if dt is None:
-        raise ValueError("dt is required when T > 0")
-    if solver == "rk4":
-        return rk4_stream(u, kernel, fp, T, dt)
-    if solver != "picard":
+    if solver == "picard":
+        _check_picard_settings(fp, tol, max_iter)
+    elif solver != "rk4":
         raise ValueError(f"unknown solver {solver!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_picard_settings(fp, tol, max_iter)
-    times = time_grid(T, dt)
+    if dt is None and T != 0.0:
+        raise ValueError(f"dt may be omitted only at T = 0, got T = {T!r}")
+    if solver == "rk4" and T != 0.0:
+        return rk4_stream(u, kernel, fp, T, dt)
+    times = time_grid(T, 1.0 if dt is None else dt)  # at T = 0 any dt gives the one node
+    _check_start(u, kernel, fp)
+    if T == 0.0:  # the identity, on the node 0.0 also at T = -0.0
+        return NodeStream(u.space, np.array([0.0]), iter([u.weights]), {})
     meta = {"dt": dt, "tol": tol, "windows": []}
     return NodeStream(u.space, times, _picard_nodes(u, kernel, fp, times, tol, max_iter, ball_radius, meta),
                       meta)

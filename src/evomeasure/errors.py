@@ -1,4 +1,4 @@
-"""Exception types shared across modules, and the whole-number check that raises one."""
+"""Exception types shared across modules, and the number checks that raise one."""
 
 
 class ConfigError(ValueError):
@@ -11,6 +11,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or isinstance(value, float) and i != value:
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return i
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a boolean is refused, not read as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 class NumericError(RuntimeError):

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, _integer
+from .errors import ConfigError, NumericError, _integer, _real
 from .space import StrategySpace
 
 K_TILDE_FACTOR = 1.1  # the truncation level K~ of estimate_constants, in units of u(Q) + 2a
@@ -58,7 +58,7 @@ def _coef(space: StrategySpace, spec, name: str) -> float | np.ndarray:
     if callable(spec):
         arr = np.array([float(spec(q)) for q in space.points])
     else:
-        arr = np.array(spec, dtype=float)
+        arr = np.array(_real(spec, f"coefficient {name}") if np.isscalar(spec) else spec, dtype=float)
         if arr.ndim and arr.shape != (n,):
             raise ValueError(f"coefficient {name} has shape {arr.shape}, space has {n} points")
     bad = ~np.isfinite(arr)
@@ -238,7 +238,7 @@ def fitness_from_config(cfg: dict, space: StrategySpace) -> FitnessPair:
     the point count, or {"trait": i}.
     """
     family = cfg.get("family")
-    floor = float(cfg.get("floor", 1e-3))
+    floor = _real(cfg.get("floor", 1e-3), "fitness.floor")
     if not np.isfinite(floor):
         raise ConfigError(f"fitness floor is not finite: {floor!r}")
     if family == "constant":

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _real
 from .measures import MeasureVec, bl_distance, unit_atom
 from .space import StrategySpace, _frozen
 
@@ -173,7 +174,7 @@ def kernel_from_config(cfg: dict, space: StrategySpace) -> MutationKernel:
     if variant == "matrix":
         return matrix_kernel(space, cfg["rows"])
     if variant == "gaussian":
-        return gaussian_kernel(space, float(cfg["sigma"]))
+        return gaussian_kernel(space, _real(cfg["sigma"], "kernel.sigma"))
     if variant == "uniform":
         return uniform_kernel(space)
     raise ValueError(f"unknown kernel variant {variant!r}")

@@ -236,6 +236,20 @@ def every_command():
     ("simulate", refit(a={"trait": True}), "coefficient a: trait index must be a whole number, got True"),
     # numpy.random refused it in verify's sampler (a traceback and exit 1), and simulate ignored it
     *[(command, small_reference(seed=-1), "seed must be nonnegative, got -1") for command in ("simulate", "verify")],
+    # JSON's true was read as the number 1.0
+    ("simulate", small_reference(T=True), "T must be a number, got True"),
+    ("simulate", small_reference(dt=True), "dt must be a number, got True"),
+    ("simulate", small_reference(solver="picard", picard={"tol": True}), "picard.tol must be a number, got True"),
+    ("simulate", small_reference(solver="picard", picard={"ball_radius": True}),
+     "picard.ball_radius must be a number, got True"),
+    ("simulate", small_reference(kernel={"variant": "gaussian", "sigma": True}),
+     "kernel.sigma must be a number, got True"),
+    ("simulate", small_reference(initial={"kind": "uniform", "mass": True}), "initial.mass must be a number, got True"),
+    ("simulate", small_reference(space={"kind": "grid1d", "bounds": [False, 2.0], "cells": 16}),
+     "space.bounds must be a number, got False"),
+    ("simulate", refit(floor=True), "fitness.floor must be a number, got True"),
+    ("verify", refit(b=True), "coefficient b must be a number, got True"),
+    ("mutation-limit", small_reference(sigmas=[0.4, True]), "sigma must be a number, got True"),
 ])
 def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -539,13 +553,13 @@ def test_verify_planted_assumption_violation_fails(tmp_path):
 
 def test_verify_holds_each_trajectory_once(monkeypatch):
     # at 64 cells no trajectory is held: the RK4 reference is read once, node
-    # by node, with the class-system identity checked at each node, and the
-    # restart and the dt/2 run on [0, 1] are read node by node; the traced
-    # peak is 0.2-0.45 references.  A collected reference peaks at 1.1-1.2,
-    # a materialized dt/2 run higher still.  tracemalloc sees only this
-    # process, so the guard runs twice: with the dt/2 run in the forked
-    # child and the restart in this process, and all inline, where os.fork
-    # is missing.  A warm-up call in each mode first takes the one-time
+    # by node, with the class-system identity checked at each node, the
+    # semigroup restart is one step from the node before T, and the dt/2 run
+    # on [0, 1] is read node by node; the traced peak is 0.2-0.45
+    # references.  A collected reference peaks at 1.1-1.2, a materialized
+    # dt/2 run higher still.  tracemalloc sees only this process, so the
+    # guard runs twice: with the dt/2 run in the forked child and the
+    # restart in this process, and all inline, where os.fork is missing.  A warm-up call in each mode first takes the one-time
     # allocations of a process (about 0.37 reference; inline, also the
     # import of numpy.random, which a forked verify makes in its child) out
     # of the measurement

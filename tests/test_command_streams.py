@@ -12,8 +12,9 @@ must be byte-equal to it, with the same witnesses and the same refusals.
 Only ``verify``'s class-system check is not verbatim: the oracle computes
 the per-node identity between the measure field and the class field over
 the collected head on [0, min(T, 10)], so that byte-equality tests the
-streaming.  Traced-peak guards hold each command to a fraction of one
-trajectory.  ``verify`` runs its Lipschitz sampler and its frequency-gap
+streaming; and its semigroup composition, like ``verify``'s, restarts one
+step from the node before T and is held to round-off.  Traced-peak guards
+hold each command to a fraction of one trajectory.  ``verify`` runs its Lipschitz sampler and its frequency-gap
 runs in one forked child; without ``os.fork`` it computes them inline, and
 both paths are held to the same bytes.
 """
@@ -29,10 +30,10 @@ import numpy as np
 import pytest
 
 from conftest import concentration_config_dict, reference_components, reference_config_dict
-from evomeasure import NumericError, experiments
+from evomeasure import NumericError, dynamics, experiments
 from evomeasure.config import RunConfig
-from evomeasure.dynamics import (Trajectory, field_lipschitz_ratio, flow, rk4_integrate, rk4_stream, vector_field,
-                                 write_csv_rows)
+from evomeasure.dynamics import (Trajectory, field_lipschitz_ratio, flow, rk4_integrate, rk4_stream, time_grid,
+                                 vector_field, write_csv_rows)
 from evomeasure.experiments import _forked, _write_json, dirac_limit, mutation_limit, verify
 from evomeasure.errors import ConfigError
 from evomeasure.fitness import estimate_constants, verify_assumptions
@@ -123,15 +124,16 @@ def materialized_verify(cfg, out_dir=None):
 
     ident = _flow(cfg, u, kernel, fp, 0.0)
     record("semigroup_identity", np.array_equal(ident.weights[0], u.weights))
-    if cfg.T > 0:
-        t1 = max(cfg.dt, np.floor(0.5 * cfg.T / cfg.dt) * cfg.dt)
-        if t1 < cfg.T:
-            try:
-                end = rk4_stream(head(t1).final, kernel, fpt, cfg.T - t1, cfg.dt).run_to_end()
-                gap = end.add_scaled(-1.0, reference.final).tv_norm()
-                record("semigroup_composition", gap <= 1e-6, tv_gap=gap, split_at=t1)
-            except NumericError as exc:
-                record("semigroup_composition", False, witness=str(exc))
+    times = time_grid(cfg.T, cfg.dt)
+    if len(times) > 2:
+        t1 = times[-2]
+        try:
+            end = rk4_stream(head(t1).final, kernel, fpt, cfg.T - t1, cfg.dt).run_to_end()
+            gap = end.add_scaled(-1.0, reference.final).tv_norm()
+            record("semigroup_composition", gap <= 1e-13 * max(1.0, reference.final.tv_norm()), tv_gap=gap,
+                   split_at=t1)
+        except NumericError as exc:
+            record("semigroup_composition", False, witness=str(exc))
 
     if not fp.mean_fitness_mortality:
         try:
@@ -540,6 +542,39 @@ def test_planted_defects_fail_the_discrete_reduction(defect, tmp_path, monkeypat
     assert 1e-11 <= check["max_discrepancy"] <= 1e-8
 
 
+def test_a_step_with_hidden_state_fails_the_semigroup_composition(tmp_path, monkeypatch):
+    # an RK4 step that scales its node by 1 + 1e-10 from its second call on:
+    # the reference's last step is scaled, the restart's (a fresh step at
+    # t = 0) is not, so the composition parts by 1e-10 TV(w_T), past its
+    # round-off tolerance; both paths, forked and inline, report alike.  A
+    # restart of many steps would share the defect and hide it
+    build = dynamics._polynomial_step
+
+    def drifting(kernel, fp):
+        step, calls = build(kernel, fp), []
+
+        def drifted(w, X, h):
+            calls.append(1)
+            return step(w, X, h) * (1.0 + 1e-10 * (len(calls) > 1))
+
+        return drifted
+
+    monkeypatch.setattr(dynamics, "_polynomial_step", drifting)
+    cfg = RunConfig.from_dict(VERIFY_CASES["grid1d-dirac-logistic"])
+    _, kernel, fp, u = cfg.build()
+    assert fp.factors is not None  # RK4 steps this pair with _polynomial_step
+    fds = open_fds()
+    forked = _outcome(lambda out: verify(cfg, out), tmp_path / "forked")
+    assert_no_child_left(fds)
+    assert forked == _outcome(lambda out: inline(monkeypatch, lambda: verify(cfg, out)), tmp_path / "inline")
+    checks = json.loads(forked[1]["verify.json"])["checks"]
+    composition = checks.pop("semigroup_composition")
+    assert not composition["passed"]
+    tv_end = rk4_integrate(u, kernel, fp, cfg.T, cfg.dt).final.tv_norm()
+    assert composition["tv_gap"] == pytest.approx(1e-10 * tv_end, rel=1e-3)
+    assert all(c["passed"] for c in checks.values())
+
+
 # ─── the forked child ────────────────────────────────────────────────
 
 
@@ -558,7 +593,7 @@ def counted_forks(monkeypatch) -> list:
 def test_verify_forks_one_child_per_independent_run(monkeypatch):
     # one child computes the Lipschitz sampler and the frequency gaps at dt
     # and dt/2 (not under mean-fitness mortality, which forks none).  The
-    # class-system check and the semigroup restart are the parent's.  The
+    # class-system check and the one-step semigroup restart are the parent's.  The
     # parent computes no frequency gap of its own, so it calls
     # frequency_gaps nowhere
     forks, gap_calls, gaps = counted_forks(monkeypatch), [], experiments.frequency_gaps

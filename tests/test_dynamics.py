@@ -31,6 +31,7 @@ from evomeasure import (
     grid_1d,
     grid_2d,
     integrate_discrete,
+    integrate_replicator_mutator,
     logistic_pair,
     matrix_kernel,
     mean_fitness_pair,
@@ -811,6 +812,8 @@ def test_flow_time_zero_is_identity():
         traj = flow(u, kernel, fp, 0.0, solver=solver)
         assert traj.n_nodes == 1
         assert np.array_equal(traj.weights[0], u.weights)
+        # its node is 0.0 at T = -0.0 too, so a trajectory CSV writes no "-0"
+        assert not np.signbit(flow(u, kernel, fp, -0.0, solver=solver).times[0])
 
 
 def test_flow_needs_dt_after_time_zero():
@@ -818,6 +821,64 @@ def test_flow_needs_dt_after_time_zero():
     for solver in ("rk4", "picard"):
         with pytest.raises(ValueError, match="dt"):
             flow(u, kernel, fp, 0.5, solver=solver)
+
+
+def _grid_callers():
+    """Each entry point that lays a run on ``time_grid``, as f(T, dt);
+    ``picard_solve``'s horizon is its contraction window, so it takes dt only."""
+    sp, kernel, fp, u = reference_components(cells=8)
+    classes = DiscreteSystem.from_measure_problem(kernel, fp.truncated(10.0))
+    tc = estimate_constants(fp, u.total_mass())
+    x0, Q = np.full(3, 1.0 / 3.0), np.eye(3)
+    return {
+        "time_grid": time_grid,
+        "integrate_discrete": lambda T, dt: integrate_discrete(classes, u.weights, T, dt),
+        "integrate_replicator_mutator": lambda T, dt: integrate_replicator_mutator(x0, np.ones(3), Q, T, dt),
+        "rk4_integrate": lambda T, dt: rk4_integrate(u, kernel, fp, T, dt),
+        "flow-rk4": lambda T, dt: flow(u, kernel, fp, T, dt=dt),
+        "flow-picard": lambda T, dt: flow(u, kernel, fp, T, solver="picard", dt=dt),
+        "picard_solve": lambda T, dt: picard_solve(u, kernel, fp, tc, dt=dt),
+    }
+
+
+BAD_GRIDS = [
+    # one step of length 1, or two equal nodes at -1
+    (1.0, -0.1, "dt must be positive and finite, got -0.1"),
+    (-1.0, 0.1, "T must be nonnegative and finite, got -1.0"),
+    # a NaN step count, an infinite one, or a K~ of NaN
+    (1.0, float("nan"), "dt must be positive and finite, got nan"),
+    (1.0, 0.0, "dt must be positive and finite, got 0.0"),
+    (float("nan"), 0.1, "T must be nonnegative and finite, got nan"),
+    (float("inf"), 0.1, "T must be nonnegative and finite, got inf"),
+    (1.0, float("inf"), "dt must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("caller, T, dt, message", [
+    (caller, T, dt, message) for caller in _grid_callers() for T, dt, message in BAD_GRIDS
+    if caller != "picard_solve" or message.startswith("dt ")])
+def test_a_grid_of_a_bad_horizon_or_step_is_refused(caller, T, dt, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _grid_callers()[caller](T, dt)
+
+
+@pytest.mark.parametrize("solver, settings, message", [
+    ("bogus", {}, "unknown solver 'bogus'"),
+    ("picard", {"tol": -1.0}, "tol must be positive"),
+    ("picard", {"max_iter": 0}, "max_iter must be at least 1"),
+    ("rk4", {"dt": -1.0}, "dt must be positive and finite, got -1.0"),
+])
+def test_flow_checks_its_arguments_at_time_zero(solver, settings, message):
+    # at T = 0 the flow is the identity, but the arguments it is given are
+    # refused there as at T > 0
+    sp, kernel, fp, u = reference_components(cells=8)
+    for T in (0.0, 0.5):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            flow(u, kernel, fp, T, solver=solver, **({"dt": 0.1} | settings))
+    mean_fitness = mean_fitness_pair(sp, 1.0)
+    for T in (0.0, 0.5):
+        with pytest.raises(ValueError, match="use RK4"):
+            flow(u, kernel, mean_fitness, T, solver="picard", dt=0.1)
 
 
 def test_flow_picard_windows_recompute_constants():

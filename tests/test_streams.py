@@ -1,7 +1,8 @@
 """The node streams against the materialized runs they replace.
 
-``verify`` reads its RK4 reference, the semigroup restart and the dt/2
-run node by node.  The oracle is the code that materialized them as full
+``verify`` reads its RK4 reference and the dt/2 run node by node, and its
+one-step semigroup restart to its end state; the restart from any node,
+tested here, keeps only its end state too.  The oracle is the code that materialized them as full
 arrays, in ``oracles``: every streamed result must be bitwise equal to it,
 with the same node counts and the same refusals.  The class system's RK4
 run, ``integrate_discrete``, is held to the oracle's in the same way.
