@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _integer, _real
+from .errors import ConfigError, _integer, _real, _reals
 from .fitness import FitnessPair, fitness_from_config
 from .kernels import MutationKernel, gaussian_exponent, kernel_from_config
 from .measures import MeasureVec
@@ -36,9 +36,9 @@ def space_from_config(cfg: dict) -> StrategySpace:
         lo, hi = cfg["bounds"]
         return grid_1d(_real(lo, "space.bounds"), _real(hi, "space.bounds"), cfg.get("cells", 128))
     if kind == "grid2d":
-        return grid_2d(cfg["bounds"], cfg.get("cells", (32, 32)))
+        return grid_2d(_reals(cfg["bounds"], "space.bounds"), cfg.get("cells", (32, 32)))
     if kind == "atoms":
-        return atoms(cfg["points"])
+        return atoms(_reals(cfg["points"], "space.points"))
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
@@ -47,7 +47,7 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
     if kind == "uniform":
         w = space.cell_volumes / space.volume()
     elif kind == "gaussian":
-        center = np.asarray(cfg["center"], dtype=float).reshape(space.dim)
+        center = _reals(cfg["center"], "initial.center").reshape(space.dim)
         sigma = _real(cfg["sigma"], "initial.sigma")
         baseline = _real(cfg.get("baseline", 0.0), "initial.baseline")
         try:
@@ -57,7 +57,7 @@ def initial_from_config(cfg: dict, space: StrategySpace, seed: int | None = None
         d2 = ((space.points - center) ** 2).sum(axis=1)
         w = (baseline + np.exp(-d2 / (2.0 * sigma * sigma))) * space.cell_volumes
     elif kind == "weights":
-        w = np.asarray(cfg["weights"], dtype=float)
+        w = _reals(cfg["weights"], "initial.weights")
         if w.shape != (space.n,):
             raise ConfigError(f"initial weights need {space.n} entries, got {w.shape}")
     elif kind == "random":

@@ -247,12 +247,14 @@ def _check_start(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair) -> None
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Nodes 0, dt, 2 dt, ... up to T, the last step shortened to end at T; a
     negative or non-finite T, or a nonpositive or non-finite dt, is a
-    ``ValueError``, and a grid that numpy cannot allocate a ``ConfigError``."""
+    ``ValueError``, and a grid that numpy cannot allocate, or whose node
+    count T / dt overflows, a ``ConfigError``."""
     if not 0.0 <= T < math.inf:
         raise ValueError(f"T must be nonnegative and finite, got {T!r}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    n_steps = 0 if T == 0.0 else max(1, math.ceil(T / dt - 1e-9))
+    steps = T / dt - 1e-9
+    n_steps = 0 if T == 0.0 else max(1, math.ceil(steps)) if steps < math.inf else steps
     try:
         times = np.minimum(dt * np.arange(n_steps + 1), T)
     except (MemoryError, ValueError) as exc:  # a size past numpy's index range is a ValueError
@@ -290,6 +292,32 @@ class NodeStream:
         """Read every node into a trajectory with the run's ``meta``."""
         weights = np.fromiter(self.weights, dtype=(float, self.space.n), count=len(self.times))
         return Trajectory(self.space, self.times, weights, meta=self.meta)
+
+
+def _block_rows(n: int) -> int:
+    """The nodes per block of the blocked checks at n points: a block's
+    product with an (n, n) table makes at most 2^18 multiply-adds, the size
+    up to which OpenBLAS runs a matrix product on one thread, and a block
+    holds at most 256 nodes."""
+    return max(1, min(256, 2**18 // (n * n)))
+
+
+def node_blocks(weights, size: int) -> Iterator[np.ndarray]:
+    """The rows of ``weights``, an (N, n) array (sliced, not copied) or an
+    iterator of (n,) rows (a ``NodeStream``'s), as (m, n) blocks of
+    ``size`` consecutive rows, the last one shorter."""
+    if isinstance(weights, np.ndarray):
+        for k in range(0, len(weights), size):
+            yield weights[k:k + size]
+        return
+    block = []
+    for w in weights:
+        block.append(w)
+        if len(block) == size:
+            yield np.array(block)
+            block = []
+    if block:
+        yield np.array(block)
 
 
 def rk4_stream(u: MeasureVec, kernel: MutationKernel, fp: FitnessPair, T: float, dt: float) -> NodeStream:
@@ -564,8 +592,8 @@ def _picard_fixed_point(
 
 
 def _check_picard_settings(fp: FitnessPair, tol: float, max_iter: int) -> None:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     fp.f2(0.0)  # a mean-fitness pair refuses here, naming RK4
@@ -650,35 +678,68 @@ def finite_difference_residual(traj: Trajectory, kernel: MutationKernel, fp: Fit
     """Max TV gap between central differences of the states and the field.
 
     Checks that the trajectory solves the differential form: at interior
-    nodes, TV((w[k+1]-w[k-1])/(t[k+1]-t[k-1]) - F(w[k])).
+    nodes, TV((w[k+1]-w[k-1])/(t[k+1]-t[k-1]) - F(w[k])), with the field
+    evaluated node by node.
     """
     field = _field(kernel, fp)
-    nodes = ((w, None) for w in traj.weights)
-    return _central_difference_gap(traj.times, nodes, [lambda w, _: field(w, float(w.sum()))])[0][0]
+    rows = lambda W, X: np.array([field(w, x) for w, x in zip(W, X.tolist())])
+    blocks = ((W, W.sum(axis=1)) for W in node_blocks(traj.weights, _block_rows(traj.space.n)))
+    return _central_difference_gap(traj.times, blocks, [rows])[0][0]
 
 
-def _central_difference_gap(times: np.ndarray, nodes, rhs) -> tuple[list[float], int]:
+class _CentralDifferences:
     """Max TV gaps between central differences of the states on ``times``
-    and each right-hand side in ``rhs``, and the number of nodes checked.
+    and each right-hand side in ``rhs``, read from consecutive blocks of
+    nodes by ``add``.
 
-    ``nodes`` yields one ``(state, data)`` pair per node, in time order, and
-    is read once through a window of three nodes; ``rhs[i](state, data)`` is
-    the i-th right-hand side at a node.  Nodes between steps of unequal
-    length (where the difference is only first order) are left out.
-    ``np.maximum`` carries a NaN gap through.
+    ``add(states, data)`` takes the next (m, n) states in time order and
+    (m,) data for them (masses, say); ``rhs[i](states, data)`` is the i-th
+    right-hand side at each row.  The last two nodes of each block are
+    carried into the next, so every interior node is checked once, whatever
+    the blocks.  The difference quotient is the per-node one, entry for
+    entry.  Nodes between steps of unequal length (where the difference is
+    only first order) are left out.  ``np.maximum`` carries a NaN gap
+    through.
     """
-    h = np.diff(times)
-    even = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
-    checked = np.zeros(len(times), dtype=bool)
-    checked[1:-1] = even
-    worst = [0.0] * len(rhs)
-    before = here = None
-    for k, node in enumerate(nodes):
-        if k >= 2 and checked[k - 1]:
-            deriv = node[0] - before[0]
-            deriv /= times[k] - times[k - 2]
-            for i, f in enumerate(rhs):
-                row = deriv - f(*here)
-                worst[i] = np.maximum(worst[i], np.abs(row, out=row).sum())
-        before, here = here, node
-    return [float(g) for g in worst], int(np.count_nonzero(checked))
+
+    def __init__(self, times: np.ndarray, rhs):
+        h = np.diff(times)
+        self.times, self.rhs = times, rhs
+        self.checked = np.zeros(len(times), dtype=bool)
+        self.checked[1:-1] = np.abs(h[1:] - h[:-1]) <= 1e-6 * np.maximum(h[1:], h[:-1])
+        self.worst = [0.0] * len(rhs)
+        self.start = 0  # the node of the first carried row
+        self.carried = None
+
+    def add(self, states: np.ndarray, data: np.ndarray) -> None:
+        if self.carried is not None:
+            states = np.concatenate((self.carried[0], states))
+            data = np.concatenate((self.carried[1], data))
+        k0, m = self.start, len(states)
+        self.carried = states[-2:].copy(), data[-2:].copy()
+        self.start = k0 + m - len(self.carried[1])
+        # the rows c of the block whose node k0 + c is checked
+        c = np.flatnonzero(self.checked[k0 + 1:k0 + m - 1]) + 1
+        if not len(c):
+            return
+        t = self.times[k0:k0 + m]
+        deriv = states[c + 1] - states[c - 1]
+        deriv /= (t[c + 1] - t[c - 1])[:, None]
+        here, at = states[c], data[c]
+        for i, f in enumerate(self.rhs):
+            rows = deriv - f(here, at)
+            self.worst[i] = np.maximum(self.worst[i], np.abs(rows, out=rows).sum(axis=1).max())
+
+    def gaps(self) -> tuple[list[float], int]:
+        """The gaps, and the number of nodes checked on the whole grid."""
+        return [float(g) for g in self.worst], int(np.count_nonzero(self.checked))
+
+
+def _central_difference_gap(times: np.ndarray, blocks, rhs) -> tuple[list[float], int]:
+    """``_CentralDifferences`` of ``rhs`` on ``times`` read from every
+    ``(states, data)`` block of ``blocks``: the gaps and the number of
+    nodes checked."""
+    gaps = _CentralDifferences(times, rhs)
+    for states, data in blocks:
+        gaps.add(states, data)
+    return gaps.gaps()

@@ -1,5 +1,7 @@
 """Exception types shared across modules, and the number checks that raise one."""
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A run configuration failed validation (CLI exit code 2)."""
@@ -18,6 +20,19 @@ def _real(value, name: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """``values``, nested lists of numbers, as a float array; a boolean
+    anywhere in them is refused, not read as 1.0 or 0.0."""
+    stack = [values]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, bool):
+            raise ConfigError(f"{name} must hold only numbers, got {v!r}")
+        if isinstance(v, (list, tuple)):
+            stack.extend(v)
+    return np.array(values, dtype=float)
 
 
 class NumericError(RuntimeError):

@@ -19,15 +19,16 @@ from .config import RunConfig
 # vector_field, integrate_discrete, mm_residual and normalized_trajectory are not
 # called here: perfbench/tracer.py looks the names up in this module to trace
 # their calls
-from .dynamics import (NodeStream, _field, field_lipschitz_ratio, flow, flow_stream, mass_bound_excess,
-                       rk4_stream, vector_field, write_csv_rows)
+from .dynamics import (NodeStream, _block_rows, _CentralDifferences, field_lipschitz_ratio, flow, flow_stream,
+                       mass_bound_excess, node_blocks, rk4_stream, vector_field, write_csv_rows)
 from .errors import ConfigError, NumericError
 from .fitness import estimate_constants, verify_assumptions
 from .kernels import dirac_kernel, gaussian_kernel
 from .measures import MeasureVec, bl_distance
 from .reductions import (
-    DiscreteSystem,
-    _class_field,
+    _class_identity,
+    _frequency_rows,
+    _normalized,
     frequency_gaps,
     integrate_discrete,
     mm_residual,
@@ -186,27 +187,32 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     reduction to the finite class system, and (where defined)
     finite-difference consistency of the frequency dynamics.  The RK4-based
     checks follow one pair, truncated at the K~ of the RK4 reference, which
-    carries that level to the restart, the frequency-gap runs and the class
-    system.  No trajectory is held: the reference is read once, node by
-    node, in one loop that keeps its node masses, its last two nodes, and
-    the class-system gap: at each node w_k on [0, min(T, 10)] the
-    measure field F(w_k) and the class field P (f1 w_k) - f2 w_k, P =
-    rows^T, are one vector up to round-off, and the gap is the largest
-    TV(difference) / max(1, TV(w_k)), against a tolerance of 1e-13.  After
-    the pass, one fresh RK4 step restarts the node at t1 = ``times[-2]``
-    and lands on the node at T within 1e-13 max(1, TV(w_T)): the
-    composition.  The Lipschitz sampler and the frequency gaps
-    (of the reference's head on [0, min(T, 1)], integrated again, and of
-    the dt/2 run there) run in one forked child process (``_forked``),
-    started before the pass and read once after it; the sampler loads
-    ``numpy.random`` in the child alone.  An exception other than a ``NumericError``
-    propagates unchanged: from the pass, the sampler or the restart, and
-    from the gaps where the frequency check reads them.  Where ``os.fork``
-    is missing or refused, the child's work runs inline after the pass, with
-    the same bytes.  A caller with threads of its own should not rely on the
-    fork; Python >= 3.12 warns when it forks a process with threads (an
-    OpenBLAS thread pool counts), and the child's calls are invisible to an
-    in-process tracer.
+    carries that level to the restart, the dt/2 run and the class system.
+    No trajectory is held: the reference is read once, in blocks of
+    ``_block_rows(n)`` consecutive nodes (a block's product with an (n, n)
+    table stays at 2^18 multiply-adds, which OpenBLAS computes on one
+    thread), in one loop that keeps its node masses, its last two nodes,
+    the class-system gap and the coarse frequency gaps.  At each node w_k
+    on [0, min(T, 10)] the measure field F(w_k) and the class field
+    P (f1 w_k) - f2 w_k, P = rows^T, are one vector up to round-off, each
+    computed for a whole block by one matrix product; the gap is the
+    largest TV(difference) / max(1, TV(w_k)), against a tolerance of
+    1e-13.  The coarse normalized and (Dirac kernels) replicator gaps are
+    the central differences of the reference's head on [0, min(T, 1)],
+    carried from block to block.  After the pass, one fresh RK4 step
+    restarts the node at t1 = ``times[-2]`` and lands on the node at T
+    within 1e-13 max(1, TV(w_T)): the composition.  The Lipschitz sampler
+    and the dt/2 run on [0, min(T, 1)] with its frequency gaps run in one
+    forked child process (``_forked``), started before the pass and read
+    once after it; the sampler loads ``numpy.random`` in the child alone.
+    An exception other than a ``NumericError`` propagates unchanged: from
+    the pass, the sampler or the restart, and from the frequency gaps where
+    the frequency check reads them.  Where ``os.fork`` is missing or
+    refused, the child's work runs inline after the pass, on the same
+    blocks and with the same bytes.  A caller with threads of its own
+    should not rely on the fork; Python >= 3.12 warns when it forks a
+    process with threads (an OpenBLAS thread pool counts), and the child's
+    calls are invisible to an in-process tracer.
     """
     space, kernel, fp, u = cfg.build()
     checks: dict[str, dict] = {}
@@ -227,8 +233,9 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     # one pass over the RK4 reference on [0, T] feeds every RK4-based check
     # below, and those integrate ``fpt``, the pair truncated at its level K~
     # (fixed before the first node).  The pass keeps the node masses, the
-    # last two nodes, and the class-system gap on [0, min(T, 10)]
-    # (on no node under mean-fitness mortality, which has no pointwise f2)
+    # last two nodes, the class-system gap on [0, min(T, 10)] and the coarse
+    # frequency gaps on [0, min(T, 1)] (neither under mean-fitness
+    # mortality, which has no pointwise f2)
     reference = rk4_stream(u, kernel, fp, cfg.T, cfg.dt)
     fpt = fp.truncated(reference.meta["k_tilde"])
     times = reference.times
@@ -237,38 +244,47 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
         """The number of reference nodes up to t (within round-off of the node times)."""
         return int(np.searchsorted(times, t + 1e-9 * cfg.dt, side="right"))
 
-    n_class = 0 if fp.mean_fitness_mortality else nodes_upto(min(cfg.T, 10.0))
+    n_class = n_head = 0
+    if not fp.mean_fitness_mortality:
+        n_class, n_head = nodes_upto(min(cfg.T, 10.0)), nodes_upto(min(cfg.T, 1.0))
     masses = np.empty(len(times))
     class_gap, split, last, rk4_witness = 0.0, None, None, None
 
     def sampled():
-        """The Lipschitz sampler's ratio, and the frequency gaps or the exception that ended them."""
+        """The Lipschitz sampler's ratio, and the dt/2 run's frequency gaps or the exception that ended them."""
         ratio = field_lipschitz_ratio(kernel, fp.truncated(constants.k_tilde), constants.C1,
                                       np.random.default_rng(cfg.seed))
         try:
-            # the run at dt is bitwise the reference's head: the same pair on the same nodes
-            t = times[nodes_upto(min(cfg.T, 1.0)) - 1]
-            return ratio, [frequency_gaps(rk4_stream(u, kernel, fpt, t, h), kernel, fp)
-                           for h in (cfg.dt, cfg.dt / 2.0)]
+            return ratio, frequency_gaps(rk4_stream(u, kernel, fpt, times[n_head - 1], cfg.dt / 2.0), kernel, fp)
         except Exception as exc:
             return ratio, exc
 
-    # the sampler and the gaps need no reference node: one forked child computes
-    # them beside the pass, read once after it, or ended in the finally below
+    # the sampler and the dt/2 run need no reference node: one forked child
+    # computes them beside the pass, read once after it, or ended in the
+    # finally below
     child = _Child(lambda: (None, None))  # a mean-fitness pair has neither
     try:
         if not fp.mean_fitness_mortality:
             child = _forked(sampled)
-            measure_field = _field(kernel, fpt)
-            class_field = _class_field(DiscreteSystem.from_measure_problem(kernel, fpt))
+            class_gaps = _class_identity(kernel, fpt)
+            # the head's gaps, or the exception that ended them
+            coarse = _CentralDifferences(times[:n_head], _frequency_rows(kernel, fp))
         try:
-            for k, w in enumerate(reference.weights):
-                masses[k] = w.sum()
-                if k < n_class:
-                    # the reference's nodes are nonnegative: their TV is their mass
-                    diff = measure_field(w, masses[k]) - class_field(w)
-                    class_gap = max(class_gap, np.abs(diff, out=diff).sum() / max(1.0, masses[k]))
-                split, last = last, w
+            k = 0
+            for W in node_blocks(reference.weights, _block_rows(space.n)):
+                # the reference's nodes are nonnegative: their TV is their mass
+                X = masses[k:k + len(W)] = W.sum(axis=1)
+                # the block's first c rows are on [0, min(T, 10)], its first h on [0, min(T, 1)]
+                c, h = n_class - k, n_head - k
+                if c > 0:
+                    class_gap = np.maximum(class_gap, class_gaps(W[:c], X[:c]).max())
+                if h > 0 and not isinstance(coarse, Exception):
+                    try:
+                        coarse.add(_normalized(W[:h], X[:h], times[k:k + h]), X[:h])
+                    except Exception as exc:
+                        coarse = exc
+                split, last = (W[-2] if len(W) > 1 else last), W[-1]
+                k += len(W)
         except NumericError as exc:
             rk4_witness = str(exc)
         worst, fine = child.result()
@@ -337,10 +353,13 @@ def verify(cfg: RunConfig, out_dir=None) -> dict:
     if positive_mass and not fp.mean_fitness_mortality:
         try:
             reference_passed()
-            if isinstance(fine, Exception):
-                raise fine
-            (rc, nc), (rf, nf) = fine
+            for outcome in (coarse, fine):
+                if isinstance(outcome, Exception):
+                    raise outcome
+            gaps, _ = coarse.gaps()  # the normalized gap, then the replicator gap under a Dirac kernel
+            nc, (rf, nf) = gaps[0], fine
             if kernel.is_dirac:
+                rc = gaps[1]
                 tol = max(1e-12, rc / 2.8)
                 record("replicator_fd", rc <= 1e-10 or rf <= tol, max_discrepancy=rf,
                        tolerance=tol, coarse=rc)

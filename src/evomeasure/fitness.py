@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, _integer, _real
+from .errors import ConfigError, NumericError, _integer, _real, _reals
 from .space import StrategySpace
 
 K_TILDE_FACTOR = 1.1  # the truncation level K~ of estimate_constants, in units of u(Q) + 2a
@@ -58,7 +58,8 @@ def _coef(space: StrategySpace, spec, name: str) -> float | np.ndarray:
     if callable(spec):
         arr = np.array([float(spec(q)) for q in space.points])
     else:
-        arr = np.array(_real(spec, f"coefficient {name}") if np.isscalar(spec) else spec, dtype=float)
+        label = f"coefficient {name}"
+        arr = np.array(_real(spec, label)) if np.isscalar(spec) else _reals(spec, label)
         if arr.ndim and arr.shape != (n,):
             raise ValueError(f"coefficient {name} has shape {arr.shape}, space has {n} points")
     bad = ~np.isfinite(arr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _real
+from .errors import _real, _reals
 from .measures import MeasureVec, bl_distance, unit_atom
 from .space import StrategySpace, _frozen
 
@@ -172,7 +172,7 @@ def kernel_from_config(cfg: dict, space: StrategySpace) -> MutationKernel:
     if variant == "dirac":
         return dirac_kernel(space)
     if variant == "matrix":
-        return matrix_kernel(space, cfg["rows"])
+        return matrix_kernel(space, _reals(cfg["rows"], "kernel.rows"))
     if variant == "gaussian":
         return gaussian_kernel(space, _real(cfg["sigma"], "kernel.sigma"))
     if variant == "uniform":

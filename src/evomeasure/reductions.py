@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _central_difference_gap, time_grid
+from .dynamics import Trajectory, _block_rows, _central_difference_gap, node_blocks, time_grid
 from .fitness import FitnessPair, mean_fitness_pair
 from .kernels import MutationKernel
 from .measures import MeasureVec
@@ -81,6 +81,27 @@ def _class_field(sys: DiscreteSystem):
         return P @ (birth(X) * x) - death(X) * x
 
     return rhs
+
+
+def _class_identity(kernel: MutationKernel, fp: FitnessPair):
+    """TV(F(w) - G(w)) / max(1, TV(w)) at each row w of a block W of
+    nonnegative states with (m,) masses X, F the measure field of (kernel,
+    fp) and G the class field P (f1 w) - f2 w of
+    ``DiscreteSystem.from_measure_problem(kernel, fp)``.  On a finite
+    support the two are one vector field, so the gaps are round-off.  One
+    table of each rate (``FitnessPair.tables``) serves both fields, and the
+    kernel push and the product with P are one matrix product each over
+    the block."""
+    push, PT = kernel.push_births, DiscreteSystem.from_measure_problem(kernel, fp).P.T
+
+    def gaps(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+        f1, f2 = fp.tables(X)
+        births, deaths = f1 * W, f2 * W
+        diff = push(births) - deaths
+        diff -= births @ PT - deaths
+        return np.abs(diff, out=diff).sum(axis=1) / np.maximum(1.0, X)
+
+    return gaps
 
 
 def integrate_discrete(sys: DiscreteSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,35 +193,63 @@ class FdReport:
     n_nodes_checked: int
 
 
+def _normalized(states: np.ndarray, masses: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The frequencies states / masses of a block of nodes at ``times``, by
+    the division of ``normalized_trajectory``; a nonpositive mass is refused."""
+    bad = np.flatnonzero(masses <= 0.0)
+    if len(bad):
+        raise ValueError(f"cannot normalize: mass {masses[bad[0]]} at t={times[bad[0]]}")
+    return states / masses[:, None]
+
+
+def _frequency_blocks(weights, times: np.ndarray, size: int):
+    """The frequencies and the masses of the nodes ``weights`` (as
+    ``node_blocks`` reads them) at ``times``, in blocks of ``size`` nodes;
+    a nonpositive mass is refused."""
+    k = 0
+    for W in node_blocks(weights, size):
+        X = W.sum(axis=1)
+        yield _normalized(W, X, times[k:k + len(W)]), X
+        k += len(W)
+
+
 def _frequency_gaps(run, rhs) -> tuple[list[float], int]:
     """Central-difference gaps of P(t) = mu(t) / mu(t)(Q) against each
-    ``rhs[i](p, X)``, with p = P(t_k) and X = mu(t_k)(Q), in one pass over
-    the nodes of ``run`` (a ``Trajectory``, or a ``NodeStream`` read here).
-    Each node is normalized where it is read, by the division of
-    ``normalized_trajectory``; a nonpositive mass is refused."""
-
-    def frequencies():
-        for t, w in zip(run.times, run.weights):
-            X = float(w.sum())
-            if X <= 0.0:
-                raise ValueError(f"cannot normalize: mass {X} at t={t}")
-            yield w / X, X
-
-    return _central_difference_gap(run.times, frequencies(), rhs)
+    ``rhs[i](p, X)``, with p = P(t_k) and X = mu(t_k)(Q) rows of a block,
+    in one pass over the nodes of ``run`` (a ``Trajectory``, or a
+    ``NodeStream`` read here) in blocks of ``_block_rows`` nodes."""
+    blocks = _frequency_blocks(run.weights, run.times, _block_rows(run.space.n))
+    return _central_difference_gap(run.times, blocks, rhs)
 
 
-def _mm_rhs(kernel: MutationKernel, fp: FitnessPair):
-    return lambda p, X: mm_rhs(p, X, kernel, fp)
-
-
-def _replicator_rhs(fp: FitnessPair):
-    """dP/dt = [f(X, q) - fbar] P with f = f1 - f2 and fbar = int_Q f dP."""
+def _mm_rows(kernel: MutationKernel, fp: FitnessPair):
+    """``mm_rhs`` at each row p of a block of frequencies with masses X."""
 
     def rhs(p, X):
-        fvals = fp.f1(X) - fp.f2(X)
-        return (fvals - float(np.dot(fvals, p))) * p
+        f1, f2 = fp.tables(X)
+        births = f1 * p
+        fbar1 = births.sum(axis=1)[:, None]
+        fbar2 = (f2 * p).sum(axis=1)[:, None]
+        return kernel.push_births(births) - fbar1 * p * p.sum(axis=1)[:, None] - (f2 - fbar2) * p
 
     return rhs
+
+
+def _replicator_rows(fp: FitnessPair):
+    """dP/dt = [f(X, q) - fbar] P with f = f1 - f2 and fbar = int_Q f dP, at each row."""
+
+    def rhs(p, X):
+        f1, f2 = fp.tables(X)
+        fvals = f1 - f2
+        return (fvals - (fvals * p).sum(axis=1)[:, None]) * p
+
+    return rhs
+
+
+def _frequency_rows(kernel: MutationKernel, fp: FitnessPair) -> list:
+    """The right-hand sides of ``frequency_gaps``: ``mm_rhs``, then the
+    replicator field under a Dirac kernel."""
+    return [_mm_rows(kernel, fp), _replicator_rows(fp)] if kernel.is_dirac else [_mm_rows(kernel, fp)]
 
 
 def mm_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> FdReport:
@@ -209,7 +258,7 @@ def mm_residual(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) -> Fd
     ``traj`` is the measure trajectory a solver returns, not its normalized
     copy: the frequency dynamics is driven by the unnormalized masses.
     """
-    (gap,), checked = _frequency_gaps(traj, [_mm_rhs(kernel, fp)])
+    (gap,), checked = _frequency_gaps(traj, [_mm_rows(kernel, fp)])
     return FdReport(gap, checked)
 
 
@@ -223,15 +272,14 @@ def replicator_check(traj: Trajectory, kernel: MutationKernel, fp: FitnessPair) 
     """
     if not kernel.is_dirac:
         raise ValueError("the replicator reduction is only defined for the Dirac kernel")
-    (gap,), checked = _frequency_gaps(traj, [_replicator_rhs(fp)])
+    (gap,), checked = _frequency_gaps(traj, [_replicator_rows(fp)])
     return FdReport(gap, checked)
 
 
 def frequency_gaps(run, kernel: MutationKernel, fp: FitnessPair) -> tuple[float | None, float]:
     """The gaps of ``replicator_check`` (Dirac kernels only, else None) and
     of ``mm_residual``, from one pass over the nodes of ``run``."""
-    rhs = [_mm_rhs(kernel, fp), _replicator_rhs(fp)] if kernel.is_dirac else [_mm_rhs(kernel, fp)]
-    gaps, _ = _frequency_gaps(run, rhs)
+    gaps, _ = _frequency_gaps(run, _frequency_rows(kernel, fp))
     return (gaps[1] if kernel.is_dirac else None), gaps[0]
 
 

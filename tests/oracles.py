@@ -3,7 +3,7 @@
 Every module that compares the package against an independent computation
 imports it from here: the RK4 loop, the measure field and its clip/abort
 step, the collected RK4 run, the max row TV, the central-difference gap, the
-frequency checks, the class-system gap, the refusal capture, the 1-D
+frequency checks, the class-system gap and identity, the refusal capture, the 1-D
 Wasserstein distance and the random problem generators.  They share with
 the package its data types, ``time_grid`` (the node grid every run lives on)
 and the frequency field ``mm_rhs``.
@@ -149,6 +149,13 @@ def class_system_gap(traj, kernel, fpt, u, dt):
     sys = DiscreteSystem.from_measure_problem(kernel, fpt)
     _, xs = rk4(lambda x: class_rhs(x, sys), u.weights, traj.times[-1], dt)
     return max_row_tv(traj.weights, xs)
+
+
+def class_identity_gap(traj, kernel, fpt):
+    """Max over nodes of TV(measure field - class field) / max(1, TV(w)), node by node."""
+    sys = DiscreteSystem.from_measure_problem(kernel, fpt)
+    return max(float(np.abs(field_weights(w, kernel, fpt) - class_rhs(w, sys)).sum()) / max(1.0, float(np.abs(w).sum()))
+               for w in traj.weights)
 
 
 def central_difference_gap(times, state, rhs):

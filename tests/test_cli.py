@@ -250,6 +250,20 @@ def every_command():
     ("simulate", refit(floor=True), "fitness.floor must be a number, got True"),
     ("verify", refit(b=True), "coefficient b must be a number, got True"),
     ("mutation-limit", small_reference(sigmas=[0.4, True]), "sigma must be a number, got True"),
+    # JSON's true and false inside an array were read as 1.0 and 0.0
+    ("verify", refit(b=[True] + [1.0] * 15), "coefficient b must hold only numbers, got True"),
+    ("simulate", refit(a=[1.0] * 15 + [False]), "coefficient a must hold only numbers, got False"),
+    ("simulate", small_reference(initial={"kind": "weights", "weights": [0.1] * 15 + [True]}),
+     "initial.weights must hold only numbers, got True"),
+    ("simulate", small_reference(initial={"kind": "gaussian", "center": [True], "sigma": 0.5}),
+     "initial.center must hold only numbers, got True"),
+    ("simulate", {**grid2d_reference([4, 4]), "space": {"kind": "grid2d", "bounds": [[0.0, True], [0.0, 1.0]],
+                                                         "cells": [4, 4]}},
+     "space.bounds must hold only numbers, got True"),
+    ("simulate", small_reference(kernel={"variant": "matrix", "rows": [[True] + [0.0] * 15] + np.eye(16)[1:].tolist()}),
+     "kernel.rows must hold only numbers, got True"),
+    ("simulate", small_reference(space={"kind": "atoms", "points": [[0.15 * i] for i in range(15)] + [[True]]}),
+     "space.points must hold only numbers, got True"),
 ])
 def test_a_config_that_cannot_run_exits_2_without_output(command, cfg, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -552,11 +566,11 @@ def test_verify_planted_assumption_violation_fails(tmp_path):
 
 
 def test_verify_holds_each_trajectory_once(monkeypatch):
-    # at 64 cells no trajectory is held: the RK4 reference is read once, node
-    # by node, with the class-system identity checked at each node, the
-    # semigroup restart is one step from the node before T, and the dt/2 run
-    # on [0, 1] is read node by node; the traced peak is 0.2-0.45
-    # references.  A collected reference peaks at 1.1-1.2, a materialized
+    # at 64 cells no trajectory is held: the RK4 reference is read once, in
+    # blocks of 64 nodes, with the class-system identity and the coarse
+    # frequency gaps checked on each block, the semigroup restart is one step
+    # from the node before T, and the dt/2 run on [0, 1] is read in blocks
+    # too; the traced peak is 0.2-0.45 references.  A collected reference peaks at 1.1-1.2, a materialized
     # dt/2 run higher still.  tracemalloc sees only this process, so the
     # guard runs twice: with the dt/2 run in the forked child and the
     # restart in this process, and all inline, where os.fork is missing.  A warm-up call in each mode first takes the one-time

@@ -1,21 +1,27 @@
 """The commands that read a run once, against their materialized versions.
 
 ``verify``, ``dirac-limit`` and ``mutation-limit`` read each run, RK4 or
-Picard, node by node and keep only what their checks and summaries need.
-The oracle is the code that collected every run into a full trajectory
-first, kept here verbatim (only renamed, with the summary-node rule, the
-mass bound of the trajectory and the ``_flow`` wrapper of the configured
-run inlined, with ``dirac-limit``'s flat distance to the fittest atom in
-its closed form, which ``test_measures`` holds against ``bl_distance``, and
-with its refusal of a zero initial mass): every report, CSV and JSON file
-must be byte-equal to it, with the same witnesses and the same refusals.
-Only ``verify``'s class-system check is not verbatim: the oracle computes
-the per-node identity between the measure field and the class field over
-the collected head on [0, min(T, 10)], so that byte-equality tests the
-streaming; and its semigroup composition, like ``verify``'s, restarts one
-step from the node before T and is held to round-off.  Traced-peak guards
-hold each command to a fraction of one trajectory.  ``verify`` runs its Lipschitz sampler and its frequency-gap
-runs in one forked child; without ``os.fork`` it computes them inline, and
+Picard, node by node or in blocks of nodes, and keep only what their
+checks and summaries need.  The oracle is the code that collected every
+run into a full trajectory first, kept here verbatim (only renamed, with
+the summary-node rule, the mass bound of the trajectory and the ``_flow``
+wrapper of the configured run inlined, with ``dirac-limit``'s flat distance
+to the fittest atom in its closed form, which ``test_measures`` holds
+against ``bl_distance``, and with its refusal of a zero initial mass):
+every report, CSV and JSON file must be byte-equal to it, with the same
+witnesses and the same refusals.  Only ``verify``'s class-system check and
+gaps are not verbatim.  The oracle computes the class identity over the
+collected head on [0, min(T, 10)], cut into the blocks of
+``_block_rows(n)`` nodes that ``verify``'s pass reads, and its frequency
+gaps over the collected head on [0, min(T, 1)] and the dt/2 run, with the
+same blocks: so byte-equality tests the streaming and the carrying of rows
+from block to block, and ``test_streams`` holds the blocked arithmetic to
+the per-node oracles at round-off.  Its semigroup composition, like
+``verify``'s, restarts one step from the node before T and is held to
+round-off.  Traced-peak guards hold each command to a fraction of one
+trajectory.  ``verify`` takes its coarse frequency gaps from the
+reference's head in its pass, and runs its Lipschitz sampler and its dt/2
+run in one forked child; without ``os.fork`` it computes them inline, and
 both paths are held to the same bytes.
 """
 
@@ -32,14 +38,14 @@ import pytest
 from conftest import concentration_config_dict, reference_components, reference_config_dict
 from evomeasure import NumericError, dynamics, experiments
 from evomeasure.config import RunConfig
-from evomeasure.dynamics import (Trajectory, field_lipschitz_ratio, flow, rk4_integrate, rk4_stream, time_grid,
-                                 vector_field, write_csv_rows)
+from evomeasure.dynamics import (Trajectory, _block_rows, field_lipschitz_ratio, flow, node_blocks, rk4_integrate,
+                                 rk4_stream, time_grid, write_csv_rows)
 from evomeasure.experiments import _forked, _write_json, dirac_limit, mutation_limit, verify
 from evomeasure.errors import ConfigError
 from evomeasure.fitness import estimate_constants, verify_assumptions
 from evomeasure.kernels import MutationKernel, dirac_kernel, gaussian_kernel
 from evomeasure.measures import MeasureVec, bl_distance
-from evomeasure.reductions import DiscreteSystem, discrete_rhs, frequency_gaps
+from evomeasure.reductions import DiscreteSystem, _class_identity, frequency_gaps
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,12 +144,8 @@ def materialized_verify(cfg, out_dir=None):
     if not fp.mean_fitness_mortality:
         try:
             mtraj = head(min(cfg.T, 10.0))
-            classes = DiscreteSystem.from_measure_problem(kernel, fpt)
-            gap = 0.0
-            for w in mtraj.weights:
-                m = MeasureVec(space, w)
-                diff = vector_field(m, kernel, fpt).add_scaled(-1.0, MeasureVec(space, discrete_rhs(w, classes)))
-                gap = max(gap, diff.tv_norm() / max(1.0, m.tv_norm()))
+            identity = _class_identity(kernel, fpt)
+            gap = float(max(identity(W, W.sum(axis=1)).max() for W in node_blocks(mtraj.weights, _block_rows(space.n))))
             record("discrete_reduction", gap <= 1e-13, max_discrepancy=gap, tolerance=1e-13,
                    T=mtraj.times[-1])
         except NumericError as exc:
@@ -491,21 +493,29 @@ def test_the_failing_cases_fail_as_intended(tmp_path):
                                               ("atoms-matrix-T-above-10", 0, True),
                                               ("atoms-matrix-T-above-10", 1, False)])
 def test_discrete_reduction_compares_every_node_up_to_ten(case, past, fails, monkeypatch):
-    # a class field off by 1e-6 in one entry at one reference node only: at
-    # the node at min(T, 10), the last one the check compares, the gap reads
-    # 1e-6 / max(1, mass) and the check fails; at the node one past it the
-    # defect is not seen
+    # a measure field and a class field 1e-6 apart in TV at one reference
+    # node only, planted on that node's row of its block: at the node at
+    # min(T, 10), the last one the check compares, the gap reads
+    # 1e-6 / max(1, mass) and the check fails; at the node one past it, in
+    # the same block, the defect is not seen
     cfg = RunConfig.from_dict(VERIFY_CASES[case])
     _, kernel, fp, u = cfg.build()
     ref = rk4_integrate(u, kernel, fp, cfg.T, cfg.dt)
     at = int(np.searchsorted(ref.times, min(cfg.T, 10.0) + 1e-9 * cfg.dt, side="right")) - 1 + past
-    field = experiments._class_field
+    identity = experiments._class_identity
 
-    def planted(classes):
-        rhs = field(classes)
-        return lambda x: rhs(x) + np.array_equal(x, ref.weights[at]) * 1e-6 * np.eye(len(x))[0]
+    def planted(kernel, fp):
+        gaps = identity(kernel, fp)
 
-    monkeypatch.setattr(experiments, "_class_field", planted)
+        def at_rows(W, X):
+            out = gaps(W, X)
+            row = np.all(W == ref.weights[at], axis=1)
+            out[row] += 1e-6 / np.maximum(1.0, X[row])
+            return out
+
+        return at_rows
+
+    monkeypatch.setattr(experiments, "_class_identity", planted)
     check = verify(cfg)["checks"]["discrete_reduction"]
     assert check["passed"] is not fails
     if fails:
@@ -591,26 +601,30 @@ def counted_forks(monkeypatch) -> list:
 
 
 def test_verify_forks_one_child_per_independent_run(monkeypatch):
-    # one child computes the Lipschitz sampler and the frequency gaps at dt
-    # and dt/2 (not under mean-fitness mortality, which forks none).  The
-    # class-system check and the one-step semigroup restart are the parent's.  The
-    # parent computes no frequency gap of its own, so it calls
-    # frequency_gaps nowhere
-    forks, gap_calls, gaps = counted_forks(monkeypatch), [], experiments.frequency_gaps
+    # one child computes the Lipschitz sampler and the frequency gaps of the
+    # dt/2 run (not under mean-fitness mortality, which forks none).  The
+    # class-system check, the coarse frequency gaps (of the reference's
+    # head, read in the pass) and the one-step semigroup restart are the
+    # parent's.  So a forked verify calls frequency_gaps nowhere in the
+    # parent, and an inline one (no os.fork) calls it once, on the dt/2 run
+    forks, gap_runs, gaps = counted_forks(monkeypatch), [], experiments.frequency_gaps
 
     def counting_gaps(run, kernel, fp):
-        gap_calls.append(1)
+        gap_runs.append(run.meta["dt"])
         return gaps(run, kernel, fp)
 
     monkeypatch.setattr(experiments, "frequency_gaps", counting_gaps)
     fds = open_fds()
-    for d, n_forks, n_gap_calls in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 1, 0),
-                                    (VERIFY_CASES["mean-fitness"], 0, 0), (VERIFY_CASES["T-zero"], 1, 0)):
+    for d, n_forks in ((reference_config_dict(cells=128, T=4.0, dt=1e-3), 1), (VERIFY_CASES["mean-fitness"], 0),
+                       (VERIFY_CASES["T-zero"], 1)):
+        cfg = RunConfig.from_dict(d)
         forks.clear()
-        gap_calls.clear()
-        assert verify(RunConfig.from_dict(d))["passed"]
-        assert (len(forks), len(gap_calls)) == (n_forks, n_gap_calls), d
+        gap_runs.clear()
+        assert verify(cfg)["passed"]
+        assert (len(forks), gap_runs) == (n_forks, []), d
         assert_no_child_left(fds)
+        assert inline(monkeypatch, lambda: verify(cfg))["passed"]
+        assert gap_runs == [cfg.dt / 2.0] * n_forks, d
 
 
 @pytest.mark.parametrize("planted", [NumericError("planted refusal"), ValueError("planted value")])
@@ -660,22 +674,17 @@ def test_an_exception_of_the_sampler_reaches_the_parent(case, tmp_path, monkeypa
 
 def test_an_interrupt_in_the_parent_reaps_the_children(monkeypatch):
     # the child is forked before the pass and read after it: an interrupt at
-    # the fifth reference node, where the class field is evaluated, finds it
-    # forked and not yet read
-    forks, field = counted_forks(monkeypatch), experiments._class_field
+    # the first block of reference nodes, where the class field is
+    # evaluated, finds it forked and not yet read
+    forks = counted_forks(monkeypatch)
 
-    def interrupted(classes):
-        rhs, calls = field(classes), []
+    def interrupted(kernel, fp):
+        def at_block(W, X):
+            raise KeyboardInterrupt
 
-        def at_node(x):
-            calls.append(1)
-            if len(calls) == 5:
-                raise KeyboardInterrupt
-            return rhs(x)
+        return at_block
 
-        return at_node
-
-    monkeypatch.setattr(experiments, "_class_field", interrupted)
+    monkeypatch.setattr(experiments, "_class_identity", interrupted)
     fds = open_fds()
     with pytest.raises(KeyboardInterrupt):
         verify(RunConfig.from_dict(VERIFY_CASES["grid1d-dirac-logistic"]))

@@ -44,6 +44,7 @@ from evomeasure import (
     zero_measure,
 )
 from evomeasure.config import RunConfig
+from evomeasure.errors import ConfigError
 from evomeasure.dynamics import (
     NEG_ABORT,
     Trajectory,
@@ -51,6 +52,7 @@ from evomeasure.dynamics import (
     _cumulative_trapezoid,
     finite_difference_residual,
     flow_stream,
+    node_blocks,
     rk4_stream,
     time_grid,
 )
@@ -288,6 +290,11 @@ def parent_validate(t, w):
         )
 
 
+def indexed_blocks(weights, size):
+    """``node_blocks`` of ``weights``, each with the indices of its nodes as its data."""
+    return ((W, np.arange(k, k + len(W))) for k, W in zip(range(0, len(weights), size), node_blocks(weights, size)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n_nodes=st.integers(1, 12),
@@ -301,7 +308,8 @@ def parent_validate(t, w):
 def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inject, seed):
     # the parent's full-pass validation, the max row TV and the central
     # difference gap are the oracle: same accept/reject with the same
-    # message, bitwise-equal gaps and the same number of nodes checked
+    # message, bitwise-equal gaps and the same number of nodes checked.  The
+    # gap is read in blocks of a random size, the last two rows carried on
     rng = np.random.default_rng(seed)
     sp = atoms(rng.uniform(0.0, 1.0, n))
     h = float(rng.uniform(0.01, 1.0))
@@ -334,9 +342,10 @@ def test_validation_and_row_tv_are_the_parent_passes(n_nodes, n, last_step, inje
     assert traj.sup_tv_distance(other) == max_row_tv(traj.weights, other.weights)
     rhs_rows = rng.normal(size=(n_nodes, n))
     rhs = lambda k: rhs_rows[k]
-    nodes = zip(traj.weights, range(n_nodes))
+    size = int(rng.integers(1, n_nodes + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rhs(k)])
+        (gap,), count = _central_difference_gap(traj.times, indexed_blocks(traj.weights, size),
+                                                 [lambda W, ks: rhs(ks)])
         want_gap, want_count = central_difference_gap(traj.times, traj.weights.__getitem__, rhs)
     assert gap == want_gap and count == want_count
 
@@ -862,11 +871,23 @@ def test_a_grid_of_a_bad_horizon_or_step_is_refused(caller, T, dt, message):
         _grid_callers()[caller](T, dt)
 
 
+@pytest.mark.parametrize("caller", [caller for caller in _grid_callers() if caller != "picard_solve"])
+def test_a_grid_whose_node_count_overflows_is_a_config_error(caller):
+    # a finite T and dt whose quotient is infinite: math.ceil raised an
+    # OverflowError; now the refusal of a grid too large to allocate
+    with pytest.raises(ConfigError, match=re.escape(
+            "the node grid of T = 1e+300 at dt = 1e-10 has inf nodes, which cannot be allocated")):
+        _grid_callers()[caller](1e300, 1e-10)
+
+
 @pytest.mark.parametrize("solver, settings, message", [
     ("bogus", {}, "unknown solver 'bogus'"),
     ("picard", {"tol": -1.0}, "tol must be positive"),
     ("picard", {"max_iter": 0}, "max_iter must be at least 1"),
     ("rk4", {"dt": -1.0}, "dt must be positive and finite, got -1.0"),
+    # a NaN tol passed `tol <= 0` and ran every window to max_iter
+    ("picard", {"tol": float("nan")}, "tol must be positive and finite, got nan"),
+    ("picard", {"tol": float("inf")}, "tol must be positive and finite, got inf"),
 ])
 def test_flow_checks_its_arguments_at_time_zero(solver, settings, message):
     # at T = 0 the flow is the identity, but the arguments it is given are
@@ -1074,16 +1095,18 @@ def test_finite_difference_residual_matches_a_node_loop():
 
 def test_central_difference_gap_of_a_nan_rhs_is_nan():
     # a NaN right-hand side at one interior node makes the gap NaN, wherever
-    # that node falls among larger and smaller gaps, so no check can pass on it
+    # that node falls among larger and smaller gaps and whatever the blocks,
+    # so no check can pass on it
     sp = atoms([[0.0], [1.0]])
     traj = Trajectory(sp, 0.1 * np.arange(8.0), RNG.uniform(0.0, 1.0, (8, 2)))
     for bad in (1, 3, 6):
         rows = np.zeros((8, 2))
         rows[bad] = [np.nan, 0.0]
         rows[4] = [1e6, 0.0]
-        nodes = zip(traj.weights, range(8))
-        (gap,), count = _central_difference_gap(traj.times, nodes, [lambda w, k: rows[k]])
-        assert count == 6 and math.isnan(gap)
+        for size in (1, 3, 8):
+            (gap,), count = _central_difference_gap(traj.times, indexed_blocks(traj.weights, size),
+                                                     [lambda W, ks: rows[ks]])
+            assert count == 6 and math.isnan(gap)
 
 
 def test_pure_selection_equivalence_with_decoupled_ode():

@@ -1,16 +1,25 @@
 """The node streams against the materialized runs they replace.
 
-``verify`` reads its RK4 reference and the dt/2 run node by node, and its
-one-step semigroup restart to its end state; the restart from any node,
-tested here, keeps only its end state too.  The oracle is the code that materialized them as full
-arrays, in ``oracles``: every streamed result must be bitwise equal to it,
-with the same node counts and the same refusals.  The class system's RK4
-run, ``integrate_discrete``, is held to the oracle's in the same way.
-The pairs drawn here have vector b and c, so RK4 takes the field step that
-the oracle writes out; ``test_dynamics`` holds separable pairs, which take
-the polynomial step, to the oracle at round-off.
+``verify`` reads its RK4 reference and the dt/2 run in blocks of nodes,
+and its one-step semigroup restart to its end state; the restart from any
+node, tested here, keeps only its end state too.  The oracle is the code
+that materialized them as full arrays, in ``oracles``: every streamed run
+must be bitwise equal to it, with the same node counts and the same
+refusals.  The class system's RK4 run, ``integrate_discrete``, is held to
+the oracle's in the same way.  The frequency gaps and the class identity
+evaluate their right-hand sides for a whole block of nodes at once, so
+they are held to the oracle's per-node loops within ``ROUND_OFF``
+max(1, S), S the largest rates (1 for the class identity, a relative
+gap), at block sizes 1, 2, 3, 16 and the whole run; their node counts
+and refusals are the oracle's exactly.  The finite-difference residual
+reads blocks too but evaluates its field node by node, and stays bitwise
+equal to the oracle's.  The pairs drawn here have vector b
+and c, so RK4 takes the field step that the oracle writes out;
+``test_dynamics`` holds separable pairs, which take the polynomial step,
+to the oracle at round-off.
 """
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -21,13 +30,35 @@ from hypothesis import strategies as st
 import oracles
 from conftest import reference_components
 from evomeasure import DiscreteSystem, MeasureVec, constant_pair, matrix_kernel, zero_measure
-from evomeasure.dynamics import NodeStream, finite_difference_residual, rk4_integrate, rk4_stream, sup_tv
-from evomeasure.reductions import frequency_gaps, integrate_discrete, mm_residual, replicator_check
+from evomeasure.dynamics import (NodeStream, _central_difference_gap, finite_difference_residual, node_blocks,
+                                 rk4_integrate, rk4_stream, sup_tv)
+from evomeasure.reductions import (_class_identity, _frequency_blocks, _frequency_rows, frequency_gaps,
+                                   integrate_discrete, mm_residual, replicator_check)
 from oracles import class_system_gap, outcome, random_pair, random_problem, refuse_mass_above, refused
+
+# a blocked gap is the per-node gap within ROUND_OFF max(1, S): about 45
+# units of round-off (eps = 2.2e-16); property tests saw at most 1.5
+ROUND_OFF = 1e-14
 
 
 def _run(traj):
     return traj.times.tobytes(), traj.weights.tobytes(), traj.meta
+
+
+def rate_scale(traj, fp):
+    """The largest |f1| plus the largest |f2| over the nodes of ``traj``."""
+    f1, f2 = fp.tables(traj.masses)
+    return float(np.abs(f1).max() + np.abs(f2).max())
+
+
+def close(got, want, scale):
+    """Outcomes alike: refusals, node counts and a missing gap equal, and
+    each gap within ROUND_OFF max(1, scale) of the oracle's (NaN to NaN)."""
+    if refused(got) or refused(want):
+        return got == want
+    return len(got) == len(want) and all(
+        abs(g - w) <= ROUND_OFF * max(1.0, scale) or math.isnan(g) and math.isnan(w) if isinstance(w, float)
+        else g == w for g, w in zip(got, want))
 
 
 @settings(max_examples=120, deadline=None)
@@ -90,6 +121,7 @@ def test_node_streams_are_the_materialized_runs_bitwise(
             == oracles.finite_difference_residual(ref, kernel, fpt))
     if family == "mean_fitness":
         return
+    rates = rate_scale(ref, fpt)
 
     # the class-system gap against the full arrays
     _, oracle = integrate_discrete(DiscreteSystem.from_measure_problem(kernel, fpt), u.weights, T, dt)
@@ -105,13 +137,46 @@ def test_node_streams_are_the_materialized_runs_bitwise(
             assert outcome(lambda: frequency_gaps(read(), kernel, fpt)) == traj
             continue
         want_mm = outcome(lambda: oracles.mm_residual(traj, kernel, fpt))
-        assert outcome(lambda: astuple(mm_residual(read(), kernel, fpt))) == want_mm
+        assert close(outcome(lambda: astuple(mm_residual(read(), kernel, fpt))), want_mm, rates)
         want_rep = None
         if kernel.is_dirac:
             want_rep = outcome(lambda: oracles.replicator_check(traj, fpt))
-            assert outcome(lambda: astuple(replicator_check(read(), kernel, fpt))) == want_rep
+            assert close(outcome(lambda: astuple(replicator_check(read(), kernel, fpt))), want_rep, rates)
         want = want_mm if refused(want_mm) else (want_rep and want_rep[0], want_mm[0])
-        assert outcome(lambda: frequency_gaps(read(), kernel, fpt)) == want
+        assert close(outcome(lambda: frequency_gaps(read(), kernel, fpt)), want, rates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space_kind=st.sampled_from(["grid1d", "grid2d", "atoms"]),
+    n=st.integers(1, 8),
+    kernel_kind=st.sampled_from(["dirac", "gaussian", "matrix"]),
+    n_nodes=st.integers(2, 40),
+    last_step=st.sampled_from([1.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_gaps_are_the_per_node_gaps_to_round_off(space_kind, n, kernel_kind, n_nodes, last_step, seed):
+    # the class identity and the frequency gaps, read in blocks of 1, 2, 3,
+    # 16 and all nodes, against the oracles' per-node loops: within
+    # ROUND_OFF max(1, S), the node counts exact, whatever the blocks
+    rng = np.random.default_rng(seed)
+    sp, kernel, fp, u = random_problem(rng, space_kind, n, kernel_kind)
+    dt = float(rng.uniform(0.005, 0.05))
+    traj = outcome(lambda: rk4_integrate(u, kernel, fp, (n_nodes - 2 + last_step) * dt, dt))
+    if refused(traj):
+        return
+    fpt = fp.truncated(traj.meta["k_tilde"])
+    rates = rate_scale(traj, fpt)
+    identity = oracles.class_identity_gap(traj, kernel, fpt)
+    mm, count = oracles.mm_residual(traj, kernel, fpt)
+    want = [mm, oracles.replicator_check(traj, fpt)[0]] if kernel.is_dirac else [mm]
+    gaps = _class_identity(kernel, fpt)
+    for size in (1, 2, 3, 16, traj.n_nodes):
+        got = max(gaps(W, W.sum(axis=1)).max() for W in node_blocks(traj.weights, size))
+        assert abs(got - identity) <= ROUND_OFF
+        got, checked = _central_difference_gap(traj.times, _frequency_blocks(traj.weights, traj.times, size),
+                                                _frequency_rows(kernel, fpt))
+        assert close((*got, checked), (*want, count), rates)
 
 
 def test_a_stream_read_to_the_end_has_no_node_left():
